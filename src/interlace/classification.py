@@ -1,9 +1,11 @@
 """Minor-based sign classification and oscillation criteria.
 
-All checks scan exact minors in a fixed lexicographic order (rows outer,
-columns inner), so the first witness reported for any failure is
-deterministic. Verdicts form a hierarchy: strictly sign definite implies
-class n+ (power exponent 1), which implies sign definite of class n.
+All checks scan exact minors in one fixed order: orders 1..n, and within
+an order lexicographically (rows outer, columns inner). ``_scan`` is the
+single place that decides this order, and with it the first witness reported
+for any failure and the minor where each check stops. Verdicts form a
+hierarchy: strictly sign definite implies class n+ (power exponent 1), which
+implies sign definite of class n.
 
 A key consumer is the flip certificate: multiplying a totally nonnegative A
 by the anti-identity J gives B = JA (or C = AJ) whose nonzero order-k minors
@@ -17,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import NonnegativityViolated, PositivityViolated
-from .matrices import Matrix, MinorSelector, flip_cols, flip_rows
+from .matrices import Matrix, MinorSelector, as_fraction, flip_cols, flip_rows
 
 Signature = tuple[Optional[int], ...]
 
@@ -74,44 +76,29 @@ class SignClassification:
                                 SignVerdict.STRICTLY_SIGN_DEFINITE)
 
 
-def _order_sign_scan(m: Matrix, order: int):
-    """(epsilon, first_pos, first_neg, saw_zero) for one minor order.
+def _scan(m: Matrix) -> Iterator[tuple[MinorSelector, Fraction]]:
+    """Every minor of ``m``: orders 1..n, each in ``Matrix.minors`` order.
 
-    Stops as soon as both strict signs have appeared.
+    The one place that fixes scan order; each check below reports the first
+    minor of this stream that breaks it and stops reading there.
     """
-    first_pos = first_neg = None
-    saw_zero = False
-    for sel, val in m.minors(order):
-        if val > 0:
-            if first_pos is None:
-                first_pos = (sel, val)
-        elif val < 0:
-            if first_neg is None:
-                first_neg = (sel, val)
-        else:
-            saw_zero = True
-        if first_pos is not None and first_neg is not None:
-            return None, first_pos, first_neg, saw_zero
-    if first_pos is not None:
-        return 1, first_pos, None, saw_zero
-    if first_neg is not None:
-        return -1, None, first_neg, saw_zero
-    return None, None, None, saw_zero
+    for order in range(1, m.n + 1):
+        yield from m.minors(order)
 
 
 def _strictly_sign_definite(m: Matrix) -> bool:
     """Every minor nonzero and, per order, of one shared sign (short-circuit)."""
-    for order in range(1, m.n + 1):
-        shared = 0
-        for _, val in m.minors(order):
-            if val == 0:
-                return False
-            s = 1 if val > 0 else -1
-            if shared == 0:
-                shared = s
-            elif s != shared:
-                return False
+    positive: dict[int, bool] = {}  # order -> sign of its first minor
+    for sel, val in _scan(m):
+        if val == 0 or positive.setdefault(sel.order, val > 0) != (val > 0):
+            return False
     return True
+
+
+def _signature(first: dict[int, tuple[MinorSelector, Fraction]], orders: int) -> Signature:
+    """Sign of the first nonzero minor of each order 1..orders, None if none."""
+    return tuple((1 if first[k][1] > 0 else -1) if k in first else None
+                 for k in range(1, orders + 1))
 
 
 def default_power_cap(n: int) -> int:
@@ -134,20 +121,21 @@ def classify_sign_definite(m: Matrix, power_cap: Optional[int] = None) -> SignCl
     if cap < 1:
         raise PositivityViolated("power cap must be >= 1")
 
-    signature: list[Optional[int]] = []
-    saw_zero_any = False
-    for order in range(1, n + 1):
-        eps, first_pos, first_neg, saw_zero = _order_sign_scan(m, order)
-        saw_zero_any = saw_zero_any or saw_zero
-        if first_pos is not None and first_neg is not None:
-            conflict = SignConflict(order, first_pos, first_neg)
-            sig = tuple(signature) + (None,) * (n - order + 1)
+    first: dict[int, tuple[MinorSelector, Fraction]] = {}  # order -> first nonzero minor
+    saw_zero = False
+    for sel, val in _scan(m):
+        if val == 0:
+            saw_zero = True
+            continue
+        earlier = first.setdefault(sel.order, (sel, val))
+        if (earlier[1] > 0) != (val > 0):
+            pos, neg = (earlier, (sel, val)) if val < 0 else ((sel, val), earlier)
+            sig = _signature(first, sel.order - 1) + (None,) * (n - sel.order + 1)
             return SignClassification(SignVerdict.NOT_SIGN_DEFINITE, sig,
-                                      conflict, None, cap)
-        signature.append(eps)
+                                      SignConflict(sel.order, pos, neg), None, cap)
 
-    sig = tuple(signature)
-    if not saw_zero_any and all(e is not None for e in sig):
+    sig = _signature(first, n)
+    if not saw_zero:
         return SignClassification(SignVerdict.STRICTLY_SIGN_DEFINITE, sig,
                                   None, 1, cap)
     for exponent in range(2, cap + 1):
@@ -163,11 +151,7 @@ def classify_sign_definite(m: Matrix, power_cap: Optional[int] = None) -> SignCl
 
 def tnn_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     """First negative minor in enumeration order, or None if all >= 0."""
-    for order in range(1, m.n + 1):
-        for sel, val in m.minors(order):
-            if val < 0:
-                return sel, val
-    return None
+    return next(((sel, val) for sel, val in _scan(m) if val < 0), None)
 
 
 def is_totally_nonnegative(m: Matrix) -> bool:
@@ -176,11 +160,7 @@ def is_totally_nonnegative(m: Matrix) -> bool:
 
 def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     """First minor <= 0 in enumeration order, or None if all > 0."""
-    for order in range(1, m.n + 1):
-        for sel, val in m.minors(order):
-            if val <= 0:
-                return sel, val
-    return None
+    return next(((sel, val) for sel, val in _scan(m) if val <= 0), None)
 
 
 def is_strictly_totally_positive(m: Matrix) -> bool:
@@ -322,8 +302,70 @@ class JFlipCertificate:
         return None
 
 
-_JFLIP_STAGES = ("totally_nonnegative", "nonsingular", "corner_conditions",
-                 "flip_square_oscillatory", "sign_classification", "spectrum")
+@dataclass
+class _FlipRun:
+    """What the flip stages read, and the two results they leave behind."""
+
+    matrix: Matrix
+    flipped: Matrix
+    side: str
+    power_cap: Optional[int]
+    width_bound: Fraction
+    classification: Optional[SignClassification] = None
+    spectrum: object = None
+
+
+def _tnn_stage(run: _FlipRun) -> tuple[bool, str]:
+    viol = tnn_violation(run.matrix)
+    if viol is None:
+        return True, ""
+    sel, val = viol
+    return False, f"minor rows={sel.rows} cols={sel.cols} = {val}"
+
+
+def _nonsingular_stage(run: _FlipRun) -> tuple[bool, str]:
+    det = run.matrix.det()
+    return det != 0, f"determinant = {det}"
+
+
+def _corner_stage(run: _FlipRun) -> tuple[bool, str]:
+    corners = check_corner_conditions(run.matrix)
+    if corners.holds(run.side):
+        return True, ""
+    return False, f"no witness for i in {corners.failing_indices(run.side)}"
+
+
+def _flip_square_stage(run: _FlipRun) -> tuple[bool, str]:
+    if is_oscillatory(run.flipped * run.flipped):
+        return True, ""
+    return False, "square of the flip fails the oscillation criterion"
+
+
+def _sign_stage(run: _FlipRun) -> tuple[bool, str]:
+    cls = run.classification = classify_sign_definite(run.flipped, run.power_cap)
+    target = jflip_signature(run.matrix.n)
+    if not cls.is_class_n_plus:
+        return False, f"verdict {cls.verdict.value} (power cap {cls.power_cap})"
+    if tuple(cls.signature) != target:
+        return False, f"signature {cls.signature} != expected {target}"
+    return True, f"class n+ at power {cls.power_exponent}"
+
+
+def _spectrum_stage(run: _FlipRun) -> tuple[bool, str]:
+    from .spectra import spectrum_report, SpectrumVerdict
+
+    spectrum = run.spectrum = spectrum_report(run.flipped, run.width_bound)
+    if spectrum.verdict is SpectrumVerdict.KIND_I:
+        return True, f"kind I, {len(spectrum.boxes)} real roots"
+    return False, f"verdict {spectrum.verdict.value}"
+
+
+_JFLIP_STAGES = (("totally_nonnegative", _tnn_stage),
+                 ("nonsingular", _nonsingular_stage),
+                 ("corner_conditions", _corner_stage),
+                 ("flip_square_oscillatory", _flip_square_stage),
+                 ("sign_classification", _sign_stage),
+                 ("spectrum", _spectrum_stage))
 
 
 def jflip_si_certificate(m: Matrix, side: str = "left",
@@ -333,81 +375,25 @@ def jflip_si_certificate(m: Matrix, side: str = "left",
 
     side "left" forms B = JA (row reversal), side "right" forms C = AJ
     (column reversal); the corner condition checked matches the side.
+    Arguments are checked before any stage runs.
     """
-    from .spectra import spectrum_report, SpectrumVerdict
-
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if power_cap is not None and power_cap < 1:
+        raise PositivityViolated("power cap must be >= 1")
+    if as_fraction(width_bound) <= 0:
+        raise PositivityViolated("width bound must be positive")
     flipped = flip_rows(m) if side == "left" else flip_cols(m)
+    run = _FlipRun(m, flipped, side, power_cap, width_bound)
     stages: list[StageResult] = []
-    classification: Optional[SignClassification] = None
-    spectrum = None
-
-    def skip_rest():
-        done = {s.name for s in stages}
-        for name in _JFLIP_STAGES:
-            if name not in done:
-                stages.append(StageResult(name, "skipped"))
-
-    viol = tnn_violation(m)
-    if viol is not None:
-        sel, val = viol
-        stages.append(StageResult("totally_nonnegative", "fail",
-                                  f"minor rows={sel.rows} cols={sel.cols} = {val}"))
-        skip_rest()
-        return JFlipCertificate(side, m, flipped, tuple(stages), None, None)
-    stages.append(StageResult("totally_nonnegative", "pass"))
-
-    det = m.det()
-    if det == 0:
-        stages.append(StageResult("nonsingular", "fail", "determinant = 0"))
-        skip_rest()
-        return JFlipCertificate(side, m, flipped, tuple(stages), None, None)
-    stages.append(StageResult("nonsingular", "pass", f"determinant = {det}"))
-
-    corners = check_corner_conditions(m)
-    if not corners.holds(side):
-        failing = corners.failing_indices(side)
-        stages.append(StageResult("corner_conditions", "fail",
-                                  f"no witness for i in {failing}"))
-        skip_rest()
-        return JFlipCertificate(side, m, flipped, tuple(stages), None, None)
-    stages.append(StageResult("corner_conditions", "pass"))
-
-    if not is_oscillatory(flipped * flipped):
-        stages.append(StageResult("flip_square_oscillatory", "fail",
-                                  "square of the flip fails the oscillation criterion"))
-        skip_rest()
-        return JFlipCertificate(side, m, flipped, tuple(stages), None, None)
-    stages.append(StageResult("flip_square_oscillatory", "pass"))
-
-    classification = classify_sign_definite(flipped, power_cap)
-    target = jflip_signature(m.n)
-    if not classification.is_class_n_plus:
-        stages.append(StageResult(
-            "sign_classification", "fail",
-            f"verdict {classification.verdict.value}"
-            f" (power cap {classification.power_cap})"))
-        skip_rest()
-        return JFlipCertificate(side, m, flipped, tuple(stages), classification, None)
-    if tuple(classification.signature) != target:
-        stages.append(StageResult(
-            "sign_classification", "fail",
-            f"signature {classification.signature} != expected {target}"))
-        skip_rest()
-        return JFlipCertificate(side, m, flipped, tuple(stages), classification, None)
-    stages.append(StageResult(
-        "sign_classification", "pass",
-        f"class n+ at power {classification.power_exponent}"))
-
-    spectrum = spectrum_report(flipped, width_bound)
-    if spectrum.verdict is SpectrumVerdict.KIND_I:
-        stages.append(StageResult("spectrum", "pass",
-                                  f"kind I, {len(spectrum.boxes)} real roots"))
-    else:
-        stages.append(StageResult("spectrum", "fail",
-                                  f"verdict {spectrum.verdict.value}"))
-    return JFlipCertificate(side, m, flipped, tuple(stages), classification, spectrum)
+    for name, check in _JFLIP_STAGES:
+        if stages and stages[-1].status != "pass":
+            stages.append(StageResult(name, "skipped"))
+        else:
+            passed, detail = check(run)
+            stages.append(StageResult(name, "pass" if passed else "fail", detail))
+    return JFlipCertificate(side, m, flipped, tuple(stages),
+                            run.classification, run.spectrum)
 
 
 # -- tridiagonal criteria ---------------------------------------------------------

@@ -78,7 +78,7 @@ def _digest(data: bytes) -> str:
 
 
 def _tolerance(args) -> Fraction:
-    tol = as_fraction(args.tol) if getattr(args, "tol", None) else DEFAULT_WIDTH_BOUND
+    tol = DEFAULT_WIDTH_BOUND if args.tol is None else as_fraction(args.tol)
     if tol <= 0:
         raise PositivityViolated("--tol must be positive")
     return tol
@@ -173,7 +173,7 @@ def _classification_block(cls: SignClassification) -> dict:
         }
     return {
         "verdict": cls.verdict.value,
-        "signature": [e if e is not None else None for e in cls.signature],
+        "signature": list(cls.signature),
         "power_exponent": cls.power_exponent,
         "power_cap": cls.power_cap,
         "certified_within_cap": cls.is_class_n_plus,

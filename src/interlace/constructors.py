@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalInvariantViolation, PositivityViolated
-from .matrices import Matrix, as_fraction, flip_cols, identity
+from .matrices import Matrix, as_fraction, flip_cols
 
 
 @dataclass(frozen=True)
@@ -160,18 +160,6 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-def _elementary_lower(n: int, i: int, v: Fraction) -> Matrix:
-    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    rows[i][i - 1] = v  # entry (i+1, i) in 1-based terms
-    return Matrix(rows)
-
-
-def _elementary_upper(n: int, i: int, v: Fraction) -> Matrix:
-    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    rows[i - 1][i] = v
-    return Matrix(rows)
-
-
 def _ladder_product(n: int, lower: list[Fraction], diag: list[Fraction],
                     upper: list[Fraction]) -> Matrix:
     """Product of elementary factors in documented order.
@@ -181,25 +169,30 @@ def _ladder_product(n: int, lower: list[Fraction], diag: list[Fraction],
     positions descending). The result is L * D * U with L the lower factors
     multiplied in draw order (parameter at entry (i+1, i)), D the positive
     diagonal, U the upper factors in draw order (parameter at (i, i+1)).
+    Starting from the identity, each factor is applied as its column
+    operation on the product so far: a lower factor adds v times column i+1
+    to column i, D scales the columns, an upper factor adds v times column i
+    to column i+1.
     """
-    acc = identity(n)
-    idx = 0
+    acc = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    params = iter(lower)
     for _round in range(n - 1):
         for i in range(1, n):
-            v = lower[idx]
-            idx += 1
+            v = next(params)
             if v:
-                acc = acc * _elementary_lower(n, i, v)
-    acc = acc * Matrix([[diag[r] if r == c else Fraction(0) for c in range(n)]
-                        for r in range(n)])
-    idx = 0
+                for row in acc:
+                    row[i - 1] += v * row[i]
+    for row in acc:
+        for c in range(n):
+            row[c] *= diag[c]
+    params = iter(upper)
     for _round in range(n - 1):
         for i in range(n - 1, 0, -1):
-            v = upper[idx]
-            idx += 1
+            v = next(params)
             if v:
-                acc = acc * _elementary_upper(n, i, v)
-    return acc
+                for row in acc:
+                    row[i] += v * row[i - 1]
+    return Matrix(acc)
 
 
 def _draw_many(rng: SplitMix64, count: int, lo: int, hi: int) -> list[Fraction]:

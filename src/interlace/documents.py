@@ -41,6 +41,7 @@ from .constructors import (
 )
 from .errors import InterlaceError, ParseError
 from .matrices import Matrix, as_fraction
+from .polynomials import Polynomial
 
 # structure tag -> ordered parameter keys with required lengths as a function of n
 STRUCTURE_PARAMS: dict[str, tuple[tuple[str, str], ...]] = {
@@ -189,10 +190,8 @@ def format_matrix_document(doc: MatrixDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_polynomial_tokens(text: str):
+def parse_polynomial_tokens(text: str) -> Polynomial:
     """Whitespace-separated exact coefficients, leading coefficient first."""
-    from .polynomials import Polynomial
-
     tokens = text.split()
     if not tokens:
         raise ParseError("no polynomial coefficients given")

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidSelector
-
-Rational = Fraction
 
 
 def as_fraction(value) -> Fraction:
@@ -269,8 +267,3 @@ def flip_rows(m: Matrix) -> Matrix:
 def flip_cols(m: Matrix) -> Matrix:
     """Reverse column order; equals M*J."""
     return Matrix(tuple(reversed(row)) for row in m.rows)
-
-
-def matrix_from_rows(rows: Sequence[Sequence]) -> Matrix:
-    """Plain alias used by parsers; validates squareness like Matrix()."""
-    return Matrix(rows)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -330,11 +330,6 @@ class RootBox:
         return (self.lo + self.hi) / 2
 
 
-def _int_coeffs(p: Polynomial) -> tuple[int, ...]:
-    m = lcm(*(c.denominator for c in p.coeffs))
-    return tuple(int(c * m) for c in p.coeffs)
-
-
 def _eval_sign(ic: Sequence[int], x: Fraction) -> int:
     """Sign of p(x) using the homogenized integer Horner scheme."""
     u, v = x.numerator, x.denominator
@@ -351,8 +346,6 @@ def _primitive(ic: Sequence[Fraction]) -> tuple[int, ...]:
     primitive integers (sign pattern preserved)."""
     m = lcm(*(c.denominator for c in ic))
     ints = [int(c * m) for c in ic]
-    from math import gcd
-
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
@@ -403,8 +396,8 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     if p.degree == 0:
         return ()
 
-    ic = _int_coeffs(p)
     chain = _sturm_chain(p)
+    ic = chain[0]  # p itself as primitive integers
     bound = _dyadic_root_bound(ic)
 
     def var(x: Fraction) -> int:
@@ -464,7 +457,7 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
         raise PositivityViolated("width bound must be positive")
     if box.is_exact:
         return box
-    ic = _int_coeffs(p)
+    ic = _primitive(p.coeffs)
     lo, hi = box.lo, box.hi
     s_lo = _eval_sign(ic, lo)
     while hi - lo > width_bound:

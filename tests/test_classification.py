@@ -1,6 +1,7 @@
 """Sign classes, total nonnegativity, oscillation, corners, flip certificate."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -29,11 +30,12 @@ from interlace import (
     jflip_si_certificate,
     JacobiSpec,
     random_oscillatory,
+    random_positive_tnn,
     random_tnn,
     stp_violation,
     tnn_violation,
 )
-from conftest import random_int_matrix
+from conftest import cofactor_det, random_int_matrix, random_rational_matrix
 
 
 # -- signature target ---------------------------------------------------------
@@ -120,6 +122,90 @@ def test_class_n_plus_power_certificate_is_reproducible():
             prior = m ** (e - 1)
             assert any(v == 0 for k in range(1, n + 1)
                        for _, v in prior.minors(k))
+
+
+# -- the single scan against a brute-force lexicographic scan ------------------
+
+
+def _brute_minors(m):
+    """Every minor, orders 1..n, rows then columns lexicographic, by cofactors."""
+    idx = range(1, m.n + 1)
+    return [(MinorSelector(rows, cols),
+             cofactor_det(Matrix([[m[i, j] for j in cols] for i in rows])))
+            for k in idx
+            for rows in combinations(idx, k)
+            for cols in combinations(idx, k)]
+
+
+def _brute_strict(m):
+    minors = _brute_minors(m)
+    return all(v != 0 for _, v in minors) and all(
+        len({v > 0 for s, v in minors if s.order == k}) == 1
+        for k in range(1, m.n + 1))
+
+
+def _brute_power(m, e):
+    rows = [list(r) for r in m.rows]
+    for _ in range(e - 1):
+        rows = [[sum(rows[i][t] * m.rows[t][j] for t in range(m.n))
+                 for j in range(m.n)] for i in range(m.n)]
+    return Matrix(rows)
+
+
+def _brute_classify(m):
+    """(verdict, signature, conflict, power exponent) from the definitions."""
+    n = m.n
+    minors = _brute_minors(m)
+    signature = []
+    for k in range(1, n + 1):
+        pos = [(s, v) for s, v in minors if s.order == k and v > 0]
+        neg = [(s, v) for s, v in minors if s.order == k and v < 0]
+        if pos and neg:
+            sig = tuple(signature) + (None,) * (n - k + 1)
+            return SignVerdict.NOT_SIGN_DEFINITE, sig, (k, pos[0], neg[0]), None
+        signature.append(1 if pos else -1 if neg else None)
+    sig = tuple(signature)
+    if all(v != 0 for _, v in minors):
+        return SignVerdict.STRICTLY_SIGN_DEFINITE, sig, None, 1
+    for e in range(2, max(1, 2 * (n - 1)) + 1):
+        if _brute_strict(_brute_power(m, e)):
+            return SignVerdict.CLASS_N_PLUS, sig, None, e
+    return SignVerdict.SIGN_DEFINITE_CLASS_N, sig, None, None
+
+
+def _first(minors, bad):
+    return next(((s, v) for s, v in minors if bad(v)), None)
+
+
+def _oracle_corpus():
+    for n in range(1, 5):
+        for seed in range(20):
+            yield random_int_matrix(n, seed)
+            yield random_int_matrix(n, seed, 0, 1)      # many zeros, nonnegative
+            yield random_int_matrix(n, seed, -1, 1)     # many zeros, both signs
+            yield random_rational_matrix(n, seed)
+            yield random_rational_matrix(n, seed, span=1)
+            # a perturbed positive TNN matrix puts first witnesses past order 2
+            yield random_positive_tnn(n, seed) + random_int_matrix(n, seed, -1, 1)
+
+
+def test_scans_match_brute_force_lexicographic_scan():
+    verdicts, witness_orders = set(), set()
+    for m in _oracle_corpus():
+        minors = _brute_minors(m)
+        tnn, stp = tnn_violation(m), stp_violation(m)
+        assert tnn == _first(minors, lambda v: v < 0), m
+        assert stp == _first(minors, lambda v: v <= 0), m
+        cls = classify_sign_definite(m)
+        conflict = cls.conflict and (cls.conflict.order, cls.conflict.positive,
+                                     cls.conflict.negative)
+        got = (cls.verdict, cls.signature, conflict, cls.power_exponent)
+        assert got == _brute_classify(m), m
+        verdicts.add(cls.verdict)
+        witness_orders |= {("tnn", tnn and tnn[0].order), ("stp", stp and stp[0].order),
+                           ("conflict", conflict and conflict[0])}
+    assert verdicts == set(SignVerdict)
+    assert {("tnn", 3), ("stp", 3), ("conflict", 3)} <= witness_orders
 
 
 # -- total nonnegativity ------------------------------------------------------------
@@ -258,9 +344,56 @@ def test_jflip_certificate_stops_at_first_failure():
     assert "no witness" in [s for s in eye.stages if s.status == "fail"][0].detail
 
 
+JFLIP_ALL_PASS = [
+    ("totally_nonnegative", "pass", ""),
+    ("nonsingular", "pass", "determinant = 1"),
+    ("corner_conditions", "pass", ""),
+    ("flip_square_oscillatory", "pass", ""),
+    ("sign_classification", "pass", "class n+ at power 2"),
+    ("spectrum", "pass", "kind I, 2 real roots"),
+]
+
+
+def _fails_at(k, detail):
+    """Stages 1..k-1 as in a passing run, stage k failing, the rest skipped."""
+    return (JFLIP_ALL_PASS[:k - 1] + [(JFLIP_ALL_PASS[k - 1][0], "fail", detail)]
+            + [(name, "skipped", "") for name, _, _ in JFLIP_ALL_PASS[k:]])
+
+
+JFLIP_GOLDEN = [
+    # (A, keyword arguments, stages, classification set, spectrum set)
+    (Matrix([[1, 1], [0, 1]]), {"power_cap": 1},
+     _fails_at(5, "verdict sign_definite_class_n (power cap 1)"), True, False),
+    (Matrix([[1, 2], [3, 4]]), {},
+     _fails_at(1, "minor rows=(1, 2) cols=(1, 2) = -2"), False, False),
+    (Matrix([[1, 1], [1, 1]]), {}, _fails_at(2, "determinant = 0"), False, False),
+    (identity(3), {}, _fails_at(3, "no witness for i in (1, 2)"), False, False),
+    (Matrix([[1, 1], [0, 1]]), {}, JFLIP_ALL_PASS, True, True),
+    (Matrix([[1, 1], [0, 1]]), {"side": "right"}, JFLIP_ALL_PASS, True, True),
+]
+
+
+@pytest.mark.parametrize("m, kwargs, stages, has_cls, has_spectrum", JFLIP_GOLDEN)
+def test_jflip_certificate_stage_lists_are_pinned(m, kwargs, stages, has_cls,
+                                                  has_spectrum):
+    cert = jflip_si_certificate(m, **kwargs)
+    assert [(s.name, s.status, s.detail) for s in cert.stages] == stages
+    assert (cert.classification is not None) == has_cls
+    assert (cert.spectrum is not None) == has_spectrum
+
+
 def test_jflip_certificate_rejects_unknown_side():
     with pytest.raises(ValueError):
         jflip_si_certificate(identity(2), side="up")
+
+
+def test_jflip_certificate_checks_arguments_before_any_stage():
+    for m in (Matrix([[1, 2], [3, 4]]), Matrix([[1, 1], [0, 1]])):
+        with pytest.raises(PositivityViolated):
+            jflip_si_certificate(m, power_cap=0)
+        for bound in (0, F(-1, 2)):
+            with pytest.raises(PositivityViolated):
+                jflip_si_certificate(m, width_bound=bound)
 
 
 # -- tridiagonal criteria ------------------------------------------------------------

@@ -118,6 +118,35 @@ def test_jflip_right_side_and_failure_path():
     assert bad["certificate"]["spectrum"] is None
 
 
+def test_jflip_failed_sign_stage_is_pinned():
+    rep = run_json("jflip", "-", "--power-cap", "1",
+                   stdin="n: 2\nrows:\n1 1\n0 1\n")
+    assert rep["certificate"] == {
+        "side": "left",
+        "passed": False,
+        "failed_stage": "sign_classification",
+        "stages": [
+            {"name": "totally_nonnegative", "status": "pass", "detail": ""},
+            {"name": "nonsingular", "status": "pass", "detail": "determinant = 1"},
+            {"name": "corner_conditions", "status": "pass", "detail": ""},
+            {"name": "flip_square_oscillatory", "status": "pass", "detail": ""},
+            {"name": "sign_classification", "status": "fail",
+             "detail": "verdict sign_definite_class_n (power cap 1)"},
+            {"name": "spectrum", "status": "skipped", "detail": ""},
+        ],
+        "flipped": ["0 1", "1 1"],
+        "sign_classification": {
+            "verdict": "sign_definite_class_n",
+            "signature": [1, -1],
+            "power_exponent": None,
+            "power_cap": 1,
+            "certified_within_cap": False,
+            "conflict": None,
+        },
+        "spectrum": None,
+    }
+
+
 # -- spectrum options ---------------------------------------------------------------
 
 
@@ -234,8 +263,12 @@ def test_exit_code_two_on_bad_input(tmp_path):
         ("spectrum", "-", "--tol", "-1"),
         ("construct", "random-tnn"),             # missing --n
         ("construct", "bidiagonal", "--d", "1 0", "--e", "1"),
+        ("spectrum", "-", "--tol", ""),          # empty tolerance is no default
+        ("jflip", "-", "--power-cap", "0"),      # A fails the first stage
+        ("jflip", "-", "--power-cap", "0"),      # A passes every stage
     ]
-    stdins = {1: "n: 2\nrows:\n1 2\nx 4\n", 4: GOLDEN_DOC}
+    stdins = {1: "n: 2\nrows:\n1 2\nx 4\n", 4: GOLDEN_DOC, 7: GOLDEN_DOC,
+              8: "n: 2\nrows:\n1 2\n3 4\n", 9: "n: 2\nrows:\n1 1\n0 1\n"}
     for i, args in enumerate(cases):
         code, out, err = run_cli(*args, stdin=stdins.get(i, ""))
         assert code == 2, (args, code, err)

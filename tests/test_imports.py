@@ -1,0 +1,60 @@
+"""Package modules import each other at module top, except to break a cycle."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "interlace"
+
+_MUTUAL = "classification and constructors each call the other"
+
+# (module, function, imported module) -> the import cycle it breaks.
+ALLOWED = {
+    ("matrices", "charpoly", "polynomials"):
+        "polynomials imports Matrix from matrices at module top",
+    ("classification", "_spectrum_stage", "spectra"):
+        "spectra imports the classification scans at module top",
+    ("classification", "jacobi_oscillatory_criterion", "constructors"): _MUTUAL,
+    ("classification", "anti_tridiagonal_criterion", "constructors"): _MUTUAL,
+    ("constructors", "random_tnn", "classification"): _MUTUAL,
+    ("constructors", "random_oscillatory", "classification"): _MUTUAL,
+}
+
+
+class _FunctionImports(ast.NodeVisitor):
+    """Collect (function, imported module) for imports inside a function."""
+
+    def __init__(self):
+        self.stack = []
+        self.found = set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Import(self, node):
+        if self.stack:
+            self.found |= {(self.stack[-1], alias.name) for alias in node.names}
+
+    def visit_ImportFrom(self, node):
+        if self.stack:
+            self.found.add((self.stack[-1], node.module or "."))
+
+
+def _function_level_imports():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, f"no modules under {PACKAGE}"
+    found = set()
+    for path in paths:
+        visitor = _FunctionImports()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= {(path.stem, fn, mod) for fn, mod in visitor.found}
+    return found
+
+
+def test_function_level_imports_only_break_cycles():
+    found = _function_level_imports()
+    assert found - set(ALLOWED) == set(), "move these imports to module top"
+    assert set(ALLOWED) - found == set(), "allowlist names imports that are gone"
