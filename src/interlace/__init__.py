@@ -16,14 +16,12 @@ from .classification import (
     SignClassification,
     SignVerdict,
     StageResult,
-    anti_tridiagonal_criterion,
     check_corner_conditions,
     classify_sign_definite,
     is_oscillatory,
     is_oscillatory_by_definition,
     is_strictly_totally_positive,
     is_totally_nonnegative,
-    jacobi_oscillatory_criterion,
     jflip_signature,
     jflip_si_certificate,
     stp_violation,
@@ -35,9 +33,11 @@ from .constructors import (
     SplitMix64,
     anti_bidiagonal,
     anti_jacobi,
+    anti_tridiagonal_criterion,
     bidiagonal_upper,
     equivalent_tridiagonal,
     jacobi_matrix,
+    jacobi_oscillatory_criterion,
     random_oscillatory,
     random_positive_tnn,
     random_tnn,

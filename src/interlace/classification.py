@@ -12,6 +12,9 @@ by the anti-identity J gives B = JA (or C = AJ) whose nonzero order-k minors
 all carry the sign (-1)^(k(k-1)/2); under corner conditions on the entries,
 B gets a self-interlacing spectrum. Each stage of that chain is certified
 separately and the pipeline stops at the first failure.
+
+The checks here take any matrix; the structured families and their
+tridiagonal criteria live in ``constructors``, which imports this module.
 """
 
 from __future__ import annotations
@@ -395,42 +398,3 @@ def jflip_si_certificate(m: Matrix, side: str = "left",
     return JFlipCertificate(side, m, flipped, tuple(stages),
                             run.classification, run.spectrum)
 
-
-# -- tridiagonal criteria ---------------------------------------------------------
-
-
-def jacobi_oscillatory_criterion(spec) -> bool:
-    """Positive off-diagonals given, decide oscillation by leading minors.
-
-    Requires every b_k > 0 and c_k > 0 (raises otherwise); returns True
-    exactly when all leading principal minors of the tridiagonal matrix are
-    strictly positive.
-    """
-    from .constructors import jacobi_matrix
-
-    if any(x <= 0 for x in spec.sup) or any(x <= 0 for x in spec.sub):
-        raise PositivityViolated("off-diagonal entries must be strictly positive")
-    m = jacobi_matrix(spec)
-    return all(m.leading_principal_minor(k) > 0 for k in range(1, m.n + 1))
-
-
-def anti_tridiagonal_criterion(spec) -> bool:
-    """Same decision through the flipped route, kept deliberately separate.
-
-    Builds each leading principal block M^(k), reverses its columns (M^(k) J),
-    and requires (-1)^(k(k-1)/2) det(M^(k) J) > 0 for k = 1..n. The dual route
-    exists so the two criteria can be cross-checked against each other; do not
-    fold it into the plain minor test.
-    """
-    from .constructors import jacobi_matrix
-
-    if any(x <= 0 for x in spec.sup) or any(x <= 0 for x in spec.sub):
-        raise PositivityViolated("off-diagonal entries must be strictly positive")
-    m = jacobi_matrix(spec)
-    for k in range(1, m.n + 1):
-        sel = MinorSelector(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
-        block = m.submatrix(sel)
-        signed = flip_cols(block).det()
-        if (-1 if (k * (k - 1) // 2) % 2 else 1) * signed <= 0:
-            return False
-    return True

@@ -35,18 +35,14 @@ from .classification import (
 )
 from .constructors import (
     AntiBidiagonalSpec,
-    JacobiSpec,
-    anti_bidiagonal,
-    anti_jacobi,
-    bidiagonal_upper,
-    equivalent_tridiagonal,
-    jacobi_matrix,
     random_oscillatory,
     random_positive_tnn,
     random_tnn,
 )
 from .documents import (
+    STRUCTURE_PARAMS,
     MatrixDocument,
+    build_structured,
     decimal_string,
     format_matrix_document,
     parse_matrix_document,
@@ -296,7 +292,7 @@ def _cmd_spectrum(args, argv: list[str]) -> int:
     report["n"] = doc.matrix.n
     report["spectrum"] = _spectrum_block(rep)
     if args.kind:
-        requested = SIKind.parse(args.kind)
+        requested = SIKind(args.kind)
         report["requested_kind"] = requested.value
         report["matches_requested_kind"] = (rep.verdict.value == f"kind_{requested.value}")
     if args.plot_data:
@@ -329,7 +325,7 @@ def _cmd_poly(args, argv: list[str]) -> int:
         "self_interlacing_kind_II": is_self_interlacing(p, SIKind.KIND_II),
     })
     if args.kind:
-        requested = SIKind.parse(args.kind)
+        requested = SIKind(args.kind)
         report["requested_kind"] = requested.value
         report["requested_kind_result"] = report[f"self_interlacing_kind_{requested.value}"]
     _emit(report, args.json)
@@ -338,44 +334,28 @@ def _cmd_poly(args, argv: list[str]) -> int:
 
 def _cmd_construct(args, argv: list[str]) -> int:
     family = args.family
-    seed = args.seed if args.seed is not None else 0
     if family in ("random-tnn", "random-positive-tnn", "random-oscillatory"):
         if args.n is None:
             raise ParseError(f"{family} needs --n")
         builder = {"random-tnn": random_tnn,
                    "random-positive-tnn": random_positive_tnn,
                    "random-oscillatory": random_oscillatory}[family]
-        doc = MatrixDocument(builder(args.n, seed))
-    elif family == "bidiagonal":
-        if args.d is None or args.e is None:
-            raise ParseError("bidiagonal needs --d and --e")
-        d, e = _values(args.d), _values(args.e)
-        doc = MatrixDocument(bidiagonal_upper(d, e), "bidiagonal",
-                             {"d": d, "e": e})
-    elif family in ("antibidiagonal", "tridiagonal-equivalent"):
-        if args.a is None or args.b is None or args.c is None:
-            raise ParseError(f"{family} needs --a, --b and --c")
-        a, b, c = _values(args.a), _values(args.b), _values(args.c)
-        if len(a) != 1:
-            raise ParseError("--a takes exactly one value for this family")
-        spec = AntiBidiagonalSpec(a[0], b, c)
-        if family == "antibidiagonal":
-            doc = MatrixDocument(anti_bidiagonal(spec), "antibidiagonal",
-                                 {"a": a, "b": b, "c": c})
-        else:
-            tri = equivalent_tridiagonal(spec)
-            doc = MatrixDocument(tri, "jacobi",
-                                 {"a": (spec.a,) + (Fraction(0),) * (spec.n - 1),
-                                  "b": b, "c": c})
-    elif family in ("jacobi", "antijacobi"):
-        if args.a is None or args.b is None or args.c is None:
-            raise ParseError(f"{family} needs --a, --b and --c")
-        a, b, c = _values(args.a), _values(args.b), _values(args.c)
-        spec = JacobiSpec(a, b, c)
-        build = jacobi_matrix if family == "jacobi" else anti_jacobi
-        doc = MatrixDocument(build(spec), family, {"a": a, "b": b, "c": c})
-    else:  # argparse choices make this unreachable
-        raise ParseError(f"unknown family {family!r}")
+        doc = MatrixDocument(builder(args.n, args.seed))
+    else:
+        structure = "antibidiagonal" if family == "tridiagonal-equivalent" else family
+        keys = STRUCTURE_PARAMS[structure]
+        if any(getattr(args, key) is None for key, _ in keys):
+            raise ParseError(f"{family} needs "
+                             + ", ".join(f"--{key}" for key, _ in keys))
+        params = {key: _values(getattr(args, key)) for key, _ in keys}
+        for key, length in keys:
+            if length == "1" and len(params[key]) != 1:
+                raise ParseError(f"--{key} takes exactly one value for this family")
+        if family == "tridiagonal-equivalent":
+            spec = AntiBidiagonalSpec(params["a"][0], params["b"], params["c"])
+            structure = "jacobi"
+            params["a"] += (Fraction(0),) * (spec.n - 1)
+        doc = MatrixDocument(build_structured(structure, params), structure, params)
     sys.stdout.write(format_matrix_document(doc))
     return 0
 
@@ -449,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "antijacobi", "random-tnn", "random-positive-tnn", "random-oscillatory"])
     construct.add_argument("--n", type=int, default=None,
                            help="size for the random families")
-    construct.add_argument("--seed", type=int, default=None,
+    construct.add_argument("--seed", type=int, default=0,
                            help="64-bit stream seed (default 0)")
     construct.add_argument("--a", default=None, help="diagonal / corner values")
     construct.add_argument("--b", default=None, help="superdiagonal values")

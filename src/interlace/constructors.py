@@ -1,4 +1,9 @@
-"""Builders for the structured matrix families and seeded random generators.
+"""The structured matrix families, their criteria, and seeded random generators.
+
+Builders for the bidiagonal, anti-bidiagonal, tridiagonal (Jacobi) and
+column-reversed tridiagonal families live here with the two tridiagonal
+oscillation criteria. They read the minor scans of ``classification``, which
+imports nothing from this module.
 
 The anti-bidiagonal family lays its parameters along the zigzag path from
 corner (n,1) up to corner (1,n), carrying c_n,...,c_2, a, b_2,...,b_n in that
@@ -19,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .classification import is_oscillatory, is_totally_nonnegative, jflip_signature
 from .errors import DimensionMismatch, InternalInvariantViolation, PositivityViolated
-from .matrices import Matrix, as_fraction, flip_cols
+from .matrices import Matrix, MinorSelector, as_fraction, flip_cols
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,43 @@ def anti_jacobi(spec: JacobiSpec) -> Matrix:
     return flip_cols(jacobi_matrix(spec))
 
 
+# -- tridiagonal criteria ---------------------------------------------------------
+
+
+def _positive_jacobi(spec: JacobiSpec) -> Matrix:
+    """The tridiagonal matrix of a spec whose off-diagonals are all > 0."""
+    if any(x <= 0 for x in spec.sup) or any(x <= 0 for x in spec.sub):
+        raise PositivityViolated("off-diagonal entries must be strictly positive")
+    return jacobi_matrix(spec)
+
+
+def jacobi_oscillatory_criterion(spec: JacobiSpec) -> bool:
+    """Positive off-diagonals given, decide oscillation by leading minors.
+
+    Requires every b_k > 0 and c_k > 0 (raises otherwise); returns True
+    exactly when all leading principal minors of the tridiagonal matrix are
+    strictly positive.
+    """
+    m = _positive_jacobi(spec)
+    return all(m.leading_principal_minor(k) > 0 for k in range(1, m.n + 1))
+
+
+def anti_tridiagonal_criterion(spec: JacobiSpec) -> bool:
+    """Same decision through the flipped route, kept deliberately separate.
+
+    Builds each leading principal block M^(k), reverses its columns (M^(k) J),
+    and requires ε_k det(M^(k) J) > 0 for k = 1..n, with ε_k = (-1)^(k(k-1)/2)
+    from ``jflip_signature``. The dual route exists so the two criteria can be
+    cross-checked against each other; do not fold it into the plain minor test.
+    """
+    m = _positive_jacobi(spec)
+    for k, eps in enumerate(jflip_signature(m.n), start=1):
+        sel = MinorSelector(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
+        if eps * flip_cols(m.submatrix(sel)).det() <= 0:
+            return False
+    return True
+
+
 # -- seeded randomness -----------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -160,58 +203,47 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-def _ladder_product(n: int, lower: list[Fraction], diag: list[Fraction],
-                    upper: list[Fraction]) -> Matrix:
-    """Product of elementary factors in documented order.
+def _random_ladder(n: int, seed: int, first_lo: int, later_lo: int,
+                   diag_lo: int) -> Matrix:
+    """L * D * U from elementary factors drawn off the stream of ``seed``.
 
-    ``lower`` and ``upper`` each hold (n-1)^2 parameters consumed round by
-    round (rounds r = 1..n-1; lower positions i = 1..n-1 ascending, upper
-    positions descending). The result is L * D * U with L the lower factors
-    multiplied in draw order (parameter at entry (i+1, i)), D the positive
-    diagonal, U the upper factors in draw order (parameter at (i, i+1)).
-    Starting from the identity, each factor is applied as its column
-    operation on the product so far: a lower factor adds v times column i+1
-    to column i, D scales the columns, an upper factor adds v times column i
-    to column i+1.
+    L is n-1 rounds of lower factors (positions i = 1..n-1 ascending,
+    parameter at entry (i+1, i)), D is diagonal, U is n-1 rounds of upper
+    factors (positions descending, parameter at (i, i+1)); parameters are
+    drawn in exactly this order, each uniformly from lo..3 with lo
+    ``first_lo`` in the first round of a ladder, ``later_lo`` in later rounds
+    and ``diag_lo`` on the diagonal. Starting from the identity, each factor
+    is applied as its column operation on the product so far: a lower factor
+    adds v times column i+1 to column i, D scales the columns, an upper
+    factor adds v times column i to column i+1.
     """
+    if n < 1:
+        raise DimensionMismatch("size must be >= 1")
+    rng = SplitMix64(seed)
     acc = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    params = iter(lower)
-    for _round in range(n - 1):
-        for i in range(1, n):
-            v = next(params)
-            if v:
-                for row in acc:
-                    row[i - 1] += v * row[i]
-    for row in acc:
-        for c in range(n):
-            row[c] *= diag[c]
-    params = iter(upper)
-    for _round in range(n - 1):
-        for i in range(n - 1, 0, -1):
-            v = next(params)
-            if v:
-                for row in acc:
-                    row[i] += v * row[i - 1]
+
+    def ladder(pairs: list[tuple[int, int]]) -> None:
+        for r in range(n - 1):
+            lo = first_lo if r == 0 else later_lo
+            for dst, src in pairs:
+                v = lo + rng.below(4 - lo)
+                if v:
+                    for row in acc:
+                        row[dst] += v * row[src]
+
+    ladder([(i - 1, i) for i in range(1, n)])
+    for c in range(n):
+        d = diag_lo + rng.below(4 - diag_lo)
+        for row in acc:
+            row[c] *= d
+    ladder([(i, i - 1) for i in range(n - 1, 0, -1)])
     return Matrix(acc)
-
-
-def _draw_many(rng: SplitMix64, count: int, lo: int, hi: int) -> list[Fraction]:
-    return [Fraction(lo + rng.below(hi - lo + 1)) for _ in range(count)]
 
 
 def random_tnn(n: int, seed: int) -> Matrix:
     """Seeded totally nonnegative matrix; zero parameters (and hence singular
     outputs) allowed. Certified by a full post-hoc minor scan."""
-    if n < 1:
-        raise DimensionMismatch("size must be >= 1")
-    rng = SplitMix64(seed)
-    k = (n - 1) * (n - 1)
-    lower = _draw_many(rng, k, 0, 3)
-    diag = _draw_many(rng, n, 0, 3)
-    upper = _draw_many(rng, k, 0, 3)
-    m = _ladder_product(n, lower, diag, upper)
-    from .classification import is_totally_nonnegative
-
+    m = _random_ladder(n, seed, 0, 0, 0)
     if not is_totally_nonnegative(m):
         raise InternalInvariantViolation("ladder product with nonnegative "
                                          "parameters must be totally nonnegative")
@@ -224,14 +256,7 @@ def random_positive_tnn(n: int, seed: int) -> Matrix:
     Every ladder parameter is strictly positive; the result is checked for
     positive entries and nonzero determinant before being returned.
     """
-    if n < 1:
-        raise DimensionMismatch("size must be >= 1")
-    rng = SplitMix64(seed)
-    k = (n - 1) * (n - 1)
-    lower = _draw_many(rng, k, 1, 3)
-    diag = _draw_many(rng, n, 1, 3)
-    upper = _draw_many(rng, k, 1, 3)
-    m = _ladder_product(n, lower, diag, upper)
+    m = _random_ladder(n, seed, 1, 1, 1)
     if any(x <= 0 for _, _, x in m.entries()) or m.det() == 0:
         raise InternalInvariantViolation("positive ladder must give positive "
                                          "entries and a nonzero determinant")
@@ -242,16 +267,7 @@ def random_oscillatory(n: int, seed: int) -> Matrix:
     """Seeded oscillatory matrix: the first ladder round is forced strictly
     positive (which pins both off-diagonals of the product away from zero),
     later rounds may contribute zeros. Certified by the oscillation criterion."""
-    if n < 1:
-        raise DimensionMismatch("size must be >= 1")
-    rng = SplitMix64(seed)
-    k = (n - 1) * (n - 1)
-    lower = _draw_many(rng, min(n - 1, k), 1, 3) + _draw_many(rng, max(0, k - (n - 1)), 0, 3)
-    diag = _draw_many(rng, n, 1, 3)
-    upper = _draw_many(rng, min(n - 1, k), 1, 3) + _draw_many(rng, max(0, k - (n - 1)), 0, 3)
-    m = _ladder_product(n, lower, diag, upper)
-    from .classification import is_oscillatory
-
+    m = _random_ladder(n, seed, 1, 0, 1)
     if not is_oscillatory(m):
         raise InternalInvariantViolation("forced-positive first round must "
                                          "yield an oscillatory product")

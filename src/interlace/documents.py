@@ -81,7 +81,7 @@ def _parse_value(token: str) -> Fraction:
         raise ParseError(f"bad numeric literal {token!r}: {exc}") from exc
 
 
-def build_structured(structure: str, n: int,
+def build_structured(structure: str,
                      params: dict[str, tuple[Fraction, ...]]) -> Matrix:
     """Rebuild the matrix a structured document describes."""
     try:
@@ -165,7 +165,7 @@ def parse_matrix_document(text: str) -> MatrixDocument:
         matrix = Matrix(rows)
 
     if structure != "general" and params:
-        rebuilt = build_structured(structure, n, params)
+        rebuilt = build_structured(structure, params)
         if rebuilt.n != n:
             raise ParseError(f"parameters describe size {rebuilt.n}, header says {n}")
         if matrix is not None and matrix != rebuilt:

@@ -263,13 +263,6 @@ class SIKind(Enum):
     KIND_I = "I"
     KIND_II = "II"
 
-    @classmethod
-    def parse(cls, text: str) -> "SIKind":
-        for kind in cls:
-            if kind.value == text.strip().upper():
-                return kind
-        raise ValueError(f"unknown kind {text!r}; expected I or II")
-
 
 def is_self_interlacing(p: Polynomial, kind: SIKind = SIKind.KIND_I) -> bool:
     """True when p's real roots follow the strict sign-alternating modulus chain.
@@ -353,7 +346,12 @@ def _primitive(ic: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
-    """Sturm chain of a squarefree p, each member scaled to primitive ints."""
+    """Sturm chain of p, each member scaled to primitive ints.
+
+    The chain is Euclid's remainder sequence of p and p', so its last member
+    is gcd(p, p') up to a constant factor: constant exactly when p is
+    squarefree.
+    """
     chain = [_primitive(p.coeffs)]
     d = p.derivative()
     cur, prev = d, p
@@ -390,13 +388,13 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree >= 1:
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        g = Polynomial(chain[-1]).monic()
         raise NotSquarefree(f"repeated roots; gcd(p, p') = {g}")
     if p.degree == 0:
         return ()
 
-    chain = _sturm_chain(p)
     ic = chain[0]  # p itself as primitive integers
     bound = _dyadic_root_bound(ic)
 

@@ -20,6 +20,7 @@ from .errors import (
     InternalInvariantViolation,
     ModulusTie,
     NotClassNPlus,
+    PositivityViolated,
     PreconditionFailed,
 )
 from .matrices import Matrix, as_fraction, flip_rows
@@ -128,13 +129,15 @@ def _expected_signs(verdict: SpectrumVerdict, count: int) -> tuple[int, ...]:
 def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumReport:
     """Classify the spectrum of ``m`` and enclose its real eigenvalues.
 
-    The verdict is decided exactly on the characteristic polynomial; the
-    boxes are then refined to ``width_bound`` and, absent modulus ties,
-    refined further until the modulus order is certified. Self-interlacing
-    verdicts are cross-checked against the enclosures before the report is
-    returned.
+    The width bound must be positive (checked before any work). The verdict
+    is decided exactly on the characteristic polynomial; the boxes are then
+    refined to ``width_bound`` and, absent modulus ties, refined further
+    until the modulus order is certified. Self-interlacing verdicts are
+    cross-checked against the enclosures before the report is returned.
     """
     width_bound = as_fraction(width_bound)
+    if width_bound <= 0:
+        raise PositivityViolated("width bound must be positive")
     p = m.charpoly()
     sf = squarefree_part(p)
     squarefree = sf == p

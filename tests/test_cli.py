@@ -234,6 +234,49 @@ def test_construct_tridiagonal_equivalent_document():
                    "rows:\n5 2\n3 0\n")
 
 
+def test_construct_structured_documents_are_pinned():
+    cases = {
+        ("bidiagonal", "--d", "1 2 3", "--e", "4 5"):
+            "n: 3\nstructure: bidiagonal\nd: 1 2 3\ne: 4 5\n"
+            "rows:\n1 4 0\n0 2 5\n0 0 3\n",
+        ("jacobi", "--a", "1 1/2", "--b", "0.25", "--c", "-3"):
+            "n: 2\nstructure: jacobi\na: 1 1/2\nb: 1/4\nc: -3\n"
+            "rows:\n1 1/4\n-3 1/2\n",
+        ("antijacobi", "--a", "1 2 3", "--b", "4,5", "--c", "6 7"):
+            "n: 3\nstructure: antijacobi\na: 1 2 3\nb: 4 5\nc: 6 7\n"
+            "rows:\n0 4 1\n5 2 6\n3 7 0\n",
+    }
+    for args, expected in cases.items():
+        code, out, err = run_cli("construct", *args)
+        assert (code, out) == (0, expected), (args, err)
+
+
+def test_construct_exit_code_two_per_family():
+    """One missing flag and one invalid parameter for every family."""
+    cases = [
+        ("bidiagonal", "--d", "1 2"),
+        ("bidiagonal", "--d", "1 2", "--e", "1 2"),
+        ("antibidiagonal", "--a", "1", "--b", "1"),
+        ("antibidiagonal", "--a", "1 2", "--b", "1", "--c", "1"),
+        ("tridiagonal-equivalent", "--b", "1", "--c", "1"),
+        ("tridiagonal-equivalent", "--a", "1", "--b", "-1", "--c", "1"),
+        ("jacobi", "--b", "1", "--c", "1"),
+        ("jacobi", "--a", "1 2", "--b", "1 2", "--c", "1"),
+        ("antijacobi", "--a", "1 2", "--c", "1"),
+        ("antijacobi", "--a", "1 2", "--b", "x", "--c", "1"),
+        ("random-tnn",),
+        ("random-tnn", "--n", "0"),
+        ("random-positive-tnn", "--seed", "3"),
+        ("random-positive-tnn", "--n", "-1"),
+        ("random-oscillatory",),
+        ("random-oscillatory", "--n", "0"),
+    ]
+    for args in cases:
+        code, out, err = run_cli("construct", *args)
+        assert (code, out) == (2, ""), (args, err)
+        assert err.startswith("error:"), (args, err)
+
+
 def test_construct_random_is_deterministic_and_pipes_into_classify():
     first = run_cli("construct", "random-positive-tnn", "--n", "3", "--seed", "7")
     second = run_cli("construct", "random-positive-tnn", "--n", "3", "--seed", "7")

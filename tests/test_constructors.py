@@ -1,5 +1,6 @@
 """Structured families, the zigzag layout, and the seeded generators."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -173,6 +174,18 @@ def test_random_tnn_frozen():
 def test_random_oscillatory_frozen():
     assert random_oscillatory(3, 4) == Matrix(
         [[2, 10, 6], [10, 52, 38], [12, 68, 69]])
+
+
+def test_generators_golden_digest():
+    """Every entry of n = 1..7, seeds 0..9, for all three generators."""
+    lines = []
+    for gen in (random_tnn, random_positive_tnn, random_oscillatory):
+        for n in range(1, 8):
+            for seed in range(10):
+                entries = (str(x) for row in gen(n, seed).rows for x in row)
+                lines.append(f"{gen.__name__} {n} {seed}: " + " ".join(entries))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d79d7a37515076f6964c1fc4f624af59d269f82b9196d645b3bf4eb502fa641c"
 
 
 def test_random_tnn_contract():

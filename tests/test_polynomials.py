@@ -238,6 +238,11 @@ def test_kind_two_is_kind_one_after_reflection():
 def test_isolation_requires_squarefree():
     with pytest.raises(NotSquarefree):
         isolate_real_roots(poly_from_roots([1, 1]))
+    for roots, gcd in (([1, 1, -2], "z - 1"),
+                       ([3, 3, 3, F(1, 2), F(1, 2)], "z^3 - 13/2*z^2 + 12*z - 9/2")):
+        with pytest.raises(NotSquarefree) as exc:
+            isolate_real_roots(poly_from_roots(roots))
+        assert str(exc.value) == f"repeated roots; gcd(p, p') = {gcd}"
     with pytest.raises(ZeroPolynomial):
         isolate_real_roots(Polynomial([]))
     assert isolate_real_roots(Polynomial([5])) == ()

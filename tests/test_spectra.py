@@ -10,6 +10,7 @@ from interlace import (
     ModulusTie,
     NotClassNPlus,
     Polynomial,
+    PositivityViolated,
     PreconditionFailed,
     SIKind,
     SpectrumVerdict,
@@ -63,6 +64,14 @@ def test_spectrum_width_bound_is_respected():
     lo, hi = rep.boxes[0].lo, rep.boxes[0].hi
     # the enclosure must overlap this 1e-18-wide bracket of the golden ratio
     assert lo < F("1.618033988749894849") and hi > F("1.618033988749894848")
+
+
+def test_spectrum_rejects_nonpositive_width_bound():
+    """Checked up front, even when no real root would reach the refinement."""
+    rotation = Matrix([[0, -1], [1, 0]])
+    for bound in (-1, 0, "0"):
+        with pytest.raises(PositivityViolated):
+            spectrum_report(rotation, bound)
 
 
 def test_spectrum_kind_two_mirror_example():
