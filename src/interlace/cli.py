@@ -81,10 +81,9 @@ def _tolerance(args) -> Fraction:
 
 
 def _values(text: str) -> tuple[Fraction, ...]:
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ParseError("empty value list")
-    return tuple(as_fraction(tok) for tok in tokens)
+    """Exact values from a flag; empty for n = 1 off-diagonals, and the
+    builders enforce every length."""
+    return tuple(as_fraction(tok) for tok in text.replace(",", " ").split())
 
 
 # -- report rendering --------------------------------------------------------

@@ -39,7 +39,7 @@ from .constructors import (
     bidiagonal_upper,
     jacobi_matrix,
 )
-from .errors import InterlaceError, ParseError
+from .errors import DimensionMismatch, InterlaceError, ParseError
 from .matrices import Matrix, as_fraction
 from .polynomials import Polynomial
 
@@ -88,6 +88,9 @@ def build_structured(structure: str,
         if structure == "bidiagonal":
             return bidiagonal_upper(params["d"], params["e"])
         if structure == "antibidiagonal":
+            if len(params["a"]) != 1:
+                raise DimensionMismatch(
+                    f"a takes exactly one value, got {len(params['a'])}")
             return anti_bidiagonal(
                 AntiBidiagonalSpec(params["a"][0], params["b"], params["c"]))
         if structure == "jacobi":

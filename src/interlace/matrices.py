@@ -2,9 +2,10 @@
 
 Everything here is exact: entries are ``fractions.Fraction``, determinants go
 through a fraction-free Bareiss elimination on cleared denominators, and the
-characteristic polynomial comes from the Faddeev-LeVerrier trace recursion
-(every division in it is exact). Public row/column indices are 1-based, as is
-conventional for minor bookkeeping; slicing internals are 0-based.
+characteristic polynomial comes from division-free Berkowitz on the integer
+matrix D*M (D the lcm of all entry denominators), each coefficient c_k then
+rescaled by D^k. Public row/column indices are 1-based, as is conventional
+for minor bookkeeping; slicing internals are 0-based.
 """
 
 from __future__ import annotations
@@ -200,24 +201,29 @@ class Matrix:
     def charpoly(self):
         """Monic characteristic polynomial det(zI - M), exact.
 
-        Faddeev-LeVerrier recursion: M_1 = M, c_k = -tr(M M_{k-1}+...)/k; the
-        divisions by k are exact over the rationals.
+        Division-free Berkowitz (Berkowitz, IPL 18, 1984) on B = D*M, where D
+        is the lcm of all entry denominators, so only integer + and * run.
+        Since c_k(M) = c_k(B) / D^k, each coefficient is rescaled at the end.
         """
         from .polynomials import Polynomial
 
-        coeffs = [Fraction(1)]
-        aux = identity(self.n)
-        for k in range(1, self.n + 1):
-            aux = self * aux
-            c = -_trace(aux) / k
-            coeffs.append(c)
-            if k < self.n:
-                aux = aux + identity(self.n).scale(c)
-        return Polynomial(coeffs)
-
-
-def _trace(m: Matrix) -> Fraction:
-    return sum(m.rows[i][i] for i in range(m.n))
+        d = lcm(*(x.denominator for row in self.rows for x in row))
+        b = [[x.numerator * (d // x.denominator) for x in row] for row in self.rows]
+        # coeffs of det(zI - B_r) for the leading r x r block, leading first
+        coeffs = [1, -b[0][0]]
+        for r in range(1, self.n):
+            # B_{r+1} = [[B_r, col], [row, b_rr]]; the Toeplitz column is
+            # 1, -b_rr, -row.col, -row.B_r.col, ..., -row.B_r^(r-1).col
+            top = [b_i[:r] for b_i in b[:r]]
+            row, col = b[r][:r], [b_i[r] for b_i in b[:r]]
+            toeplitz = [1, -b[r][r]]
+            for k in range(r):
+                if k:
+                    col = [sum(a * v for a, v in zip(t_i, col)) for t_i in top]
+                toeplitz.append(-sum(a * v for a, v in zip(row, col)))
+            coeffs = [sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, r) + 1))
+                      for i in range(r + 2)]
+        return Polynomial([Fraction(c, d ** k) for k, c in enumerate(coeffs)])
 
 
 def _bareiss(rows: list[list[int]]) -> int:

@@ -1,12 +1,14 @@
 """Shared oracles and generators for the test suite.
 
-The cofactor determinant here is the independent slow route used to validate
-the shipped elimination-based determinant; keep it naive on purpose.
+Two independent slow routes live here; keep both naive on purpose. The
+cofactor determinant validates the shipped Bareiss determinant, and
+Faddeev-LeVerrier over Fractions validates the shipped integer Berkowitz
+characteristic polynomial.
 """
 
 from fractions import Fraction
 
-from interlace import Matrix, SplitMix64
+from interlace import Matrix, Polynomial, SplitMix64, identity
 
 
 def cofactor_det(m: Matrix) -> Fraction:
@@ -26,6 +28,19 @@ def cofactor_det(m: Matrix) -> Fraction:
         return total
 
     return expand([list(r) for r in m.rows])
+
+
+def faddeev_leverrier_charpoly(m: Matrix) -> Polynomial:
+    """det(zI - M) by the trace recursion M_k = M (M_(k-1) + c_(k-1) I),
+    c_k = -tr(M_k) / k; n full matrix products over Fractions."""
+    coeffs = [Fraction(1)]
+    aux = identity(m.n)
+    for k in range(1, m.n + 1):
+        aux = m * aux
+        c = -sum(aux.rows[i][i] for i in range(m.n)) / k
+        coeffs.append(c)
+        aux = aux + identity(m.n).scale(c)
+    return Polynomial(coeffs)
 
 
 def random_rational_matrix(n: int, seed: int, span: int = 4,

@@ -1,17 +1,25 @@
 """End-to-end command line checks through subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import interlace
 
 GOLDEN_DOC = "n: 2\nrows:\n0 1\n1 1\n"
+# The child process imports the same package as the tests, whether it came
+# from PYTHONPATH or from pytest's pythonpath setting.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(Path(interlace.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(*args, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "interlace.cli", *args],
-        input=stdin, capture_output=True, text=True)
+        input=stdin, capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -270,11 +278,28 @@ def test_construct_exit_code_two_per_family():
         ("random-positive-tnn", "--n", "-1"),
         ("random-oscillatory",),
         ("random-oscillatory", "--n", "0"),
+        ("jacobi", "--a", "", "--b", "", "--c", ""),
+        ("antibidiagonal", "--a", "", "--b", "1", "--c", "1"),
     ]
     for args in cases:
         code, out, err = run_cli("construct", *args)
         assert (code, out) == (2, ""), (args, err)
         assert err.startswith("error:"), (args, err)
+
+
+def test_construct_one_by_one_structured_documents_classify():
+    """n = 1 needs empty off-diagonal lists; the output reads back."""
+    cases = [
+        ("jacobi", "--a", "1", "--b", "", "--c", ""),
+        ("antijacobi", "--a", "1", "--b", "", "--c", ""),
+        ("antibidiagonal", "--a", "1", "--b", "", "--c", ""),
+        ("bidiagonal", "--d", "2", "--e", ""),
+    ]
+    for args in cases:
+        code, out, err = run_cli("construct", *args)
+        assert code == 0 and out.startswith("n: 1\n"), (args, err)
+        code, _, err = run_cli("classify", "-", stdin=out)
+        assert code == 0, (args, err)
 
 
 def test_construct_random_is_deterministic_and_pipes_into_classify():

@@ -11,6 +11,7 @@ from interlace import (
     Polynomial,
     anti_bidiagonal,
     AntiBidiagonalSpec,
+    build_structured,
     decimal_string,
     format_matrix_document,
     parse_matrix_document,
@@ -95,6 +96,12 @@ def test_parse_error_catalogue():
     for text, needle in bad:
         with pytest.raises(ParseError, match=needle):
             parse_matrix_document(text)
+
+
+def test_build_structured_checks_the_corner_length_itself():
+    for a in ((1, 2), ()):
+        with pytest.raises(ParseError, match="invalid antibidiagonal parameters: "):
+            build_structured("antibidiagonal", {"a": a, "b": (3,), "c": (4,)})
 
 
 # -- serialization -----------------------------------------------------------------

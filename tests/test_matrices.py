@@ -8,17 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlace import (
+    AntiBidiagonalSpec,
     DimensionMismatch,
     InvalidSelector,
+    JacobiSpec,
     Matrix,
     MinorSelector,
     Polynomial,
+    SplitMix64,
+    anti_bidiagonal,
     anti_identity,
+    anti_jacobi,
     flip_cols,
     flip_rows,
     identity,
+    random_positive_tnn,
 )
-from conftest import cofactor_det, random_int_matrix, random_rational_matrix
+from conftest import (
+    cofactor_det,
+    faddeev_leverrier_charpoly,
+    random_int_matrix,
+    random_rational_matrix,
+)
 
 
 def test_constructor_rejects_bad_shapes():
@@ -203,3 +214,59 @@ def test_charpoly_constant_term_is_signed_determinant():
         n = 2 + seed % 4
         m = random_rational_matrix(n, seed + 400)
         assert m.charpoly().coeffs[-1] == (-1) ** n * m.det()
+
+
+# -- charpoly against the two oracles ------------------------------------------------
+
+
+def _positive(rng, count):
+    return tuple(F(1 + rng.below(9), 1 + rng.below(4)) for _ in range(count))
+
+
+def _charpoly_corpus():
+    """Dense rationals, the structured spectrum families up to n = 16, TNN
+    flips, degenerate sizes, and 16 distinct prime denominators (D^k growth)."""
+    rng = SplitMix64(2024)
+    cases = [(f"rational n={n}", random_rational_matrix(n, 500 + n))
+             for n in range(1, 13)]
+    for n in (2, 3, 5, 8, 11, 16):
+        spec = AntiBidiagonalSpec(_positive(rng, 1)[0], _positive(rng, n - 1),
+                                  _positive(rng, n - 1))
+        cases.append((f"anti_bidiagonal n={n}", anti_bidiagonal(spec)))
+        spec = JacobiSpec(_positive(rng, n), _positive(rng, n - 1), _positive(rng, n - 1))
+        cases.append((f"anti_jacobi n={n}", anti_jacobi(spec)))
+    cases += [(f"tnn flip n={n}", flip_rows(random_positive_tnn(n, 70 + n)))
+              for n in range(4, 9)]
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    cases += [
+        ("zero n=4", Matrix([[0] * 4] * 4)),
+        ("1x1", Matrix([[F(-7, 3)]])),
+        ("prime denominators n=4",
+         Matrix([[F(i - 2 * j + 1, primes[4 * i + j]) for j in range(4)]
+                 for i in range(4)])),
+    ]
+    return cases
+
+
+def test_charpoly_matches_faddeev_leverrier():
+    for label, m in _charpoly_corpus():
+        assert m.charpoly() == faddeev_leverrier_charpoly(m), label
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for label, m in _charpoly_corpus():
+        expected = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row]
+             for row in m.rows]).charpoly().all_coeffs()
+        assert m.charpoly() == Polynomial(
+            [F(int(c.p), int(c.q)) for c in expected]), label
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-4, 4, max_denominator=6), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_charpoly_matches_faddeev_leverrier_property(rows):
+    m = Matrix(rows)
+    assert m.charpoly() == faddeev_leverrier_charpoly(m)
