@@ -42,6 +42,7 @@ from .constructors import (
 from .documents import (
     STRUCTURE_PARAMS,
     MatrixDocument,
+    _parse_value,
     build_structured,
     decimal_string,
     format_matrix_document,
@@ -50,7 +51,7 @@ from .documents import (
     places_for_width,
 )
 from .errors import InterlaceError, InternalInvariantViolation, ParseError, PositivityViolated
-from .matrices import Matrix, as_fraction
+from .matrices import Matrix
 from .polynomials import SIKind, hurwitz_minors, hurwitz_stable, is_self_interlacing, si_twist
 from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, spectrum_report
 
@@ -74,16 +75,16 @@ def _digest(data: bytes) -> str:
 
 
 def _tolerance(args) -> Fraction:
-    tol = DEFAULT_WIDTH_BOUND if args.tol is None else as_fraction(args.tol)
+    tol = DEFAULT_WIDTH_BOUND if args.tol is None else _parse_value(args.tol)
     if tol <= 0:
         raise PositivityViolated("--tol must be positive")
     return tol
 
 
 def _values(text: str) -> tuple[Fraction, ...]:
-    """Exact values from a flag; empty for n = 1 off-diagonals, and the
-    builders enforce every length."""
-    return tuple(as_fraction(tok) for tok in text.replace(",", " ").split())
+    """Exact values from a flag, read like document literals; empty for
+    n = 1 off-diagonals, and the builders enforce every length."""
+    return tuple(_parse_value(tok) for tok in text.replace(",", " ").split())
 
 
 # -- report rendering --------------------------------------------------------

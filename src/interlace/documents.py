@@ -186,7 +186,7 @@ def format_matrix_document(doc: MatrixDocument) -> str:
         out.append(f"structure: {doc.structure}")
         for key, _ in STRUCTURE_PARAMS[doc.structure]:
             if key in doc.params:
-                out.append(f"{key}: " + " ".join(str(v) for v in doc.params[key]))
+                out.append(" ".join([f"{key}:", *(str(v) for v in doc.params[key])]))
     out.append("rows:")
     for row in doc.matrix.rows:
         out.append(" ".join(str(x) for x in row))

@@ -1,11 +1,11 @@
 """Exact rational matrices with the minor machinery the classifiers need.
 
-Everything here is exact: entries are ``fractions.Fraction``, determinants go
-through a fraction-free Bareiss elimination on cleared denominators, and the
-characteristic polynomial comes from division-free Berkowitz on the integer
-matrix D*M (D the lcm of all entry denominators), each coefficient c_k then
-rescaled by D^k. Public row/column indices are 1-based, as is conventional
-for minor bookkeeping; slicing internals are 0-based.
+Everything here is exact: entries are ``fractions.Fraction``. Determinants
+and the characteristic polynomial read one integer form D*M of the matrix (D
+the lcm of all entry denominators): Bareiss elimination on it gives
+det(M) * D^n, and division-free Berkowitz gives each coefficient c_k * D^k.
+Public row/column indices are 1-based, as is conventional for minor
+bookkeeping; slicing internals are 0-based.
 """
 
 from __future__ import annotations
@@ -153,19 +153,17 @@ class Matrix:
 
     # -- determinants and minors ------------------------------------------
 
-    def det(self) -> Fraction:
-        """Determinant via fraction-free Bareiss elimination.
+    def _integer_form(self) -> tuple[int, list[list[int]]]:
+        """(D, D*M as int rows), D the lcm of all entry denominators."""
+        d = lcm(*(x.denominator for row in self.rows for x in row))
+        return d, [[x.numerator * (d // x.denominator) for x in row]
+                   for row in self.rows]
 
-        Denominators are cleared per row first so the elimination runs on
-        integers; every interior division in Bareiss is exact on integers.
-        """
-        scale = Fraction(1)
-        int_rows: list[list[int]] = []
-        for row in self.rows:
-            m = lcm(*(x.denominator for x in row))
-            scale *= m
-            int_rows.append([int(x * m) for x in row])
-        return Fraction(_bareiss(int_rows), 1) / scale
+    def det(self) -> Fraction:
+        """Determinant via fraction-free Bareiss elimination on the integer
+        form D*M, where every interior division is exact: det(M) = det(D*M) / D^n."""
+        d, b = self._integer_form()
+        return Fraction(_bareiss(b), d ** self.n)
 
     def submatrix(self, sel: MinorSelector) -> "Matrix":
         if sel.rows[-1] > self.n or sel.cols[-1] > self.n:
@@ -201,14 +199,13 @@ class Matrix:
     def charpoly(self):
         """Monic characteristic polynomial det(zI - M), exact.
 
-        Division-free Berkowitz (Berkowitz, IPL 18, 1984) on B = D*M, where D
-        is the lcm of all entry denominators, so only integer + and * run.
-        Since c_k(M) = c_k(B) / D^k, each coefficient is rescaled at the end.
+        Division-free Berkowitz (Berkowitz, IPL 18, 1984) on the integer form
+        B = D*M that ``det`` also reads, so only integer + and * run. Since
+        c_k(M) = c_k(B) / D^k, each coefficient is rescaled at the end.
         """
         from .polynomials import Polynomial
 
-        d = lcm(*(x.denominator for row in self.rows for x in row))
-        b = [[x.numerator * (d // x.denominator) for x in row] for row in self.rows]
+        d, b = self._integer_form()
         # coeffs of det(zI - B_r) for the leading r x r block, leading first
         coeffs = [1, -b[0][0]]
         for r in range(1, self.n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeZero,
@@ -179,12 +179,19 @@ def poly_from_roots(roots: Iterable) -> Polynomial:
     return p
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm (zero if both inputs are zero)."""
-    a, b = p, q
+def _remainder_sequence(a: Polynomial, b: Polynomial) -> Iterator[Polynomial]:
+    """Euclid's signed remainder sequence a, b, -(a mod b), ... up to its
+    last nonzero member, which is gcd(a, b) up to a constant factor."""
+    yield a
     while not b.is_zero:
-        a, b = b, a % b
-    return a if a.is_zero else a.monic()
+        yield b
+        a, b = b, -(a % b)
+
+
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic last member of the remainder sequence (zero if p = q = 0)."""
+    *_, g = _remainder_sequence(p, q)
+    return g if g.is_zero else g.monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -269,17 +276,16 @@ def is_self_interlacing(p: Polynomial, kind: SIKind = SIKind.KIND_I) -> bool:
 
     Kind I means λ_1 > -λ_2 > λ_3 > ... > 0 once roots are ordered by
     decreasing modulus; in particular all roots are real, simple, nonzero.
-    Decision route: negate if the leading coefficient is negative, reject
-    repeated roots via gcd(p, p'), then test Hurwitz stability of the twist.
+    Decision route: reject repeated roots via gcd(p, p'), then test Hurwitz
+    stability of the twist of p (kind I) or of p(-z) (kind II); the sign of
+    p is irrelevant, since si_twist(-p) = -si_twist(p).
     """
     if p.degree < 1:
         raise DegreeZero("self-interlacing is undefined for constants")
-    if kind is SIKind.KIND_II:
-        return is_self_interlacing(p.compose_neg(), SIKind.KIND_I)
-    if p.coeffs[0] < 0:
-        p = -p
     if poly_gcd(p, p.derivative()).degree >= 1:
         return False
+    if kind is SIKind.KIND_II:
+        p = p.compose_neg()
     return hurwitz_stable(si_twist(p))
 
 
@@ -348,17 +354,11 @@ def _primitive(ic: Sequence[Fraction]) -> tuple[int, ...]:
 def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     """Sturm chain of p, each member scaled to primitive ints.
 
-    The chain is Euclid's remainder sequence of p and p', so its last member
-    is gcd(p, p') up to a constant factor: constant exactly when p is
+    The chain is the signed remainder sequence of p and p', so its last
+    member is gcd(p, p') up to a constant factor: constant exactly when p is
     squarefree.
     """
-    chain = [_primitive(p.coeffs)]
-    d = p.derivative()
-    cur, prev = d, p
-    while not cur.is_zero:
-        chain.append(_primitive(cur.coeffs))
-        prev, cur = cur, -(prev % cur)
-    return chain
+    return [_primitive(r.coeffs) for r in _remainder_sequence(p, p.derivative())]
 
 
 def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .classification import check_corner_conditions, classify_sign_definite, tnn_violation
 from .errors import (
@@ -27,11 +26,11 @@ from .matrices import Matrix, as_fraction, flip_rows
 from .polynomials import (
     Polynomial,
     RootBox,
-    SIKind,
-    is_self_interlacing,
+    hurwitz_stable,
     isolate_real_roots,
     poly_gcd,
     refine_root,
+    si_twist,
     squarefree_part,
 )
 
@@ -143,9 +142,9 @@ def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     squarefree = sf == p
     tie = _has_pm_pair(p) or not squarefree
 
-    if is_self_interlacing(p, SIKind.KIND_I):
+    if squarefree and hurwitz_stable(si_twist(p)):
         verdict = SpectrumVerdict.KIND_I
-    elif is_self_interlacing(p, SIKind.KIND_II):
+    elif squarefree and hurwitz_stable(si_twist(p.compose_neg())):
         verdict = SpectrumVerdict.KIND_II
     else:
         verdict = SpectrumVerdict.NEITHER

@@ -280,6 +280,7 @@ def test_construct_exit_code_two_per_family():
         ("random-oscillatory", "--n", "0"),
         ("jacobi", "--a", "", "--b", "", "--c", ""),
         ("antibidiagonal", "--a", "", "--b", "1", "--c", "1"),
+        ("jacobi", "--a", "1/0", "--b", "", "--c", ""),
     ]
     for args in cases:
         code, out, err = run_cli("construct", *args)
@@ -288,16 +289,21 @@ def test_construct_exit_code_two_per_family():
 
 
 def test_construct_one_by_one_structured_documents_classify():
-    """n = 1 needs empty off-diagonal lists; the output reads back."""
+    """n = 1 needs empty off-diagonal lists; the output is canonical (no
+    trailing whitespace) and reads back to the same matrix."""
     cases = [
-        ("jacobi", "--a", "1", "--b", "", "--c", ""),
-        ("antijacobi", "--a", "1", "--b", "", "--c", ""),
-        ("antibidiagonal", "--a", "1", "--b", "", "--c", ""),
-        ("bidiagonal", "--d", "2", "--e", ""),
+        (("jacobi", "--a", "1", "--b", "", "--c", ""), 1),
+        (("antijacobi", "--a", "1", "--b", "", "--c", ""), 1),
+        (("antibidiagonal", "--a", "1", "--b", "", "--c", ""), 1),
+        (("bidiagonal", "--d", "2", "--e", ""), 2),
     ]
-    for args in cases:
+    for args, entry in cases:
         code, out, err = run_cli("construct", *args)
         assert code == 0 and out.startswith("n: 1\n"), (args, err)
+        assert all(line == line.rstrip() for line in out.splitlines()), (args, out)
+        doc = interlace.parse_matrix_document(out)
+        assert doc.matrix == interlace.Matrix([[entry]]), (args, out)
+        assert interlace.format_matrix_document(doc) == out, (args, out)
         code, _, err = run_cli("classify", "-", stdin=out)
         assert code == 0, (args, err)
 
@@ -334,12 +340,16 @@ def test_exit_code_two_on_bad_input(tmp_path):
         ("spectrum", "-", "--tol", ""),          # empty tolerance is no default
         ("jflip", "-", "--power-cap", "0"),      # A fails the first stage
         ("jflip", "-", "--power-cap", "0"),      # A passes every stage
+        ("spectrum", "-", "--tol", "1/0"),       # zero denominator in a flag
+        ("jflip", "-", "--tol", "1/0"),
+        ("construct", "jacobi", "--a", "1/0", "--b", "", "--c", ""),
     ]
     stdins = {1: "n: 2\nrows:\n1 2\nx 4\n", 4: GOLDEN_DOC, 7: GOLDEN_DOC,
-              8: "n: 2\nrows:\n1 2\n3 4\n", 9: "n: 2\nrows:\n1 1\n0 1\n"}
+              8: "n: 2\nrows:\n1 2\n3 4\n", 9: "n: 2\nrows:\n1 1\n0 1\n",
+              10: GOLDEN_DOC, 11: GOLDEN_DOC}
     for i, args in enumerate(cases):
         code, out, err = run_cli(*args, stdin=stdins.get(i, ""))
-        assert code == 2, (args, code, err)
+        assert (code, out) == (2, ""), (args, code, err)
         assert "error:" in err, args
 
 

@@ -72,11 +72,35 @@ def test_determinant_frozen_values():
     assert Matrix([[0, 2, 1], [1, 1, 1], [2, 0, 3]]).det() == -4
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def _prime_row_matrix(n: int, seed: int, zero_row=None) -> Matrix:
+    """Row i carries powers of the i-th prime as denominators, so the common
+    denominator of the matrix differs from the lcm of every single row."""
+    rng = SplitMix64(seed)
+    return Matrix([[0 if i == zero_row else
+                    F(rng.below(9) - 4, _PRIMES[i] ** (1 + j % 2)) for j in range(n)]
+                   for i in range(n)])
+
+
 def test_determinant_matches_cofactor_oracle():
-    for seed in range(40):
-        n = 1 + seed % 5
-        m = random_rational_matrix(n, seed)
-        assert m.det() == cofactor_det(m), (n, seed)
+    cases = [random_rational_matrix(1 + seed % 5, seed) for seed in range(40)]
+    for n in range(1, 8):
+        for seed in range(3):
+            cases.append(_prime_row_matrix(n, 100 * n + seed))
+            cases.append(_prime_row_matrix(n, 100 * n + seed, zero_row=seed % n))
+    for m in cases:
+        assert m.det() == cofactor_det(m), m
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-4, 4, max_denominator=7), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_determinant_matches_cofactor_oracle_property(rows):
+    m = Matrix(rows)
+    assert m.det() == cofactor_det(m)
 
 
 def test_determinant_of_singular_matrices_is_zero():

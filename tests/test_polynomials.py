@@ -71,6 +71,36 @@ def test_gcd_contains_common_factor():
         assert (got % g).is_zero  # gcd is a multiple of every common factor
 
 
+def _sympy_monic_gcd(sympy, p: Polynomial, q: Polynomial) -> Polynomial:
+    z = sympy.Symbol("z")
+
+    def poly(x: Polynomial):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in x.coeffs] or [0], z, domain="QQ")
+
+    g = poly(p).gcd(poly(q))
+    if g.is_zero:
+        return Polynomial([])
+    return Polynomial([F(int(c.p), int(c.q)) for c in g.monic().all_coeffs()])
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = SplitMix64(11)
+    zero = Polynomial([])
+    pairs = [(zero, zero), (zero, Polynomial([F(-3, 2)])),
+             (poly_from_roots([1, 2]), zero), (zero, poly_from_roots([F(1, 3), -2])),
+             (Polynomial([5]), Polynomial([7])), (Polynomial([5]), poly_from_roots([1]))]
+    for _ in range(30):
+        common = Polynomial([1 + rng.below(3)] + [F(rng.below(9) - 4, 1 + rng.below(3))
+                                                  for _ in range(rng.below(4))])
+        u = Polynomial([rng.below(9) - 4 for _ in range(1 + rng.below(5))])
+        v = Polynomial([rng.below(9) - 4 for _ in range(1 + rng.below(5))])
+        pairs.append((common * u, common * v))
+    for p, q in pairs:
+        assert poly_gcd(p, q) == _sympy_monic_gcd(sympy, p, q), (p, q)
+
+
 def test_squarefree_part_strips_multiplicity():
     p = poly_from_roots([1, 1, -2])
     assert squarefree_part(p) == poly_from_roots([1, -2])
@@ -223,13 +253,29 @@ def test_self_interlacing_edge_cases():
 
 
 def test_kind_two_is_kind_one_after_reflection():
+    """KIND_II is KIND_I of p(-z), and neither kind depends on the sign (or
+    any nonzero scale) of p, for odd and even degree alike."""
     rng = SplitMix64(47)
-    for _ in range(25):
-        p = Polynomial([rng.below(9) - 4 for _ in range(2 + rng.below(7))])
-        if p.degree < 1:
-            continue
+    cases = [Polynomial([rng.below(9) - 4 for _ in range(2 + rng.below(7))])
+             for _ in range(25)]
+    cases = [p for p in cases if p.degree >= 1]
+    rng = SplitMix64(53)
+    for n in range(1, 9):
+        for kind in SIKind:
+            cases.append(poly_from_roots(_si_roots(rng, n, kind)))
+        cases.append(Polynomial([1 + rng.below(4)]
+                                + [rng.below(9) - 4 for _ in range(n)]))
+        cases.append(poly_from_roots([rng.below(5) - 2 for _ in range(n)]))
+    seen = set()
+    for p in cases:
+        for kind in SIKind:
+            verdict = is_self_interlacing(p, kind)
+            assert is_self_interlacing(-p, kind) == verdict, (p, kind)
+            assert is_self_interlacing(p * F(-3, 2), kind) == verdict, (p, kind)
+            seen.add((p.degree % 2, kind, verdict))
         assert is_self_interlacing(p, SIKind.KIND_II) == \
-            is_self_interlacing(p.compose_neg(), SIKind.KIND_I)
+            is_self_interlacing(p.compose_neg(), SIKind.KIND_I), p
+    assert len(seen) == 8  # both parities, both kinds, both answers
 
 
 # -- root isolation -----------------------------------------------------------

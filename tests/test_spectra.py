@@ -27,6 +27,7 @@ from interlace import (
     spectrum_report,
     verify_sign_pattern,
 )
+from conftest import random_rational_matrix
 
 
 # -- frozen worked examples --------------------------------------------------------
@@ -118,6 +119,38 @@ def test_spectrum_agrees_with_twist_route():
     ):
         rep = spectrum_report(Matrix(rows))
         assert is_self_interlacing(rep.char_poly, kind)
+
+
+def _polynomial_verdict(p: Polynomial) -> SpectrumVerdict:
+    if is_self_interlacing(p, SIKind.KIND_I):
+        return SpectrumVerdict.KIND_I
+    if is_self_interlacing(p, SIKind.KIND_II):
+        return SpectrumVerdict.KIND_II
+    return SpectrumVerdict.NEITHER
+
+
+def test_spectrum_verdict_matches_is_self_interlacing():
+    """The report's one squarefree test plus the twists decides exactly what
+    is_self_interlacing decides on the characteristic polynomial."""
+    cases = [random_rational_matrix(n, 700 + 10 * n + k) for n in range(1, 7)
+             for k in range(6)]
+    for n in range(2, 7):
+        spec = AntiBidiagonalSpec(F(n, 2), tuple(F(k + 1, 3) for k in range(n - 1)),
+                                  tuple(F(2, k + 1) for k in range(n - 1)))
+        cases.append(anti_bidiagonal(spec))
+        cases.append(flip_rows(random_positive_tnn(n, 300 + n) * F(-1)))
+    cases += [
+        identity(3),                                        # repeated eigenvalue
+        Matrix([[2, 0, 0], [0, 2, 0], [0, 0, -1]]),
+        Matrix([[3, 0, 0], [0, -3, 0], [0, 0, 1]]),          # a +-3 pair
+        Matrix([[0, 0, 0], [0, 2, 0], [0, 0, -1]]),          # a zero eigenvalue
+    ]
+    seen = set()
+    for m in cases:
+        rep = spectrum_report(m)
+        assert rep.verdict is _polynomial_verdict(rep.char_poly), m
+        seen.add(rep.verdict)
+    assert seen == set(SpectrumVerdict)
 
 
 def test_flip_similarity_gives_equal_verdicts():
