@@ -1,11 +1,18 @@
 """Minor-based sign classification and oscillation criteria.
 
-All checks scan exact minors in one fixed order: orders 1..n, and within
-an order lexicographically (rows outer, columns inner). ``_scan`` is the
-single place that decides this order, and with it the first witness reported
-for any failure and the minor where each check stops. Verdicts form a
-hierarchy: strictly sign definite implies class n+ (power exponent 1), which
-implies sign definite of class n.
+Witnesses come from scanning exact minors in one fixed order: orders 1..n,
+and within an order lexicographically (rows outer, columns inner). ``_scan``
+is the single place that decides this order, and with it the first witness
+reported for any failure and the minor where each check stops.
+
+The total nonnegativity and strict total positivity checks answer "yes" for
+a nonsingular TNN or an STP matrix without the scan: exact Neville
+elimination of M and M^T decides both in O(n^3) (Gasca & Peña, "Total
+positivity and Neville elimination", LAA 165, 1992). Every other input is
+scanned, so a "no" still carries the scan's first witness. Sign
+classification and its power search are always a full scan. Verdicts form
+a hierarchy: strictly sign definite implies class n+ (power exponent 1),
+which implies sign definite of class n.
 
 A key consumer is the flip certificate: multiplying a totally nonnegative A
 by the anti-identity J gives B = JA (or C = AJ) whose nonzero order-k minors
@@ -22,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional
 
 from .errors import NonnegativityViolated, PositivityViolated
@@ -152,8 +160,60 @@ def classify_sign_definite(m: Matrix, power_cap: Optional[int] = None) -> SignCl
 # -- total nonnegativity / positivity ----------------------------------------
 
 
+def _neville_blocks(rows: list[list[int]]) -> Iterator[list[list[int]]]:
+    """Neville elimination of an integer matrix, one trailing block per step.
+
+    Before step k it yields the block of rows k..n and columns k..n, whose
+    first column holds the pivots of that step. The step clears that column
+    below row k from the bottom up, each row with the one above it, without
+    fractions: row_i <- p_(i-1) row_i - p_i row_(i-1), then divided by its
+    content. While every p_(i-1) used is positive, each row stays a positive
+    multiple of the exact Neville row, so every pivot and multiplier keeps
+    its sign; a consumer stops at the first block whose pivots break that.
+    """
+    while rows:
+        yield rows
+        head, rows = rows, []
+        for above, row in zip(head, head[1:]):
+            up, x = above[0], row[0]
+            tail = row[1:]
+            if x:
+                tail = [up * a - x * b for a, b in zip(tail, above[1:])]
+                g = gcd(*tail)
+                if g > 1:
+                    tail = [v // g for v in tail]
+            rows.append(tail)
+
+
+def _neville(m: Matrix, strict: bool) -> bool:
+    """Gasca-Peña decider (LAA 165, 1992) on Neville elimination of M and M^T.
+
+    strict: every pivot is > 0, which holds exactly when M is strictly
+    totally positive. Otherwise: each pivot column is a positive diagonal
+    pivot, then positive pivots, then zeros (no row exchange, every
+    multiplier >= 0), which holds exactly when M is nonsingular and totally
+    nonnegative. True is a proof; False only means "not proven here".
+    """
+    _, b = m._integer_form()
+    for rows in (b, [list(col) for col in zip(*b)]):
+        for block in _neville_blocks(rows):
+            pivots = [row[0] for row in block]
+            positive = next((i for i, p in enumerate(pivots) if p <= 0), len(pivots))
+            # past the run of positive pivots from the diagonal: strict allows
+            # nothing, otherwise a nonempty run followed only by zeros
+            if positive < len(pivots) and (strict or not positive or any(pivots[positive:])):
+                return False
+    return True
+
+
 def tnn_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
-    """First negative minor in enumeration order, or None if all >= 0."""
+    """First negative minor in enumeration order, or None if all >= 0.
+
+    A nonsingular TNN matrix is recognised by Neville elimination; only
+    other inputs are scanned, so a witness is always the scan's first.
+    """
+    if _neville(m, strict=False):
+        return None
     return next(((sel, val) for sel, val in _scan(m) if val < 0), None)
 
 
@@ -162,7 +222,13 @@ def is_totally_nonnegative(m: Matrix) -> bool:
 
 
 def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
-    """First minor <= 0 in enumeration order, or None if all > 0."""
+    """First minor <= 0 in enumeration order, or None if all > 0.
+
+    A strictly totally positive matrix is recognised by Neville elimination;
+    only other inputs are scanned.
+    """
+    if _neville(m, strict=True):
+        return None
     return next(((sel, val) for sel, val in _scan(m) if val <= 0), None)
 
 

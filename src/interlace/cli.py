@@ -52,7 +52,7 @@ from .documents import (
 )
 from .errors import InterlaceError, InternalInvariantViolation, ParseError, PositivityViolated
 from .matrices import Matrix
-from .polynomials import SIKind, hurwitz_minors, hurwitz_stable, is_self_interlacing, si_twist
+from .polynomials import SIKind, hurwitz_minors, hurwitz_stable, poly_gcd, si_twist
 from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, spectrum_report
 
 # -- input plumbing ---------------------------------------------------------
@@ -313,16 +313,21 @@ def _cmd_poly(args, argv: list[str]) -> int:
         raise ParseError("the zero polynomial has no root pattern")
     normalized = -p if p.coeffs[0] < 0 else p
     twist = si_twist(normalized)
+    minors = hurwitz_minors(twist)
+    stable = hurwitz_stable(twist)
+    # One gcd(p, p') decides both kinds, as in spectrum_report; the sign of p
+    # changes neither verdict.
+    squarefree = poly_gcd(p, p.derivative()).degree < 1
     report = _envelope("poly", argv, _digest(raw))
     report.update({
         "degree": p.degree,
         "coefficients": [str(c) for c in p.coeffs],
         "leading_sign_flipped": normalized is not p,
         "twist_coefficients": [str(c) for c in twist.coeffs],
-        "hurwitz_minors_of_twist": [str(d) for d in hurwitz_minors(twist)],
-        "twist_hurwitz_stable": hurwitz_stable(twist),
-        "self_interlacing_kind_I": is_self_interlacing(p, SIKind.KIND_I),
-        "self_interlacing_kind_II": is_self_interlacing(p, SIKind.KIND_II),
+        "hurwitz_minors_of_twist": [str(d) for d in minors],
+        "twist_hurwitz_stable": stable,
+        "self_interlacing_kind_I": squarefree and stable,
+        "self_interlacing_kind_II": squarefree and hurwitz_stable(si_twist(p.compose_neg())),
     })
     if args.kind:
         requested = SIKind(args.kind)

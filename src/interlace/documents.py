@@ -23,6 +23,7 @@ the rebuilt matrix exactly; a mismatch is a parse error, not a warning.
 
 Entries are exact: integers, ratios ``p/q``, or finite decimals
 (``0.25`` means exactly 1/4). Nothing is ever routed through binary floats.
+A numerator or denominator over MAX_LITERAL_BITS bits is a parse error.
 """
 
 from __future__ import annotations
@@ -74,11 +75,40 @@ def _param_length(expr: str, n: int) -> int:
     return {"1": 1, "n": n, "n-1": n - 1}[expr]
 
 
-def _parse_value(token: str) -> Fraction:
+# Largest numerator or denominator, in bits, of a numeric literal (about
+# 1233 decimal digits). A larger literal is bad input, rejected before any
+# analysis runs: exact arithmetic spends time in proportion to the size of
+# its inputs (root isolation starts from a bound as large as the entries),
+# and the results could outgrow Python's int-to-str digit limit.
+MAX_LITERAL_BITS = 4096
+
+
+def _spelled_size(token: str) -> int:
+    """Length of a literal plus the size of its decimal exponent: a bound on
+    the work of converting it, read before converting it."""
+    mantissa, _, exponent = token.lower().partition("e")
     try:
-        return as_fraction(token)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ParseError(f"bad numeric literal {token!r}: {exc}") from exc
+        shift = abs(int(exponent or 0))
+    except ValueError:  # not an exponent Fraction accepts either
+        shift = 0
+    return len(mantissa) + shift
+
+
+def _parse_value(token: str) -> Fraction:
+    """One exact literal; over MAX_LITERAL_BITS is a ParseError.
+
+    A token whose spelled size exceeds MAX_LITERAL_BITS is rejected unread;
+    every value under the cap is far shorter in canonical form.
+    """
+    if _spelled_size(token) <= MAX_LITERAL_BITS:
+        try:
+            value = as_fraction(token)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ParseError(f"bad numeric literal {token!r}: {exc}") from exc
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) <= MAX_LITERAL_BITS:
+            return value
+    shown = token if len(token) <= 32 else token[:29] + "..."
+    raise ParseError(f"numeric literal {shown!r} exceeds {MAX_LITERAL_BITS} bits")
 
 
 def build_structured(structure: str,

@@ -2,16 +2,21 @@
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import (
+    AntiBidiagonalSpec,
     Matrix,
     MinorSelector,
     NonnegativityViolated,
     PositivityViolated,
     SignVerdict,
     SpectrumVerdict,
+    anti_bidiagonal,
     anti_identity,
     anti_jacobi,
     anti_tridiagonal_criterion,
@@ -35,6 +40,7 @@ from interlace import (
     stp_violation,
     tnn_violation,
 )
+from interlace.classification import _neville, _neville_blocks, _scan
 from conftest import cofactor_det, random_int_matrix, random_rational_matrix
 
 
@@ -240,6 +246,128 @@ def test_unflipping_a_flipped_tnn_matrix_recovers_tnn():
     for seed in range(8):
         m = flip_rows(random_tnn(3, seed + 70))
         assert is_totally_nonnegative(flip_rows(m))
+
+
+# -- Neville deciders against the minor oracle ------------------------------------
+
+
+def _scan_only(m, bad):
+    """The witness route without the decider in front of it."""
+    return next(((s, v) for s, v in _scan(m) if bad(v)), None)
+
+
+def _with_zero_line(m, k, column):
+    rows = [list(r) for r in m.rows]
+    for i in range(m.n):
+        if column:
+            rows[i][k] = 0
+        else:
+            rows[k][i] = 0
+    return Matrix(rows)
+
+
+def _neville_corpus():
+    """Singular and nonsingular TNN, STP powers, and near misses of each."""
+    for n in range(1, 6):
+        for seed in range(12):
+            pos = random_positive_tnn(n, seed)
+            osc = random_oscillatory(n, seed)
+            for m in (pos, random_tnn(n, seed), osc, osc ** max(1, n - 1)):
+                yield m
+                yield -m
+                yield m + random_int_matrix(n, seed, -1, 1)
+                yield _with_zero_line(m, seed % n, column=bool(seed % 2))
+            yield random_int_matrix(n, seed, 0, 2)
+            # a nonsingular TNN matrix with one entry raised or lowered
+            rows = [list(r) for r in pos.rows]
+            rows[seed % n][(seed // n) % n] += 1 if seed % 3 else -1
+            yield Matrix(rows)
+
+
+def _assert_decider_matches_oracle(m, seen):
+    minors = _brute_minors(m)
+    det = minors[-1][1]
+    tnn_nonsingular = det != 0 and all(v >= 0 for _, v in minors)
+    stp = all(v > 0 for _, v in minors)
+    assert _neville(m, strict=False) == tnn_nonsingular, m
+    assert _neville(m, strict=True) == stp, m
+    tnn, stp_w = _first(minors, lambda v: v < 0), _first(minors, lambda v: v <= 0)
+    assert tnn_violation(m) == tnn == _scan_only(m, lambda v: v < 0), m
+    assert stp_violation(m) == stp_w == _scan_only(m, lambda v: v <= 0), m
+    seen.add((tnn_nonsingular, stp, tnn is None, det != 0))
+
+
+def test_neville_decider_matches_minor_oracle():
+    """Yes exactly on nonsingular TNN (strict: STP) inputs, by cofactor minors,
+    and the public scans return what the scan alone returns."""
+    seen = set()
+    for m in _neville_corpus():
+        _assert_decider_matches_oracle(m, seen)
+    assert {(True, True, True, True),      # STP
+            (True, False, True, True),     # nonsingular TNN, not STP
+            (False, False, True, False),   # singular TNN: the scan decides
+            (False, False, False, True),   # nonsingular, not TNN
+            (False, False, False, False)} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
+       bump=st.lists(st.integers(-2, 2), min_size=25, max_size=25),
+       positive=st.booleans())
+def test_neville_decider_matches_minor_oracle_property(n, seed, bump, positive):
+    base = random_positive_tnn(n, seed) if positive else random_tnn(n, seed)
+    m = base + Matrix([bump[i * n:(i + 1) * n] for i in range(n)])
+    _assert_decider_matches_oracle(m, set())
+    _assert_decider_matches_oracle(base, set())
+
+
+def test_initial_minor_trap_is_not_tnn():
+    """Initial minors >= 0 and leading principal minors > 0 do not make a
+    matrix TNN; Neville elimination meets a negative multiplier at step 3."""
+    trap = Matrix([[1, 3, 3, 3], [0, 1, 3, 5], [0, 6, 19, 32], [0, 18, 54, 91]])
+    minors = _brute_minors(trap)
+    initial = [v for s, v in minors
+               if s.rows == tuple(range(s.rows[0], s.rows[0] + s.order))
+               and s.cols == tuple(range(s.cols[0], s.cols[0] + s.order))
+               and 1 in (s.rows[0], s.cols[0])]
+    assert all(v >= 0 for v in initial)
+    assert all(trap.leading_principal_minor(k) > 0 for k in range(1, 5))
+    assert not _neville(trap, strict=False)
+    assert not is_totally_nonnegative(trap)
+    assert tnn_violation(trap) == _first(minors, lambda v: v < 0)
+
+
+def _neville_peak_bits(m):
+    """Largest entry, in bits, of any block Neville elimination of D*M and of
+    its transpose passes through, run to the end whatever the pivot signs."""
+    _, b = m._integer_form()
+    return max(abs(x).bit_length()
+               for rows in (b, [list(c) for c in zip(*b)])
+               for block in _neville_blocks(rows)
+               for row in block for x in row)
+
+
+def _hadamard_bits(m):
+    """Bits of prod_i ||row_i|| of D*M, which bounds every minor of D*M."""
+    _, b = m._integer_form()
+    return sum(isqrt(sum(x * x for x in row)).bit_length() for row in b)
+
+
+def test_neville_rows_stay_within_minor_size():
+    """Content division keeps every row a primitive multiple of a row of
+    minors of D*M; without it the bit length doubles with each step."""
+    spec = AntiBidiagonalSpec(F(3, 2), [F(k % 5 + 1, k % 3 + 1) for k in range(15)],
+                              [F(k % 7 + 1, k % 4 + 1) for k in range(15)])
+    ab = anti_bidiagonal(spec)
+    for m in (ab, flip_rows(ab)):       # the flip is upper bidiagonal and TNN
+        _, b = m._integer_form()
+        entry_bits = max(abs(x).bit_length() for row in b for x in row)
+        assert _neville_peak_bits(m) <= entry_bits
+    assert _neville(flip_rows(ab), strict=False) and not _neville(ab, strict=False)
+    for seed in range(3):
+        tnn = random_positive_tnn(12, seed)
+        assert _neville(tnn, strict=False)
+        assert _neville_peak_bits(tnn) <= _hadamard_bits(tnn)
 
 
 # -- oscillation -----------------------------------------------------------------

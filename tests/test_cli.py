@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import interlace
+import interlace.cli
 
 GOLDEN_DOC = "n: 2\nrows:\n0 1\n1 1\n"
 # The child process imports the same package as the tests, whether it came
@@ -223,6 +225,21 @@ def test_poly_kind_flag_and_file_input(tmp_path):
     assert rep["self_interlacing_kind_II"] is False
 
 
+def test_poly_decides_both_kinds_from_one_gcd(monkeypatch, capsys):
+    calls = []
+    original = interlace.polynomials.poly_gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(interlace.polynomials, "poly_gcd", counting)
+    monkeypatch.setattr(interlace.cli, "poly_gcd", counting)
+    assert interlace.cli.main(["poly", "--coeffs", "1 -1 -1"]) == 0
+    assert "self_interlacing_kind_I: true" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 # -- construct --------------------------------------------------------------------
 
 
@@ -351,6 +368,26 @@ def test_exit_code_two_on_bad_input(tmp_path):
         code, out, err = run_cli(*args, stdin=stdins.get(i, ""))
         assert (code, out) == (2, ""), (args, code, err)
         assert "error:" in err, args
+
+
+def test_oversized_literal_fails_before_any_analysis(tmp_path, capsys):
+    """A literal over the bit cap exits 2 with empty stdout at parse time; a
+    1x1 document with entry 1e30000 used to keep spectrum busy for seconds."""
+    doc, golden = tmp_path / "huge.mx", tmp_path / "golden.mx"
+    doc.write_text("n: 1\nrows:\n1e30000\n")
+    golden.write_text(GOLDEN_DOC)
+    cases = [["classify", str(doc)], ["jflip", str(doc)], ["spectrum", str(doc)],
+             ["poly", "--coeffs", "1 1e30000"], ["spectrum", str(golden), "--tol", "1e-30000"]]
+    for argv in cases:
+        start = time.perf_counter()
+        code = interlace.cli.main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert "exceeds 4096 bits" in err, argv
+        assert elapsed < 1, (argv, elapsed)
+    code, out, err = run_cli("spectrum", str(doc))
+    assert (code, out) == (2, "") and "exceeds" in err
 
 
 def test_exit_code_two_on_usage_errors():

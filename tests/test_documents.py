@@ -18,6 +18,7 @@ from interlace import (
     parse_polynomial_tokens,
     places_for_width,
 )
+from interlace.documents import MAX_LITERAL_BITS
 
 
 # -- parsing ----------------------------------------------------------------
@@ -96,6 +97,23 @@ def test_parse_error_catalogue():
     for text, needle in bad:
         with pytest.raises(ParseError, match=needle):
             parse_matrix_document(text)
+
+
+def test_literal_bit_cap():
+    """Numerators and denominators up to MAX_LITERAL_BITS bits parse; one bit
+    more is a ParseError, and so is an exponent that would take long to expand."""
+    top = 2 ** MAX_LITERAL_BITS - 1
+    ok = [str(top), f"-{top}", f"1/{top}", f"{top}/{top - 2}", "1e1233", "1e-1233",
+          "0." + "0" * 1232 + "1"]
+    for token in ok:
+        assert parse_polynomial_tokens(f"1 {token}").coeffs[1] == F(token)
+    bad = [str(top + 1), f"1/{top + 1}", "1e1234", "-1e-1234", "1e30000",
+           "1e99999999999999999999", "2" * (MAX_LITERAL_BITS + 1)]
+    for token in bad:
+        with pytest.raises(ParseError, match=f"exceeds {MAX_LITERAL_BITS} bits"):
+            parse_polynomial_tokens(f"1 {token}")
+        with pytest.raises(ParseError, match=f"exceeds {MAX_LITERAL_BITS} bits"):
+            parse_matrix_document(f"n: 1\nrows:\n{token}\n")
 
 
 def test_build_structured_checks_the_corner_length_itself():
