@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -445,13 +446,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _whole_integers():
+    """Lift the interpreter's int/str digit limit (CPython 3.10.7 and later)
+    for one command, so an analysis that ran prints its integers in full.
+
+    Input stays bounded without the limit: every literal is capped at
+    documents.MAX_LITERAL_BITS before conversion, and the other integers
+    read from user text are length-checked first.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        return args.handler(args, argv)
+        with _whole_integers():
+            return args.handler(args, argv)
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

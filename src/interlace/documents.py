@@ -23,7 +23,10 @@ the rebuilt matrix exactly; a mismatch is a parse error, not a warning.
 
 Entries are exact: integers, ratios ``p/q``, or finite decimals
 (``0.25`` means exactly 1/4). Nothing is ever routed through binary floats.
-A numerator or denominator over MAX_LITERAL_BITS bits is a parse error.
+A numerator or denominator over MAX_LITERAL_BITS bits is a parse error, and
+so is a literal longer than MAX_LITERAL_BITS characters; neither is converted,
+nor an ``n`` with more significant digits than any document could match, so
+parsing stays fast whatever the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
@@ -82,10 +85,20 @@ def _param_length(expr: str, n: int) -> int:
 # and the results could outgrow Python's int-to-str digit limit.
 MAX_LITERAL_BITS = 4096
 
+# Most significant digits read as n: a longer n names no matrix a document
+# could spell out, and converting it would cost time quadratic in its length.
+_MAX_N_DIGITS = 18
+
 
 def _spelled_size(token: str) -> int:
     """Length of a literal plus the size of its decimal exponent: a bound on
-    the work of converting it, read before converting it."""
+    the work of converting it, read before converting it.
+
+    A literal longer than the cap is over it unread: decimal conversion of a
+    long string costs quadratic time, even when it fails.
+    """
+    if len(token) > MAX_LITERAL_BITS:
+        return len(token)
     mantissa, _, exponent = token.lower().partition("e")
     try:
         shift = abs(int(exponent or 0))
@@ -160,8 +173,11 @@ def parse_matrix_document(text: str) -> MatrixDocument:
 
     if "n" not in header:
         raise ParseError("missing required header 'n'")
+    n_text = header.pop("n")
+    if len(n_text.lstrip("+-0_")) > _MAX_N_DIGITS:
+        raise ParseError(f"n must be an integer of at most {_MAX_N_DIGITS} digits")
     try:
-        n = int(header.pop("n"))
+        n = int(n_text)
     except ValueError as exc:
         raise ParseError(f"n must be an integer: {exc}") from exc
     if n < 1:

@@ -24,8 +24,11 @@ def as_fraction(value) -> Fraction:
 
     Accepts int, Fraction, and strings in integer, ``p/q``, or finite decimal
     form (decimals are parsed exactly, e.g. ``"0.25"`` -> 1/4). Binary floats
-    are rejected: they would smuggle rounding into an exact pipeline.
+    are rejected: they would smuggle rounding into an exact pipeline. An
+    exact ``Fraction`` is returned as it is (Fractions are immutable).
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("binary floats are not exact; pass a string or Fraction")
     if isinstance(value, (int, Fraction)):

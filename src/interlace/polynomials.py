@@ -1,9 +1,12 @@
 """Exact univariate polynomials, stability tests, and real-root isolation.
 
 Coefficients are stored leading-first: ``Polynomial([1, -1, -2, 1])`` is
-z^3 - z^2 - 2z + 1. All arithmetic is over ``Fraction``; root isolation uses
-Sturm sequences evaluated with homogenized integer Horner steps, so no binary
-floating point enters any certified statement.
+z^3 - z^2 - 2z + 1, as exact ``Fraction``s. The spectrum path runs on
+integers: gcds and Sturm chains read one primitive integer remainder
+sequence, and root isolation and bisection carry each box as integer
+numerators over a common scale, evaluated with homogenized integer Horner
+steps. Fractions are built only for results, and no binary floating point
+enters any certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegreeZero,
@@ -179,19 +182,68 @@ def poly_from_roots(roots: Iterable) -> Polynomial:
     return p
 
 
-def _remainder_sequence(a: Polynomial, b: Polynomial) -> Iterator[Polynomial]:
-    """Euclid's signed remainder sequence a, b, -(a mod b), ... up to its
-    last nonzero member, which is gcd(a, b) up to a constant factor."""
-    yield a
-    while not b.is_zero:
-        yield b
-        a, b = b, -(a % b)
+def _primitive(ic: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale a rational coefficient list by a positive rational to primitive
+    integers (sign pattern preserved; the zero list stays empty)."""
+    m = lcm(*(c.denominator for c in ic))
+    ints = [c.numerator * (m // c.denominator) for c in ic]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _negated_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive positive multiple of -(a mod b), for nonzero integer b.
+
+    Each elimination step multiplies the dividend by |lc(b)|/g only (g the
+    gcd with the eliminated coefficient), never by a negative number, so the
+    result keeps the sign pattern of Euclid's rational remainder.
+    """
+    lead = b[0]
+    rem = list(a)
+    steps = len(a) - len(b) + 1
+    for i in range(steps):
+        f = rem[i]
+        if f == 0:
+            continue
+        g = gcd(f, lead)
+        scale, f = abs(lead) // g, (f if lead > 0 else -f) // g
+        for j in range(i + 1, len(rem)):
+            rem[j] *= scale
+        for j, c in enumerate(b[1:], i + 1):
+            rem[j] -= f * c
+    tail = rem[max(steps, 0):]
+    k = 0
+    while k < len(tail) and tail[k] == 0:
+        k += 1
+    g = gcd(*tail)
+    return tuple(-c // g for c in tail[k:])
+
+
+def _remainder_sequence(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, ...]]:
+    """Euclid's signed remainder sequence a, b, -(a mod b), ... over primitive
+    integers, up to its last nonzero member (gcd(a, b) up to a constant).
+
+    For primitive a and b, every member is the rational member times a
+    positive rational, made primitive: Collins's primitive remainder
+    sequence, with |lc(b)| in place of lc(b) so that Sturm signs are kept.
+    """
+    seq = [tuple(a)]
+    while b:
+        seq.append(tuple(b))
+        a, b = b, _negated_pseudo_remainder(a, b)
+    return seq
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic last member of the remainder sequence (zero if p = q = 0)."""
-    *_, g = _remainder_sequence(p, q)
-    return g if g.is_zero else g.monic()
+    if p.is_zero:
+        return q if q.is_zero else q.monic()
+    if q.is_zero:
+        return p.monic()
+    if p.degree == 0 or q.degree == 0:
+        return Polynomial([1])
+    *_, g = _remainder_sequence(_primitive(p.coeffs), _primitive(q.coeffs))
+    return Polynomial(g).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -292,7 +344,7 @@ def is_self_interlacing(p: Polynomial, kind: SIKind = SIKind.KIND_I) -> bool:
 # -- real-root isolation -------------------------------------------------------
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -329,26 +381,15 @@ class RootBox:
         return (self.lo + self.hi) / 2
 
 
-def _eval_sign(ic: Sequence[int], x: Fraction) -> int:
-    """Sign of p(x) using the homogenized integer Horner scheme."""
-    u, v = x.numerator, x.denominator
+def _eval_sign(ic: Sequence[int], u: int, v: int) -> int:
+    """Sign of p(u/v), v > 0, by the homogenized integer Horner scheme:
+    the sign of v^n p(u/v) = sum a_k u^(n-k) v^k."""
     acc = ic[0]
     vp = 1
     for c in ic[1:]:
         vp *= v
         acc = acc * u + c * vp
     return (acc > 0) - (acc < 0)
-
-
-def _primitive(ic: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational coefficient list by a positive rational to
-    primitive integers (sign pattern preserved)."""
-    m = lcm(*(c.denominator for c in ic))
-    ints = [int(c * m) for c in ic]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in ints)
 
 
 def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
@@ -358,23 +399,20 @@ def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     member is gcd(p, p') up to a constant factor: constant exactly when p is
     squarefree.
     """
-    return [_primitive(r.coeffs) for r in _remainder_sequence(p, p.derivative())]
+    return _remainder_sequence(_primitive(p.coeffs), _primitive(p.derivative().coeffs))
 
 
-def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = [s for s in (_eval_sign(c, x) for c in chain) if s != 0]
+def _variations(chain: Sequence[Sequence[int]], u: int, v: int) -> int:
+    """Sign changes of the chain at u/v, v > 0."""
+    signs = [s for s in (_eval_sign(c, u, v) for c in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _dyadic_root_bound(ic: Sequence[int]) -> Fraction:
+def _dyadic_root_bound(ic: Sequence[int]) -> int:
     """Power of two strictly exceeding the Cauchy bound 1 + max|a_k|/|a_0|."""
     lead = abs(ic[0])
     tail = max((abs(c) for c in ic[1:]), default=0)
-    bound = 1 + Fraction(tail, lead)
-    m = 1
-    while m <= bound:
-        m *= 2
-    return Fraction(m)
+    return 1 << ((lead + tail) // lead).bit_length()
 
 
 def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
@@ -383,8 +421,10 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     Requires p squarefree (raises NotSquarefree otherwise, naming the gcd).
     Counting is Sturm variation differences; bisection runs on dyadic
     endpoints inside a power-of-two Cauchy bound, so every evaluation is an
-    exact integer sign. Boxes that would straddle zero are split at zero so
-    each carries a definite root sign.
+    exact integer sign. Each pending box is two integer numerators over one
+    power-of-two scale, and a work list replaces recursion, so deep splits
+    (roots of very different size) cost no stack. Boxes that would straddle
+    zero are split at zero so each carries a definite root sign.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -398,73 +438,89 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     ic = chain[0]  # p itself as primitive integers
     bound = _dyadic_root_bound(ic)
 
-    def var(x: Fraction) -> int:
-        return _variations(chain, x)
+    def var(u: int, v: int) -> int:
+        return _variations(chain, u, v)
 
-    raw: list[tuple[Fraction, Fraction]] = []
-
-    def recurse(a: Fraction, b: Fraction, va: int, vb: int):
+    # (lo, hi, v, variations at lo/v, variations at hi/v) for the box [lo/v, hi/v]
+    work = [(-bound, bound, 1, var(-bound, 1), var(bound, 1))]
+    raw: list[tuple[int, int, int]] = []
+    while work:
+        a, b, v, va, vb = work.pop()
         count = va - vb
         if count == 0:
-            return
+            continue
         if count == 1:
-            raw.append((a, b))
-            return
-        mid = (a + b) / 2
-        if _eval_sign(ic, mid) == 0:
-            # exact root at mid; shrink a symmetric gap until it isolates mid
-            delta = (b - a) / 4
+            raw.append((a, b, v))
+            continue
+        mid, a, b, v = a + b, 2 * a, 2 * b, 2 * v
+        if _eval_sign(ic, mid, v) == 0:
+            # exact root at mid; shrink a symmetric gap, starting at a quarter
+            # of the box, until it isolates mid
+            gap = b - a
+            mid, a, b, v = 4 * mid, 4 * a, 4 * b, 4 * v
             while True:
-                lo, hi = mid - delta, mid + delta
-                if (_eval_sign(ic, lo) != 0 and _eval_sign(ic, hi) != 0
-                        and var(lo) - var(hi) == 1):
-                    break
-                delta /= 2
-            raw.append((mid, mid))
-            recurse(a, lo, va, var(lo))
-            recurse(hi, b, var(hi), vb)
+                lo, hi = mid - gap, mid + gap
+                if _eval_sign(ic, lo, v) != 0 and _eval_sign(ic, hi, v) != 0:
+                    v_lo, v_hi = var(lo, v), var(hi, v)
+                    if v_lo - v_hi == 1:
+                        break
+                mid, a, b, v = 2 * mid, 2 * a, 2 * b, 2 * v
+            raw.append((mid, mid, v))
+            work.append((a, lo, v, va, v_lo))
+            work.append((hi, b, v, v_hi, vb))
         else:
-            vm = var(mid)
-            recurse(a, mid, va, vm)
-            recurse(mid, b, vm, vb)
-
-    recurse(-bound, bound, var(-bound), var(bound))
-    raw.sort(key=lambda box: box[0])
+            vm = var(mid, v)
+            work.append((a, mid, v, va, vm))
+            work.append((mid, b, v, vm, vb))
+    raw.sort(key=lambda box: Fraction(box[0], box[2]))
 
     out: list[RootBox] = []
-    for lo, hi in raw:
+    for lo, hi, v in raw:
         if lo == hi:
-            out.append(RootBox(lo, hi, _sign(lo)))
+            sign = _sign(lo)
         elif lo < 0 < hi:
-            s_zero = _eval_sign(ic, Fraction(0))
+            s_zero = _eval_sign(ic, 0, 1)
             if s_zero == 0:
-                out.append(RootBox(Fraction(0), Fraction(0), 0))
-            elif _eval_sign(ic, lo) * s_zero < 0:
-                out.append(RootBox(lo, Fraction(0), -1))
+                lo = hi = sign = 0
+            elif _eval_sign(ic, lo, v) * s_zero < 0:
+                hi, sign = 0, -1
             else:
-                out.append(RootBox(Fraction(0), hi, 1))
+                lo, sign = 0, 1
         else:
-            out.append(RootBox(lo, hi, 1 if lo >= 0 else -1))
+            sign = 1 if lo >= 0 else -1
+        out.append(RootBox(Fraction(lo, v), Fraction(hi, v), sign))
     return tuple(out)
 
 
 def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
-    """Bisect a box until its width is <= width_bound (exact hits collapse it)."""
+    """Bisect a box until its width is <= width_bound (exact hits collapse it).
+
+    The endpoints are integer numerators over one common scale, so each
+    midpoint is (lo + hi)/(2 scale) with no rational normalization until the
+    result is built.
+    """
     width_bound = as_fraction(width_bound)
     if width_bound <= 0:
         raise PositivityViolated("width bound must be positive")
     if box.is_exact:
         return box
     ic = _primitive(p.coeffs)
-    lo, hi = box.lo, box.hi
-    s_lo = _eval_sign(ic, lo)
-    while hi - lo > width_bound:
-        mid = (lo + hi) / 2
-        s_mid = _eval_sign(ic, mid)
+    scale = lcm(box.lo.denominator, box.hi.denominator)
+    lo = box.lo.numerator * (scale // box.lo.denominator)
+    hi = box.hi.numerator * (scale // box.hi.denominator)
+    # Halving keeps hi - lo and doubles the scale, so width > bound reads
+    # (hi - lo) * den > num * scale with a fixed left side.
+    spread = (hi - lo) * width_bound.denominator
+    num = width_bound.numerator
+    s_lo = _eval_sign(ic, lo, scale)
+    while spread > num * scale:
+        mid, scale = lo + hi, 2 * scale
+        s_mid = _eval_sign(ic, mid, scale)
         if s_mid == 0:
-            return RootBox(mid, mid, _sign(mid))
+            root = Fraction(mid, scale)
+            return RootBox(root, root, _sign(mid))
         if s_mid == s_lo:
-            lo = mid
+            lo, hi = mid, 2 * hi
         else:
-            hi = mid
-    return RootBox(lo, hi, box.sign)
+            lo, hi = 2 * lo, mid
+    return RootBox(Fraction(lo, scale), Fraction(hi, scale), box.sign)

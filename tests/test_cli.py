@@ -8,6 +8,8 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import interlace
 import interlace.cli
 
@@ -388,6 +390,60 @@ def test_oversized_literal_fails_before_any_analysis(tmp_path, capsys):
         assert elapsed < 1, (argv, elapsed)
     code, out, err = run_cli("spectrum", str(doc))
     assert (code, out) == (2, "") and "exceeds" in err
+
+
+def test_spectrum_of_eigenvalues_far_apart(tmp_path):
+    """diag(2^1100, 2, 1): 1,101-bit entries, far under the literal cap, but
+    separating 2 from 2^1100 takes about 1,100 halvings of the root box."""
+    doc = tmp_path / "far.mx"
+    doc.write_text(f"n: 3\nrows:\n{2 ** 1100} 0 0\n0 2 0\n0 0 1\n")
+    eigenvalues = run_json("spectrum", str(doc))["spectrum"]["eigenvalues"]
+    assert len(eigenvalues) == 3
+    for entry, root in zip(eigenvalues, (2 ** 1100, 2, 1)):
+        assert F(entry["lo"]) <= root <= F(entry["hi"]) and entry["sign"] == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+def test_reports_print_whole_integers_under_a_low_digit_limit(tmp_path, capsys):
+    """An analysis that ran renders in full whatever sys.int_max_str_digits
+    is; main restores the caller's limit afterwards."""
+    doc = tmp_path / "wide.mx"
+    doc.write_text("n: 2\nrows:\n1e700 0\n0 1\n")
+    runs = {}
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (saved, 640):
+            sys.set_int_max_str_digits(limit)
+            for extra in ([], ["--json"]):
+                code = interlace.cli.main(["spectrum", str(doc), *extra])
+                runs[limit, tuple(extra)] = (code, capsys.readouterr().out)
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(saved)
+    for extra in ((), ("--json",)):
+        assert runs[640, extra] == runs[saved, extra]
+        assert runs[640, extra][0] == 0
+    assert str(10 ** 700) in runs[640, ()][1]
+
+
+def test_long_numbers_fail_fast_with_the_digit_limit_lifted(tmp_path, capsys):
+    """Decimal conversion of a long string costs quadratic time even when it
+    fails, so an overlong n or literal is rejected before conversion."""
+    digits = "9" * 10 ** 6 + "x"
+    bodies = [f"n: {digits}\nrows:\n1\n", f"n: 1\nrows:\n1e{digits}\n",
+              f"n: 1\nrows:\n1e{'0_' * 10 ** 6}7\n", f"n: 1\nrows:\n{digits}\n"]
+    doc = tmp_path / "long.mx"
+    for body in bodies:
+        doc.write_text(body)
+        start = time.perf_counter()
+        code = interlace.cli.main(["spectrum", str(doc)])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), err[:80]
+        assert elapsed < 1, (body[:20], elapsed)
+    doc.write_text("n: 00000000000000000003\nrows:\n1 0 0\n0 1 0\n0 0 1\n")
+    assert interlace.cli.main(["classify", str(doc)]) == 0
 
 
 def test_exit_code_two_on_usage_errors():

@@ -24,6 +24,7 @@ from interlace import (
     identity,
     random_positive_tnn,
 )
+from interlace.matrices import as_fraction
 from conftest import (
     cofactor_det,
     faddeev_leverrier_charpoly,
@@ -47,6 +48,16 @@ def test_entries_are_exact_and_floats_rejected():
     assert m[1, 2] == F(3, 7)
     with pytest.raises(TypeError):
         Matrix([[0.5, 1], [1, 1]])
+
+
+def test_as_fraction_returns_a_fraction_unchanged():
+    x = F(7, 3)
+    assert as_fraction(x) is x
+    assert as_fraction(3) == 3 and type(as_fraction(3)) is F
+    assert as_fraction(True) == 1 and type(as_fraction(True)) is F
+    for bad in (0.5, float("nan")):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
 
 
 def test_indexing_is_one_based_and_checked():

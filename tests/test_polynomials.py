@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    fraction_bisection,
+    primitive_ints,
+    remainder_sequence,
+    sturm_isolation,
+)
 from interlace import (
+    AntiBidiagonalSpec,
     DegreeZero,
     Matrix,
     NotSquarefree,
@@ -16,6 +23,8 @@ from interlace import (
     SIKind,
     SplitMix64,
     ZeroPolynomial,
+    anti_bidiagonal,
+    flip_rows,
     hurwitz_matrix,
     hurwitz_minors,
     hurwitz_stable,
@@ -23,10 +32,12 @@ from interlace import (
     isolate_real_roots,
     poly_from_roots,
     poly_gcd,
+    random_positive_tnn,
     refine_root,
     si_twist,
     squarefree_part,
 )
+from interlace.polynomials import _remainder_sequence, _sturm_chain
 
 WIDTH = F(1, 10 ** 9)
 
@@ -365,3 +376,138 @@ def test_refine_root_lands_on_exact_rational_hits():
     tight = refine_root(p, box, F(1, 10 ** 15))
     assert tight.lo <= F(1, 2) <= tight.hi
     assert tight.width <= F(1, 10 ** 15)
+
+
+# -- integer remainder sequence, isolation and bisection against Fractions -------
+
+
+def _fraction_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    *_, g = remainder_sequence(p, q)
+    return g if g.is_zero else g.monic()
+
+
+def _fraction_chain(p: Polynomial) -> list[tuple[int, ...]]:
+    return [primitive_ints(r) for r in remainder_sequence(p, p.derivative())]
+
+
+def _remainder_corpus() -> list[Polynomial]:
+    """Degrees 0..10 with leading coefficients of both signs, and products
+    with repeated rational roots."""
+    rng = SplitMix64(71)
+
+    def rat():
+        return F(rng.below(41) - 20, 1 + rng.below(7))
+
+    polys = []
+    for d in range(11):
+        for _ in range(5):
+            polys.append(Polynomial([rat() or -1] + [rat() for _ in range(d)]))
+        roots = [rat() for _ in range(1 + d // 2)]
+        polys.append(poly_from_roots(roots + roots[:1 + d // 3]) * (rat() or -1))
+    return polys
+
+
+def test_integer_remainder_sequence_matches_fraction_euclid():
+    polys = _remainder_corpus()
+    zero = Polynomial([])
+    assert any(p.coeffs[0] < 0 for p in polys)
+    for p in polys:
+        assert _sturm_chain(p) == _fraction_chain(p), p
+    common = poly_from_roots([F(2, 3), -1])
+    pairs = ([(zero, zero), (zero, polys[7]), (polys[7], zero), (zero, Polynomial([-3]))]
+             + list(zip(polys, polys[1:])) + list(zip(polys[1:], polys))
+             + [(p * common, q * common) for p, q in zip(polys[::3], polys[1::3])])
+    assert any(p.degree < q.degree for p, q in pairs)
+    for p, q in pairs:
+        assert poly_gcd(p, q) == _fraction_gcd(p, q), (p, q)
+        assert (_remainder_sequence(primitive_ints(p), primitive_ints(q))
+                == [primitive_ints(r) for r in remainder_sequence(p, q)]), (p, q)
+    assert poly_gcd(zero, zero).is_zero
+    assert poly_gcd(zero, Polynomial([-3, 6])) == Polynomial([1, -2])
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(_rationals, max_size=10), st.lists(_rationals, max_size=8))
+def test_integer_remainder_sequence_matches_fraction_euclid_hypothesis(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    assert poly_gcd(p, q) == _fraction_gcd(p, q)
+    assert (_remainder_sequence(primitive_ints(p), primitive_ints(q))
+            == [primitive_ints(r) for r in remainder_sequence(p, q)])
+    if not p.is_zero:
+        assert _sturm_chain(p) == _fraction_chain(p)
+
+
+def test_isolation_matches_fraction_sturm_bisection():
+    rng = SplitMix64(73)
+    checked = 0
+    for trial in range(60):
+        roots = {F(rng.below(33) - 16, 1 << rng.below(4)) for _ in range(rng.below(5))}
+        if trial % 3 == 0:
+            roots.add(F(0))
+        extra = Polynomial([1] + [rng.below(11) - 5 for _ in range(rng.below(4))])
+        p = poly_from_roots(sorted(roots)) * extra * F(rng.below(7) - 3 or 2, 1 + rng.below(5))
+        sf = squarefree_part(p)
+        if sf.degree < 1:
+            continue
+        assert isolate_real_roots(sf) == sturm_isolation(sf), (trial, p)
+        checked += 1
+    assert checked >= 50
+
+
+def test_refine_root_matches_fraction_bisection():
+    p = poly_from_roots([F(1, 3), F(-2, 7), 5])
+    user_boxes = [RootBox(F(1, 7), F(2, 3), 1), RootBox(F(-1, 3), F(-1, 7), -1),
+                  RootBox(F(14, 3), F(36, 7), 1)]
+    cases = [(p, box) for box in user_boxes + list(isolate_real_roots(p))]
+    hits = poly_from_roots([F(3, 8), F(-5, 4), 0, 7])  # dyadic roots: exact hits
+    cases += [(hits, box) for box in isolate_real_roots(hits)]
+    cases += [(hits, RootBox(F(1, 4), F(1, 2), 1)), (hits, RootBox(F(-1, 3), F(1, 3), 0))]
+    widths = [F(1, 7 ** 12), F(1, 10 ** 9), F(1, 2 ** 20), F(1, 3), F(2, 3), F(5)]
+    exact = 0
+    for q, box in cases:
+        for w in widths:
+            got = refine_root(q, box, w)
+            assert got == fraction_bisection(q, box, w), (q, box, w)
+            exact += got.is_exact and not box.is_exact
+    assert exact > 0
+
+
+def test_spectrum_charpolys_match_the_fraction_oracles():
+    """The characteristic polynomials the spectrum path sees: anti-bidiagonal
+    n = 10, 12, 16 and row flips of positive TNN matrices n = 6, 8."""
+    rng = SplitMix64(79)
+
+    def positive(k):
+        return tuple(F(1 + rng.below(9), 1 + rng.below(4)) for _ in range(k))
+
+    mats = [anti_bidiagonal(AntiBidiagonalSpec(positive(1)[0], positive(n - 1), positive(n - 1)))
+            for n in (10, 12, 16)]
+    mats += [flip_rows(random_positive_tnn(n, 40 + n)) for n in (6, 8)]
+    for m in mats:
+        p = m.charpoly()
+        assert _sturm_chain(p) == _fraction_chain(p)
+        assert poly_gcd(p, p.derivative()) == _fraction_gcd(p, p.derivative())
+        assert poly_gcd(p, p.compose_neg()) == _fraction_gcd(p, p.compose_neg())
+        sf = squarefree_part(p)
+        boxes = isolate_real_roots(sf)
+        assert boxes == sturm_isolation(sf)
+        for box in boxes:
+            assert refine_root(sf, box, WIDTH) == fraction_bisection(sf, box, WIDTH)
+
+
+def test_isolation_of_roots_far_apart_needs_no_recursion():
+    """Separating 2 from 2^1100 takes about 1,100 halvings of the Cauchy box,
+    deeper than the interpreter's default recursion limit."""
+    roots = [1, 2, 2 ** 1100]
+    p = poly_from_roots(roots)
+    boxes = isolate_real_roots(p)
+    assert len(boxes) == 3
+    for box, root in zip(boxes, roots):
+        assert box.lo <= root <= box.hi and box.sign == 1
+        if not box.is_exact:
+            assert p(box.lo) * p(box.hi) < 0
+    tight = refine_root(p, boxes[2], WIDTH)
+    assert tight.lo <= roots[2] <= tight.hi and tight.width <= WIDTH
