@@ -5,14 +5,16 @@ and within an order lexicographically (rows outer, columns inner). ``_scan``
 is the single place that decides this order, and with it the first witness
 reported for any failure and the minor where each check stops.
 
-The total nonnegativity and strict total positivity checks answer "yes" for
-a nonsingular TNN or an STP matrix without the scan: exact Neville
-elimination of M and M^T decides both in O(n^3) (Gasca & Peña, "Total
-positivity and Neville elimination", LAA 165, 1992). Every other input is
-scanned, so a "no" still carries the scan's first witness. Sign
-classification and its power search are always a full scan. Verdicts form
-a hierarchy: strictly sign definite implies class n+ (power exponent 1),
-which implies sign definite of class n.
+Exact Neville elimination of M and M^T decides in O(n^3) whether M is
+nonsingular totally nonnegative and whether it is strictly totally positive
+(Gasca & Peña, "Total positivity and Neville elimination", LAA 165, 1992).
+The yes/no predicates for strict total positivity and oscillation read it
+alone. The scan runs only where its result is needed: the violation
+reports fall back to it after a "no" so a failure carries the scan's first
+witness, ``is_totally_nonnegative`` needs it to pass a singular TNN matrix,
+and sign classification and its power search are always a full scan.
+Verdicts form a hierarchy: strictly sign definite implies class n+ (power
+exponent 1), which implies sign definite of class n.
 
 A key consumer is the flip certificate: multiplying a totally nonnegative A
 by the anti-identity J gives B = JA (or C = AJ) whose nonzero order-k minors
@@ -192,7 +194,7 @@ def _neville(m: Matrix, strict: bool) -> bool:
     totally positive. Otherwise: each pivot column is a positive diagonal
     pivot, then positive pivots, then zeros (no row exchange, every
     multiplier >= 0), which holds exactly when M is nonsingular and totally
-    nonnegative. True is a proof; False only means "not proven here".
+    nonnegative. Both answers are exact; a singular TNN matrix gets False.
     """
     _, b = m._integer_form()
     for rows in (b, [list(col) for col in zip(*b)]):
@@ -233,29 +235,29 @@ def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
 
 
 def is_strictly_totally_positive(m: Matrix) -> bool:
-    return stp_violation(m) is None
+    return _neville(m, strict=True)
 
 
 def is_oscillatory(m: Matrix) -> bool:
-    """Criterion route: totally nonnegative, nonsingular, and both
-    off-diagonals strictly positive (entries (j, j+1) and (j+1, j))."""
+    """Criterion route (Gantmacher-Krein): both off-diagonals strictly
+    positive (entries (j, j+1) and (j+1, j)), then nonsingular and totally
+    nonnegative, which Neville elimination decides exactly."""
     n = m.n
     for j in range(1, n):
         if m[j, j + 1] <= 0 or m[j + 1, j] <= 0:
             return False
-    if m.det() == 0:
-        return False
-    return is_totally_nonnegative(m)
+    return _neville(m, strict=False)
 
 
 def is_oscillatory_by_definition(m: Matrix, power_cap: Optional[int] = None) -> bool:
     """Definitional route: totally nonnegative with some power strictly
     totally positive. A cap of n-1 (floored at 1) is decisive: when any
-    power works, the (n-1)-th already does."""
+    power works, the (n-1)-th already does. A singular M has no such power,
+    so the nonsingular TNN test of Neville elimination suffices."""
     cap = max(1, m.n - 1) if power_cap is None else power_cap
     if cap < 1:
         raise PositivityViolated("power cap must be >= 1")
-    if not is_totally_nonnegative(m):
+    if not _neville(m, strict=False):
         return False
     power = m
     for exponent in range(1, cap + 1):

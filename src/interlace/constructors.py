@@ -254,11 +254,14 @@ def random_positive_tnn(n: int, seed: int) -> Matrix:
     """Seeded nonsingular totally nonnegative matrix with all entries > 0.
 
     Every ladder parameter is strictly positive; the result is checked for
-    positive entries and nonzero determinant before being returned.
+    positive entries, nonzero determinant and total nonnegativity before
+    being returned.
     """
     m = _random_ladder(n, seed, 1, 1, 1)
-    if any(x <= 0 for _, _, x in m.entries()) or m.det() == 0:
-        raise InternalInvariantViolation("positive ladder must give positive "
+    if (any(x <= 0 for _, _, x in m.entries()) or m.det() == 0
+            or not is_totally_nonnegative(m)):
+        raise InternalInvariantViolation("positive ladder must give a totally "
+                                         "nonnegative matrix with positive "
                                          "entries and a nonzero determinant")
     return m
 

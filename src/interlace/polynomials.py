@@ -423,8 +423,9 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     endpoints inside a power-of-two Cauchy bound, so every evaluation is an
     exact integer sign. Each pending box is two integer numerators over one
     power-of-two scale, and a work list replaces recursion, so deep splits
-    (roots of very different size) cost no stack. Boxes that would straddle
-    zero are split at zero so each carries a definite root sign.
+    (roots of very different size) cost no stack. A box is accepted only
+    once it does not straddle zero; the start box is symmetric, so its first
+    split is at zero and every box carries a definite root sign.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -449,7 +450,7 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
         count = va - vb
         if count == 0:
             continue
-        if count == 1:
+        if count == 1 and a * b >= 0:
             raw.append((a, b, v))
             continue
         mid, a, b, v = a + b, 2 * a, 2 * b, 2 * v
@@ -473,23 +474,8 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
             work.append((a, mid, v, va, vm))
             work.append((mid, b, v, vm, vb))
     raw.sort(key=lambda box: Fraction(box[0], box[2]))
-
-    out: list[RootBox] = []
-    for lo, hi, v in raw:
-        if lo == hi:
-            sign = _sign(lo)
-        elif lo < 0 < hi:
-            s_zero = _eval_sign(ic, 0, 1)
-            if s_zero == 0:
-                lo = hi = sign = 0
-            elif _eval_sign(ic, lo, v) * s_zero < 0:
-                hi, sign = 0, -1
-            else:
-                lo, sign = 0, 1
-        else:
-            sign = 1 if lo >= 0 else -1
-        out.append(RootBox(Fraction(lo, v), Fraction(hi, v), sign))
-    return tuple(out)
+    return tuple(RootBox(Fraction(lo, v), Fraction(hi, v), _sign(lo + hi))
+                 for lo, hi, v in raw)
 
 
 def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:

@@ -40,6 +40,7 @@ from interlace import (
     stp_violation,
     tnn_violation,
 )
+from interlace import classification
 from interlace.classification import _neville, _neville_blocks, _scan
 from conftest import cofactor_det, random_int_matrix, random_rational_matrix
 
@@ -284,6 +285,23 @@ def _neville_corpus():
             yield Matrix(rows)
 
 
+def _stp_by_scan(m):
+    return _scan_only(m, lambda v: v <= 0) is None
+
+
+def _oscillatory_criterion_by_scan(m):
+    """Positive off-diagonals, nonsingular, and no negative minor."""
+    n = m.n
+    return (all(m[j, j + 1] > 0 and m[j + 1, j] > 0 for j in range(1, n))
+            and m.det() != 0 and _scan_only(m, lambda v: v < 0) is None)
+
+
+def _oscillatory_definition_by_scan(m):
+    """No negative minor, and some power up to n-1 with no nonpositive one."""
+    return (_scan_only(m, lambda v: v < 0) is None
+            and any(_stp_by_scan(m ** e) for e in range(1, max(1, m.n - 1) + 1)))
+
+
 def _assert_decider_matches_oracle(m, seen):
     minors = _brute_minors(m)
     det = minors[-1][1]
@@ -294,6 +312,9 @@ def _assert_decider_matches_oracle(m, seen):
     tnn, stp_w = _first(minors, lambda v: v < 0), _first(minors, lambda v: v <= 0)
     assert tnn_violation(m) == tnn == _scan_only(m, lambda v: v < 0), m
     assert stp_violation(m) == stp_w == _scan_only(m, lambda v: v <= 0), m
+    assert is_strictly_totally_positive(m) == _stp_by_scan(m) == stp, m
+    assert is_oscillatory(m) == _oscillatory_criterion_by_scan(m), m
+    assert is_oscillatory_by_definition(m) == _oscillatory_definition_by_scan(m), m
     seen.add((tnn_nonsingular, stp, tnn is None, det != 0))
 
 
@@ -308,6 +329,34 @@ def test_neville_decider_matches_minor_oracle():
             (False, False, True, False),   # singular TNN: the scan decides
             (False, False, False, True),   # nonsingular, not TNN
             (False, False, False, False)} <= seen
+
+
+def _hard_input():
+    """Positive entries and off-diagonals, every minor positive except the
+    determinant, which is negative: a scan for a "no" meets it last."""
+    m = random_positive_tnn(11, 0)
+    corner = m.minor(MinorSelector(tuple(range(2, 12)), tuple(range(1, 11))))
+    rows = [list(r) for r in m.rows]
+    rows[0][10] -= m.det() / corner + F(1, 10 ** 6)
+    return Matrix(rows)
+
+
+def test_predicates_decide_without_the_minor_scan(monkeypatch):
+    """The STP and both oscillation predicates read Neville elimination
+    alone; the exponential scan is left to the witness reports."""
+    hard = _hard_input()
+    assert all(v > 0 for _, _, v in hard.entries()) and hard.det() < 0
+    corpus = list(_neville_corpus())  # random_tnn certifies itself by the scan
+
+    def no_scan(m):
+        raise AssertionError("the minor scan ran")
+
+    monkeypatch.setattr(classification, "_scan", no_scan)
+    predicates = (is_strictly_totally_positive, is_oscillatory,
+                  is_oscillatory_by_definition)
+    assert [p(hard) for p in predicates] == [False, False, False]
+    answers = {(p.__name__, p(m)) for m in corpus for p in predicates}
+    assert answers == {(p.__name__, a) for p in predicates for a in (True, False)}
 
 
 @settings(max_examples=60, deadline=None)

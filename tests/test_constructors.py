@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from interlace import constructors
 from interlace import (
     AntiBidiagonalSpec,
     DimensionMismatch,
+    InternalInvariantViolation,
     JacobiSpec,
     Matrix,
     PositivityViolated,
@@ -202,6 +204,15 @@ def test_random_positive_tnn_contract():
         assert all(v > 0 for _, _, v in m.entries()), seed
         assert m.det() != 0, seed
         assert is_totally_nonnegative(m), seed
+
+
+def test_random_positive_tnn_rejects_a_positive_matrix_that_is_not_tnn(monkeypatch):
+    """Positive entries and a nonzero determinant are not enough: the
+    generator re-certifies total nonnegativity too."""
+    monkeypatch.setattr(constructors, "_random_ladder",
+                        lambda *args: Matrix([[1, 2], [2, 1]]))
+    with pytest.raises(InternalInvariantViolation):
+        random_positive_tnn(2, 0)
 
 
 def test_random_oscillatory_contract():

@@ -455,6 +455,22 @@ def test_isolation_matches_fraction_sturm_bisection():
         assert isolate_real_roots(sf) == sturm_isolation(sf), (trial, p)
         checked += 1
     assert checked >= 50
+    # one real root, whose start box straddles zero: positive, negative, at 0
+    signs = set()
+    for trial in range(30):
+        root = F(1 + rng.below(16), 1 << rng.below(4)) * (1, -1, 0)[trial % 3]
+        b = rng.below(7) - 3
+        no_real_root = Polynomial([1, b, b * b + 1 + rng.below(5)])
+        p = poly_from_roots([root] * (1 + trial % 2)) * no_real_root
+        if trial % 4 > 1:
+            p = p * no_real_root
+        sf = squarefree_part(p)
+        boxes = isolate_real_roots(sf)
+        assert boxes == sturm_isolation(sf), (trial, p)
+        (box,) = boxes
+        assert box.lo <= root <= box.hi and box.sign == (root > 0) - (root < 0)
+        signs.add(box.sign)
+    assert signs == {-1, 0, 1}
 
 
 def test_refine_root_matches_fraction_bisection():
