@@ -11,7 +11,7 @@ nonsingular totally nonnegative and whether it is strictly totally positive
 The yes/no predicates for strict total positivity and oscillation read it
 alone. The scan runs only where its result is needed: the violation
 reports fall back to it after a "no" so a failure carries the scan's first
-witness, ``is_totally_nonnegative`` needs it to pass a singular TNN matrix,
+witness, ``is_totally_nonnegative`` needs it only for a singular input,
 and sign classification and its power search are always a full scan.
 Verdicts form a hierarchy: strictly sign definite implies class n+ (power
 exponent 1), which implies sign definite of class n.
@@ -220,7 +220,9 @@ def tnn_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
 
 
 def is_totally_nonnegative(m: Matrix) -> bool:
-    return tnn_violation(m) is None
+    """Neville elimination passes every nonsingular TNN matrix, so its "no"
+    on a nonsingular input is final; only a singular input is scanned."""
+    return _neville(m, strict=False) or (m.det() == 0 and tnn_violation(m) is None)
 
 
 def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:

@@ -16,6 +16,7 @@ cross-check failed and the output cannot be trusted.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -393,7 +394,9 @@ def _add_common(sub, *, tol=False, kind=False, side=False, power_cap=False,
                               "'index lo hi sign' line each")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="interlace",
         description="Exact certification of self-interlacing spectra, "

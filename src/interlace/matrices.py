@@ -1,9 +1,11 @@
 """Exact rational matrices with the minor machinery the classifiers need.
 
-Everything here is exact: entries are ``fractions.Fraction``. Determinants
-and the characteristic polynomial read one integer form D*M of the matrix (D
-the lcm of all entry denominators): Bareiss elimination on it gives
-det(M) * D^n, and division-free Berkowitz gives each coefficient c_k * D^k.
+Everything here is exact: entries are ``fractions.Fraction``. Each matrix
+caches one integer form (D, D*M), D a common multiple of all entry
+denominators, and every kernel reads it: Bareiss elimination on a copy gives
+det(M) * D^n, division-free Berkowitz gives each coefficient c_k * D^k, a
+product is the integer product over D1*D2, and a submatrix (so every minor)
+is a slice of the parent's form that keeps the parent's D.
 Public row/column indices are 1-based, as is conventional for minor
 bookkeeping; slicing internals are 0-based.
 """
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import lt, mul
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidSelector
@@ -51,7 +54,7 @@ class MinorSelector:
         if len(self.rows) != len(self.cols) or not self.rows:
             raise InvalidSelector(f"need equal nonempty index tuples, got {self}")
         for idx in (self.rows, self.cols):
-            if any(i < 1 for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+            if not (idx[0] >= 1 and all(map(lt, idx, idx[1:]))):
                 raise InvalidSelector(f"indices must be strictly increasing and >= 1: {idx}")
 
     @property
@@ -66,7 +69,7 @@ class Matrix:
     matrix and scalar products, ** for nonnegative integer powers) stays exact.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_form")
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(as_fraction(x) for x in row) for row in rows)
@@ -77,6 +80,18 @@ class Matrix:
             raise DimensionMismatch(f"rows of a {n}x{n} matrix must have length {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "_form", None)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...], form=None) -> "Matrix":
+        """Wrap rows that already are a nonempty square tuple of tuples of
+        Fractions, with no conversion or shape check; ``form``, when given,
+        is an integer form (D, D*M) of exactly these rows."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", len(rows))
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_form", form)
+        return m
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -113,27 +128,29 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_size(other)
-        return Matrix(tuple(a + b for a, b in zip(ra, rb))
-                      for ra, rb in zip(self.rows, other.rows))
+        return Matrix._trusted(tuple(tuple(a + b for a, b in zip(ra, rb))
+                                     for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_size(other)
-        return Matrix(tuple(a - b for a, b in zip(ra, rb))
-                      for ra, rb in zip(self.rows, other.rows))
+        return Matrix._trusted(tuple(tuple(a - b for a, b in zip(ra, rb))
+                                     for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(-x for x in row) for row in self.rows)
+        return Matrix._trusted(tuple(tuple(-x for x in row) for row in self.rows))
 
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
-        return Matrix(tuple(c * x for x in row) for row in self.rows)
+        return Matrix._trusted(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._same_size(other)
-            cols = tuple(zip(*other.rows))
-            return Matrix(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                          for row in self.rows)
+            d1, a = self._integer_form()
+            d2, b = other._integer_form()
+            d, cols = d1 * d2, tuple(zip(*b))
+            return Matrix._trusted(tuple(
+                tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in a))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -152,26 +169,37 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows))
+        return Matrix._trusted(tuple(zip(*self.rows)))
 
     # -- determinants and minors ------------------------------------------
 
-    def _integer_form(self) -> tuple[int, list[list[int]]]:
-        """(D, D*M as int rows), D the lcm of all entry denominators."""
-        d = lcm(*(x.denominator for row in self.rows for x in row))
-        return d, [[x.numerator * (d // x.denominator) for x in row]
-                   for row in self.rows]
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, D*M as int rows), computed once: D is the lcm of all entry
+        denominators, or the parent's D for a submatrix. Read only."""
+        if self._form is None:
+            d = lcm(*(x.denominator for row in self.rows for x in row))
+            object.__setattr__(self, "_form", (d, tuple(
+                tuple(x.numerator * (d // x.denominator) for x in row)
+                for row in self.rows)))
+        return self._form
 
     def det(self) -> Fraction:
-        """Determinant via fraction-free Bareiss elimination on the integer
-        form D*M, where every interior division is exact: det(M) = det(D*M) / D^n."""
+        """Determinant via fraction-free Bareiss elimination on a copy of the
+        integer form D*M, where every interior division is exact:
+        det(M) = det(D*M) / D^n."""
         d, b = self._integer_form()
-        return Fraction(_bareiss(b), d ** self.n)
+        return Fraction(_bareiss([list(row) for row in b]), d ** self.n)
 
     def submatrix(self, sel: MinorSelector) -> "Matrix":
+        """The selected rows and columns, whose integer form is the same
+        slice of this matrix's form, with this matrix's D."""
         if sel.rows[-1] > self.n or sel.cols[-1] > self.n:
             raise InvalidSelector(f"{sel} exceeds size {self.n}")
-        return Matrix(tuple(self.rows[i - 1][j - 1] for j in sel.cols) for i in sel.rows)
+        d, b = self._integer_form()
+        rows, cols = [i - 1 for i in sel.rows], [j - 1 for j in sel.cols]
+        return Matrix._trusted(
+            tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
+            (d, tuple(tuple(b[i][j] for j in cols) for i in rows)))
 
     def minor(self, sel: MinorSelector) -> Fraction:
         return self.submatrix(sel).det()
@@ -187,11 +215,17 @@ class Matrix:
         """
         if not (1 <= order <= self.n):
             raise InvalidSelector(f"minor order {order} outside 1..{self.n}")
-        index_range = range(1, self.n + 1)
-        for rows in combinations(index_range, order):
-            for cols in combinations(index_range, order):
-                sel = MinorSelector(rows, cols)
-                yield sel, self.minor(sel)
+        d, b = self._integer_form()
+        picks = list(combinations(range(self.n), order))
+        selectors = [tuple(i + 1 for i in pick) for pick in picks]
+        for row_sel, rows in zip(selectors, picks):
+            # columns of the selected rows; a minor's rows are its columns' zip
+            column = list(zip(*(self.rows[i] for i in rows))).__getitem__
+            int_column = list(zip(*(b[i] for i in rows))).__getitem__
+            for col_sel, cols in zip(selectors, picks):
+                sub = Matrix._trusted(tuple(zip(*map(column, cols))),
+                                      (d, tuple(zip(*map(int_column, cols)))))
+                yield MinorSelector(row_sel, col_sel), sub.det()
 
     def leading_principal_minor(self, k: int) -> Fraction:
         sel = MinorSelector(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
@@ -267,9 +301,9 @@ def anti_identity(n: int) -> Matrix:
 
 def flip_rows(m: Matrix) -> Matrix:
     """Reverse row order; equals J*M."""
-    return Matrix(reversed(m.rows))
+    return Matrix._trusted(m.rows[::-1])
 
 
 def flip_cols(m: Matrix) -> Matrix:
     """Reverse column order; equals M*J."""
-    return Matrix(tuple(reversed(row)) for row in m.rows)
+    return Matrix._trusted(tuple(row[::-1] for row in m.rows))

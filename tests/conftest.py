@@ -1,7 +1,8 @@
 """Shared oracles and generators for the test suite.
 
 The slow routes here are naive on purpose; each validates one shipped fast
-path. The cofactor determinant checks the Bareiss determinant,
+path. The cofactor determinant checks the Bareiss determinant, the
+entrywise Fraction product checks the integer-form product,
 Faddeev-LeVerrier over Fractions checks the integer Berkowitz
 characteristic polynomial, and Euclid, Sturm isolation and bisection over
 Fractions check the integer remainder sequence and the integer-coordinate
@@ -33,13 +34,20 @@ def cofactor_det(m: Matrix) -> Fraction:
     return expand([list(r) for r in m.rows])
 
 
+def fraction_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Row-by-column sums of Fraction products, entry by entry."""
+    cols = tuple(zip(*b.rows))
+    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
+                   for row in a.rows])
+
+
 def faddeev_leverrier_charpoly(m: Matrix) -> Polynomial:
     """det(zI - M) by the trace recursion M_k = M (M_(k-1) + c_(k-1) I),
     c_k = -tr(M_k) / k; n full matrix products over Fractions."""
     coeffs = [Fraction(1)]
     aux = identity(m.n)
     for k in range(1, m.n + 1):
-        aux = m * aux
+        aux = fraction_matmul(m, aux)
         c = -sum(aux.rows[i][i] for i in range(m.n)) / k
         coeffs.append(c)
         aux = aux + identity(m.n).scale(c)

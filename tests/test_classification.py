@@ -311,6 +311,7 @@ def _assert_decider_matches_oracle(m, seen):
     assert _neville(m, strict=True) == stp, m
     tnn, stp_w = _first(minors, lambda v: v < 0), _first(minors, lambda v: v <= 0)
     assert tnn_violation(m) == tnn == _scan_only(m, lambda v: v < 0), m
+    assert is_totally_nonnegative(m) == (tnn is None), m
     assert stp_violation(m) == stp_w == _scan_only(m, lambda v: v <= 0), m
     assert is_strictly_totally_positive(m) == _stp_by_scan(m) == stp, m
     assert is_oscillatory(m) == _oscillatory_criterion_by_scan(m), m
@@ -343,7 +344,8 @@ def _hard_input():
 
 def test_predicates_decide_without_the_minor_scan(monkeypatch):
     """The STP and both oscillation predicates read Neville elimination
-    alone; the exponential scan is left to the witness reports."""
+    alone, and so does the TNN predicate on a nonsingular input; the
+    exponential scan is left to the witness reports and singular inputs."""
     hard = _hard_input()
     assert all(v > 0 for _, _, v in hard.entries()) and hard.det() < 0
     corpus = list(_neville_corpus())  # random_tnn certifies itself by the scan
@@ -355,8 +357,11 @@ def test_predicates_decide_without_the_minor_scan(monkeypatch):
     predicates = (is_strictly_totally_positive, is_oscillatory,
                   is_oscillatory_by_definition)
     assert [p(hard) for p in predicates] == [False, False, False]
+    assert is_totally_nonnegative(hard) is False
     answers = {(p.__name__, p(m)) for m in corpus for p in predicates}
     assert answers == {(p.__name__, a) for p in predicates for a in (True, False)}
+    nonsingular = [m for m in corpus if m.det() != 0]
+    assert {is_totally_nonnegative(m) for m in nonsingular} == {True, False}
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,7 @@ from interlace.matrices import as_fraction
 from conftest import (
     cofactor_det,
     faddeev_leverrier_charpoly,
+    fraction_matmul,
     random_int_matrix,
     random_rational_matrix,
 )
@@ -72,6 +73,35 @@ def test_matrix_is_immutable():
     m = identity(2)
     with pytest.raises(AttributeError):
         m.n = 3
+    m.det()  # with the integer form cached, assignment still raises
+    for name, value in (("n", 3), ("rows", ((F(1),),)), ("_form", (1, ((1,),)))):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    assert m == identity(2) and m.det() == 1
+
+
+def test_cached_integer_form_is_not_consumed():
+    """Every kernel reads the one cached form: repeating a call, or running
+    another kernel after it, gives what a fresh matrix gives."""
+    for seed in range(12):
+        n = 1 + seed % 6
+        m = random_rational_matrix(n, 600 + seed)
+        det, charpoly = m.det(), m.charpoly()
+        assert m.det() == det == cofactor_det(m)
+        assert m.charpoly() == charpoly == faddeev_leverrier_charpoly(m)
+        fresh = Matrix(m.rows)
+        for k in range(1, n + 1):
+            assert list(m.minors(k)) == list(fresh.minors(k))
+        assert m.det() == det and m.charpoly() == charpoly
+
+
+def test_equality_and_hash_ignore_the_cached_form():
+    for seed in range(6):
+        m = random_rational_matrix(1 + seed % 5, 700 + seed)
+        twin = Matrix(m.rows)
+        assert m == twin and hash(m) == hash(twin)
+        m.det()
+        assert m == twin and hash(m) == hash(twin)
 
 
 def test_determinant_frozen_values():
@@ -157,10 +187,44 @@ def test_minor_enumeration_is_lexicographic_and_complete():
         assert sum(1 for _ in m.minors(k)) == want
 
 
+def _fresh_minors(m: Matrix, k: int):
+    """Selectors from ``combinations`` valued by cofactors of a new Matrix."""
+    picks = list(combinations(range(1, m.n + 1), k))
+    return [(MinorSelector(rows, cols),
+             cofactor_det(Matrix([[m[i, j] for j in cols] for i in rows])))
+            for rows in picks for cols in picks]
+
+
 def test_minor_values_match_cofactor_oracle():
-    m = random_rational_matrix(4, 11)
-    for sel, val in m.minors(3):
-        assert val == cofactor_det(m.submatrix(sel))
+    """Every order of the stream: same selectors in the same order, and
+    values of slices of the parent's integer form equal to cofactors."""
+    cases = [random_rational_matrix(4, 11)]
+    cases += [random_rational_matrix(n, 800 + n) for n in range(1, 6)]
+    cases += [_prime_row_matrix(n, 900 + n, zero_row=n // 2) for n in range(1, 6)]
+    cases += [flip_rows(random_positive_tnn(n, n)) for n in range(1, 6)]
+    for m in cases:
+        for k in range(1, m.n + 1):
+            assert list(m.minors(k)) == _fresh_minors(m, k), (m, k)
+
+
+def test_submatrix_matches_a_fresh_matrix_despite_the_parent_denominator():
+    """The unselected entries carry denominators 7, 11 and 13, so the slice
+    keeps a D that its own entries do not need."""
+    m = Matrix([[F(1, 2), F(-3, 4), F(1, 7), F(5, 1)],
+                [F(2, 11), F(1, 13), F(9, 7), F(2, 3)],
+                [F(-5, 2), F(3, 1), F(4, 13), F(1, 6)],
+                [F(7, 4), F(0), F(3, 11), F(-1, 3)]])
+    sel = MinorSelector((1, 3, 4), (1, 2, 4))
+    sub = m.submatrix(sel)
+    fresh = Matrix([[F(1, 2), F(-3, 4), F(5, 1)],
+                    [F(-5, 2), F(3, 1), F(1, 6)],
+                    [F(7, 4), F(0), F(-1, 3)]])
+    assert sub._integer_form()[0] == m._integer_form()[0] != fresh._integer_form()[0]
+    assert sub == fresh and hash(sub) == hash(fresh)
+    assert sub.det() == fresh.det() == cofactor_det(fresh) == m.minor(sel)
+    assert sub.charpoly() == fresh.charpoly() == faddeev_leverrier_charpoly(fresh)
+    for k in (1, 2, 3):
+        assert list(sub.minors(k)) == _fresh_minors(fresh, k)
 
 
 def test_minor_order_bounds():
@@ -197,6 +261,49 @@ def test_matmul_and_power():
         a * identity(3)
     with pytest.raises(ValueError):
         a ** -1
+
+
+def _fraction_power(m: Matrix, e: int) -> Matrix:
+    result = identity(m.n)
+    for _ in range(e):
+        result = fraction_matmul(result, m)
+    return result
+
+
+def _assert_exact(m: Matrix):
+    assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+    assert all(type(x) is F for row in m.rows for x in row)
+
+
+def test_products_and_powers_match_fraction_oracle():
+    """Distinct prime denominators per row, zero rows and negative entries."""
+    cases = []
+    for n in range(1, 8):
+        for seed in range(2):
+            cases.append((_prime_row_matrix(n, 1000 * n + seed),
+                          _prime_row_matrix(n, 1000 * n + seed + 7, zero_row=seed % n)))
+        cases.append((random_rational_matrix(n, 1100 + n, denominators=(1, 5, 6)),
+                      -random_rational_matrix(n, 1200 + n)))
+    for a, b in cases:
+        for x, y in ((a, b), (b, a), (a, a)):
+            product = x * y
+            _assert_exact(product)
+            assert product == fraction_matmul(x, y)
+        for e in range(6):
+            power = a ** e
+            _assert_exact(power)
+            assert power == _fraction_power(a, e), (a, e)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-4, 4, max_denominator=7), min_size=n, max_size=n),
+    min_size=2 * n, max_size=2 * n)), st.integers(0, 5))
+def test_products_and_powers_match_fraction_oracle_property(rows, e):
+    n = len(rows) // 2
+    a, b = Matrix(rows[:n]), Matrix(rows[n:])
+    assert a * b == fraction_matmul(a, b)
+    assert a ** e == _fraction_power(a, e)
 
 
 def test_scalar_arithmetic():
