@@ -12,7 +12,8 @@ The yes/no predicates for strict total positivity and oscillation read it
 alone. The scan runs only where its result is needed: the violation
 reports fall back to it after a "no" so a failure carries the scan's first
 witness, ``is_totally_nonnegative`` needs it only for a singular input,
-and sign classification and its power search are always a full scan.
+and sign classification is always a full scan. Its power search scans only
+powers of a nonsingular input, and none past 2(n-1), which decides it.
 Verdicts form a hierarchy: strictly sign definite implies class n+ (power
 exponent 1), which implies sign definite of class n.
 
@@ -68,9 +69,10 @@ class SignClassification:
     ``signature[k-1]`` is the shared sign of nonzero order-k minors (None if
     every order-k minor vanishes, or undetermined past a conflict).
     ``power_exponent`` is the least m with M^m strictly sign definite when
-    the class n+ search succeeded; a missing exponent with verdict
-    SIGN_DEFINITE_CLASS_N means "not certified within power_cap", not a
-    definitive negative.
+    the class n+ search succeeded. A missing exponent with verdict
+    SIGN_DEFINITE_CLASS_N is definitive when M is singular (so is every
+    power) or power_cap >= 2(n-1): M^2 is then nonsingular TNN, so if some
+    power is strict, M^2 is oscillatory and M^(2(n-1)) is strict.
     """
 
     verdict: SignVerdict
@@ -99,15 +101,6 @@ def _scan(m: Matrix) -> Iterator[tuple[MinorSelector, Fraction]]:
         yield from m.minors(order)
 
 
-def _strictly_sign_definite(m: Matrix) -> bool:
-    """Every minor nonzero and, per order, of one shared sign (short-circuit)."""
-    positive: dict[int, bool] = {}  # order -> sign of its first minor
-    for sel, val in _scan(m):
-        if val == 0 or positive.setdefault(sel.order, val > 0) != (val > 0):
-            return False
-    return True
-
-
 def _signature(first: dict[int, tuple[MinorSelector, Fraction]], orders: int) -> Signature:
     """Sign of the first nonzero minor of each order 1..orders, None if none."""
     return tuple((1 if first[k][1] > 0 else -1) if k in first else None
@@ -125,9 +118,10 @@ def classify_sign_definite(m: Matrix, power_cap: Optional[int] = None) -> SignCl
     Scans orders k = 1..n; a strict sign conflict at any order yields
     NOT_SIGN_DEFINITE with the first conflicting pair as witness. If no
     order conflicts and no minor vanishes the matrix is strictly sign
-    definite (power exponent 1). Otherwise powers M^m for m = 2..power_cap
-    are tested for strict sign definiteness; the least hit certifies class
-    n+. Exhausting the cap leaves the verdict at SIGN_DEFINITE_CLASS_N.
+    definite (power exponent 1). Otherwise, if M is nonsingular, powers M^m
+    for m = 2..min(power_cap, 2(n-1)) are scanned. By Cauchy-Binet every
+    k-minor of M^m is 0 or of sign σ_k^m, so the least power with no zero
+    minor certifies class n+. Else the verdict stays SIGN_DEFINITE_CLASS_N.
     """
     n = m.n
     cap = default_power_cap(n) if power_cap is None else power_cap
@@ -151,10 +145,11 @@ def classify_sign_definite(m: Matrix, power_cap: Optional[int] = None) -> SignCl
     if not saw_zero:
         return SignClassification(SignVerdict.STRICTLY_SIGN_DEFINITE, sig,
                                   None, 1, cap)
-    for exponent in range(2, cap + 1):
-        if _strictly_sign_definite(m ** exponent):
-            return SignClassification(SignVerdict.CLASS_N_PLUS, sig,
-                                      None, exponent, cap)
+    if sig[-1] is not None:  # M is nonsingular
+        for exponent in range(2, min(cap, default_power_cap(n)) + 1):
+            if all(val for _, val in _scan(m ** exponent)):
+                return SignClassification(SignVerdict.CLASS_N_PLUS, sig,
+                                          None, exponent, cap)
     return SignClassification(SignVerdict.SIGN_DEFINITE_CLASS_N, sig,
                               None, None, cap)
 
@@ -208,21 +203,25 @@ def _neville(m: Matrix, strict: bool) -> bool:
     return True
 
 
+def _first_bad_minor(m: Matrix, bad) -> Optional[tuple[MinorSelector, Fraction]]:
+    """First minor of the scan whose value ``bad`` rejects, or None."""
+    return next(((sel, val) for sel, val in _scan(m) if bad(val)), None)
+
+
 def tnn_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     """First negative minor in enumeration order, or None if all >= 0.
 
     A nonsingular TNN matrix is recognised by Neville elimination; only
     other inputs are scanned, so a witness is always the scan's first.
     """
-    if _neville(m, strict=False):
-        return None
-    return next(((sel, val) for sel, val in _scan(m) if val < 0), None)
+    return None if _neville(m, strict=False) else _first_bad_minor(m, lambda v: v < 0)
 
 
 def is_totally_nonnegative(m: Matrix) -> bool:
     """Neville elimination passes every nonsingular TNN matrix, so its "no"
     on a nonsingular input is final; only a singular input is scanned."""
-    return _neville(m, strict=False) or (m.det() == 0 and tnn_violation(m) is None)
+    return _neville(m, strict=False) or (
+        m.det() == 0 and _first_bad_minor(m, lambda v: v < 0) is None)
 
 
 def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
@@ -231,9 +230,7 @@ def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     A strictly totally positive matrix is recognised by Neville elimination;
     only other inputs are scanned.
     """
-    if _neville(m, strict=True):
-        return None
-    return next(((sel, val) for sel, val in _scan(m) if val <= 0), None)
+    return None if _neville(m, strict=True) else _first_bad_minor(m, lambda v: v <= 0)
 
 
 def is_strictly_totally_positive(m: Matrix) -> bool:
@@ -254,15 +251,16 @@ def is_oscillatory(m: Matrix) -> bool:
 def is_oscillatory_by_definition(m: Matrix, power_cap: Optional[int] = None) -> bool:
     """Definitional route: totally nonnegative with some power strictly
     totally positive. A cap of n-1 (floored at 1) is decisive: when any
-    power works, the (n-1)-th already does. A singular M has no such power,
-    so the nonsingular TNN test of Neville elimination suffices."""
+    power works, the (n-1)-th already does, so no larger cap searches
+    further. A singular M has no such power, so the nonsingular TNN test of
+    Neville elimination suffices."""
     cap = max(1, m.n - 1) if power_cap is None else power_cap
     if cap < 1:
         raise PositivityViolated("power cap must be >= 1")
     if not _neville(m, strict=False):
         return False
     power = m
-    for exponent in range(1, cap + 1):
+    for exponent in range(1, min(cap, max(1, m.n - 1)) + 1):
         if exponent > 1:
             power = power * m
         if is_strictly_totally_positive(power):

@@ -387,7 +387,8 @@ def _add_common(sub, *, tol=False, kind=False, side=False, power_cap=False,
     if power_cap:
         sub.add_argument("--power-cap", type=int, default=None, dest="power_cap",
                          help="largest power searched for strict sign "
-                              "definiteness (default 2(n-1))")
+                              "definiteness (default 2(n-1); larger caps "
+                              "cannot change the verdict)")
     if plot:
         sub.add_argument("--plot-data", default=None, dest="plot_data",
                          help="write eigenvalue enclosures to this path, one "

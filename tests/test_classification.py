@@ -131,6 +131,45 @@ def test_class_n_plus_power_certificate_is_reproducible():
                        for _, v in prior.minors(k))
 
 
+def _counted(monkeypatch, name, limit):
+    """Record the right operand of every Matrix.<name> call; fail at once
+    past ``limit`` calls, so an unbounded search cannot hang the test."""
+    calls, original = [], getattr(Matrix, name)
+
+    def counted(a, b):
+        calls.append(b)
+        assert len(calls) <= limit, f"Matrix.{name} called {len(calls)} times"
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, name, counted)
+    return calls
+
+
+def test_power_search_skips_a_singular_input(monkeypatch):
+    """A singular M has only singular powers, none strictly sign definite, so
+    the class n+ search forms no power at all."""
+    m = flip_rows(random_tnn(7, 0))
+    assert m.det() == 0
+    exponents = _counted(monkeypatch, "__pow__", 0)
+    cls = classify_sign_definite(m)
+    assert cls.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N
+    assert cls.signature == jflip_signature(6) + (None,)
+    assert cls.power_exponent is None and cls.power_cap == 12
+    assert exponents == []
+
+
+def test_power_searches_stop_at_the_deciding_exponent(monkeypatch):
+    """No power past 2(n-1) (sign classes) or n-1 (oscillation) can change
+    an answer, so a huge cap forms no more powers than the default."""
+    exponents = _counted(monkeypatch, "__pow__", 3)
+    cls = classify_sign_definite(identity(3), power_cap=10 ** 9)
+    assert cls.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N and cls.power_cap == 10 ** 9
+    assert exponents == [2, 3, 4]
+    products = _counted(monkeypatch, "__mul__", 1)
+    assert is_oscillatory_by_definition(identity(3), power_cap=10 ** 9) is False
+    assert len(products) == 1
+
+
 # -- the single scan against a brute-force lexicographic scan ------------------
 
 
@@ -159,8 +198,9 @@ def _brute_power(m, e):
     return Matrix(rows)
 
 
-def _brute_classify(m):
-    """(verdict, signature, conflict, power exponent) from the definitions."""
+def _brute_classify(m, cap):
+    """(verdict, signature, conflict, power exponent) from the definitions,
+    trying every power up to ``cap``."""
     n = m.n
     minors = _brute_minors(m)
     signature = []
@@ -174,7 +214,7 @@ def _brute_classify(m):
     sig = tuple(signature)
     if all(v != 0 for _, v in minors):
         return SignVerdict.STRICTLY_SIGN_DEFINITE, sig, None, 1
-    for e in range(2, max(1, 2 * (n - 1)) + 1):
+    for e in range(2, cap + 1):
         if _brute_strict(_brute_power(m, e)):
             return SignVerdict.CLASS_N_PLUS, sig, None, e
     return SignVerdict.SIGN_DEFINITE_CLASS_N, sig, None, None
@@ -194,25 +234,47 @@ def _oracle_corpus():
             yield random_rational_matrix(n, seed, span=1)
             # a perturbed positive TNN matrix puts first witnesses past order 2
             yield random_positive_tnn(n, seed) + random_int_matrix(n, seed, -1, 1)
+    # sign definite inputs whose powers keep a zero minor: singular flips of
+    # TNN matrices and their negations, and the identity and anti-identity
+    for n in range(1, 5):
+        yield identity(n)
+        yield anti_identity(n)
+    for n in range(2, 5):
+        for seed in range(12):
+            a = random_tnn(n, seed)
+            if cofactor_det(a) == 0:
+                for flipped in (flip_rows(a), flip_cols(a)):
+                    yield flipped
+                    yield -flipped
 
 
 def test_scans_match_brute_force_lexicographic_scan():
-    verdicts, witness_orders = set(), set()
+    """Witnesses and classifications against the definitions, with power
+    caps below, at and past the deciding exponent 2(n-1)."""
+    verdicts, witness_orders, dense_singular = set(), set(), False
     for m in _oracle_corpus():
         minors = _brute_minors(m)
         tnn, stp = tnn_violation(m), stp_violation(m)
         assert tnn == _first(minors, lambda v: v < 0), m
         assert stp == _first(minors, lambda v: v <= 0), m
-        cls = classify_sign_definite(m)
-        conflict = cls.conflict and (cls.conflict.order, cls.conflict.positive,
-                                     cls.conflict.negative)
-        got = (cls.verdict, cls.signature, conflict, cls.power_exponent)
-        assert got == _brute_classify(m), m
-        verdicts.add(cls.verdict)
+        deciding = max(1, 2 * (m.n - 1))
+        for cap in (1, deciding, deciding + 3):
+            cls = classify_sign_definite(m, cap)
+            conflict = cls.conflict and (cls.conflict.order, cls.conflict.positive,
+                                         cls.conflict.negative)
+            got = (cls.verdict, cls.signature, conflict, cls.power_exponent)
+            assert got == _brute_classify(m, cap), (m, cap)
+            assert cls.power_cap == cap
+            verdicts.add(cls.verdict)
         witness_orders |= {("tnn", tnn and tnn[0].order), ("stp", stp and stp[0].order),
                            ("conflict", conflict and conflict[0])}
+        if cls.is_sign_definite and minors[-1][1] == 0:
+            dense_singular |= all(x != 0 for row in _brute_power(m, 2).rows for x in row)
     assert verdicts == set(SignVerdict)
     assert {("tnn", 3), ("stp", 3), ("conflict", 3)} <= witness_orders
+    # a singular input whose square has no zero entry: only the skip spares
+    # its powers a deep scan
+    assert dense_singular
 
 
 # -- total nonnegativity ------------------------------------------------------------

@@ -98,6 +98,31 @@ def test_classify_power_cap_flag():
     assert deep["sign_classification"]["power_exponent"] == 2
 
 
+def test_power_cap_past_the_deciding_exponent_costs_nothing(tmp_path, capsys, monkeypatch):
+    """Powers past 2(n-1) cannot change a sign class, so a cap of 10^9 on
+    the 2x2 identity forms only M^2 and reports what --power-cap 2 does."""
+    doc = tmp_path / "eye.mx"
+    doc.write_text("n: 2\nrows:\n1 0\n0 1\n")
+    power = interlace.Matrix.__pow__
+
+    def bounded(m, e):
+        assert e <= 2, f"the power search formed M^{e}"
+        return power(m, e)
+
+    monkeypatch.setattr(interlace.Matrix, "__pow__", bounded)
+    reports = {}
+    for cap in (2, 10 ** 9):
+        start = time.perf_counter()
+        code = interlace.cli.main(["classify", str(doc), "--power-cap", str(cap), "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < 1, (cap, elapsed)
+        reports[cap] = json.loads(capsys.readouterr().out)
+        assert reports[cap]["sign_classification"].pop("power_cap") == cap
+        assert str(cap) in reports[cap].pop("command_line")
+    assert reports[10 ** 9] == reports[2]
+    assert reports[2]["sign_classification"]["verdict"] == "sign_definite_class_n"
+
+
 def test_classify_skips_corners_on_negative_entries():
     rep = run_json("classify", "-", stdin="n: 1\nrows:\n-1\n")
     assert rep["corner_conditions"] == {"applicable": False}
