@@ -68,18 +68,19 @@ class SignClassification:
 
     ``signature[k-1]`` is the shared sign of nonzero order-k minors (None if
     every order-k minor vanishes, or undetermined past a conflict).
-    ``power_exponent`` is the least m with M^m strictly sign definite when
-    the class n+ search succeeded. A missing exponent with verdict
-    SIGN_DEFINITE_CLASS_N is definitive when M is singular (so is every
-    power) or power_cap >= 2(n-1): M^2 is then nonsingular TNN, so if some
-    power is strict, M^2 is oscillatory and M^(2(n-1)) is strict.
+    ``power_exponent`` is the least m with M^m strictly sign definite, or
+    None when no power is. ``power_cap`` is the deciding exponent 2(n-1)
+    past which the search never looks.
     """
 
     verdict: SignVerdict
     signature: Signature
     conflict: Optional[SignConflict]
     power_exponent: Optional[int]
-    power_cap: int
+
+    @property
+    def power_cap(self) -> int:
+        return default_power_cap(len(self.signature))
 
     @property
     def is_sign_definite(self) -> bool:
@@ -112,21 +113,21 @@ def default_power_cap(n: int) -> int:
     return max(1, 2 * (n - 1))
 
 
-def classify_sign_definite(m: Matrix, power_cap: Optional[int] = None) -> SignClassification:
+def classify_sign_definite(m: Matrix) -> SignClassification:
     """Classify minor sign consistency and search powers for strictness.
 
     Scans orders k = 1..n; a strict sign conflict at any order yields
     NOT_SIGN_DEFINITE with the first conflicting pair as witness. If no
     order conflicts and no minor vanishes the matrix is strictly sign
     definite (power exponent 1). Otherwise, if M is nonsingular, powers M^m
-    for m = 2..min(power_cap, 2(n-1)) are scanned. By Cauchy-Binet every
-    k-minor of M^m is 0 or of sign σ_k^m, so the least power with no zero
-    minor certifies class n+. Else the verdict stays SIGN_DEFINITE_CLASS_N.
+    for m = 2..2(n-1) are scanned. By Cauchy-Binet every k-minor of M^m is
+    0 or of sign σ_k^m, so the least power with no zero minor certifies
+    class n+. Else the verdict is SIGN_DEFINITE_CLASS_N, and it is final: a
+    singular M has only singular powers, and for a nonsingular M, M^2 is
+    nonsingular TNN by Cauchy-Binet, so if any power is strict, M^2 is
+    oscillatory and M^(2(n-1)) is strict (Gantmacher-Krein).
     """
     n = m.n
-    cap = default_power_cap(n) if power_cap is None else power_cap
-    if cap < 1:
-        raise PositivityViolated("power cap must be >= 1")
 
     first: dict[int, tuple[MinorSelector, Fraction]] = {}  # order -> first nonzero minor
     saw_zero = False
@@ -139,19 +140,16 @@ def classify_sign_definite(m: Matrix, power_cap: Optional[int] = None) -> SignCl
             pos, neg = (earlier, (sel, val)) if val < 0 else ((sel, val), earlier)
             sig = _signature(first, sel.order - 1) + (None,) * (n - sel.order + 1)
             return SignClassification(SignVerdict.NOT_SIGN_DEFINITE, sig,
-                                      SignConflict(sel.order, pos, neg), None, cap)
+                                      SignConflict(sel.order, pos, neg), None)
 
     sig = _signature(first, n)
     if not saw_zero:
-        return SignClassification(SignVerdict.STRICTLY_SIGN_DEFINITE, sig,
-                                  None, 1, cap)
+        return SignClassification(SignVerdict.STRICTLY_SIGN_DEFINITE, sig, None, 1)
     if sig[-1] is not None:  # M is nonsingular
-        for exponent in range(2, min(cap, default_power_cap(n)) + 1):
+        for exponent in range(2, default_power_cap(n) + 1):
             if all(val for _, val in _scan(m ** exponent)):
-                return SignClassification(SignVerdict.CLASS_N_PLUS, sig,
-                                          None, exponent, cap)
-    return SignClassification(SignVerdict.SIGN_DEFINITE_CLASS_N, sig,
-                              None, None, cap)
+                return SignClassification(SignVerdict.CLASS_N_PLUS, sig, None, exponent)
+    return SignClassification(SignVerdict.SIGN_DEFINITE_CLASS_N, sig, None, None)
 
 
 # -- total nonnegativity / positivity ----------------------------------------
@@ -248,19 +246,16 @@ def is_oscillatory(m: Matrix) -> bool:
     return _neville(m, strict=False)
 
 
-def is_oscillatory_by_definition(m: Matrix, power_cap: Optional[int] = None) -> bool:
+def is_oscillatory_by_definition(m: Matrix) -> bool:
     """Definitional route: totally nonnegative with some power strictly
-    totally positive. A cap of n-1 (floored at 1) is decisive: when any
-    power works, the (n-1)-th already does, so no larger cap searches
-    further. A singular M has no such power, so the nonsingular TNN test of
-    Neville elimination suffices."""
-    cap = max(1, m.n - 1) if power_cap is None else power_cap
-    if cap < 1:
-        raise PositivityViolated("power cap must be >= 1")
+    totally positive. Powers 1..n-1 (at least 1) decide it: when any power
+    works, the (n-1)-th already does (Gantmacher-Krein). A singular M has no
+    such power, so the nonsingular TNN test of Neville elimination
+    suffices."""
     if not _neville(m, strict=False):
         return False
     power = m
-    for exponent in range(1, min(cap, max(1, m.n - 1)) + 1):
+    for exponent in range(1, max(1, m.n - 1) + 1):
         if exponent > 1:
             power = power * m
         if is_strictly_totally_positive(power):
@@ -349,7 +344,11 @@ class JFlipCertificate:
     recorded as skipped): entrywise minors nonnegative; nonsingular; corner
     conditions for the requested side; the square of the flip oscillatory;
     sign classification lands in class n+ with the alternating-pairs
-    signature; spectrum certified kind I. ``flipped`` is always populated
+    signature; spectrum certified kind I. The sign stage cannot fail once
+    the first four pass: the flip of a TNN matrix is sign definite with that
+    signature, and its square is oscillatory, so by Gantmacher-Krein and
+    Cauchy-Binet its 2(n-1)-th power, which the search reaches, is strict.
+    ``flipped`` is always populated
     (it is just a row or column reversal), ``classification`` and
     ``spectrum`` only once their stages ran.
     """
@@ -380,7 +379,6 @@ class _FlipRun:
     matrix: Matrix
     flipped: Matrix
     side: str
-    power_cap: Optional[int]
     width_bound: Fraction
     classification: Optional[SignClassification] = None
     spectrum: object = None
@@ -413,7 +411,7 @@ def _flip_square_stage(run: _FlipRun) -> tuple[bool, str]:
 
 
 def _sign_stage(run: _FlipRun) -> tuple[bool, str]:
-    cls = run.classification = classify_sign_definite(run.flipped, run.power_cap)
+    cls = run.classification = classify_sign_definite(run.flipped)
     target = jflip_signature(run.matrix.n)
     if not cls.is_class_n_plus:
         return False, f"verdict {cls.verdict.value} (power cap {cls.power_cap})"
@@ -440,7 +438,6 @@ _JFLIP_STAGES = (("totally_nonnegative", _tnn_stage),
 
 
 def jflip_si_certificate(m: Matrix, side: str = "left",
-                         power_cap: Optional[int] = None,
                          width_bound=Fraction(1, 10 ** 9)) -> JFlipCertificate:
     """Run the full flip pipeline on A and certify each stage.
 
@@ -450,12 +447,10 @@ def jflip_si_certificate(m: Matrix, side: str = "left",
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if power_cap is not None and power_cap < 1:
-        raise PositivityViolated("power cap must be >= 1")
     if as_fraction(width_bound) <= 0:
         raise PositivityViolated("width bound must be positive")
     flipped = flip_rows(m) if side == "left" else flip_cols(m)
-    run = _FlipRun(m, flipped, side, power_cap, width_bound)
+    run = _FlipRun(m, flipped, side, width_bound)
     stages: list[StageResult] = []
     for name, check in _JFLIP_STAGES:
         if stages and stages[-1].status != "pass":

@@ -224,22 +224,21 @@ def _cmd_classify(args, argv: list[str]) -> int:
     doc = parse_matrix_document(text)
     m = doc.matrix
     report = _envelope("classify", argv, _digest(raw))
-    cls = classify_sign_definite(m, args.power_cap)
-    tnn = tnn_violation(m)
+    cls = classify_sign_definite(m)
+    # a sign definite matrix with no negative order has every minor >= 0, so
+    # only other inputs need the scan's first negative minor
+    tnn = (None if cls.is_sign_definite and -1 not in cls.signature
+           else tnn_violation(m))
     stp = stp_violation(m)
     corner_block: dict = {"applicable": all(x >= 0 for _, _, x in m.entries())}
     if corner_block["applicable"]:
         corners = check_corner_conditions(m)
-        corner_block["left"] = {
-            "holds": corners.left_holds,
-            "failing_indices": list(corners.failing_indices("left")),
-            "witnesses": [list(w) if w else None for w in corners.left],
-        }
-        corner_block["right"] = {
-            "holds": corners.right_holds,
-            "failing_indices": list(corners.failing_indices("right")),
-            "witnesses": [list(w) if w else None for w in corners.right],
-        }
+        for side, witnesses in (("left", corners.left), ("right", corners.right)):
+            corner_block[side] = {
+                "holds": corners.holds(side),
+                "failing_indices": list(corners.failing_indices(side)),
+                "witnesses": [list(w) if w else None for w in witnesses],
+            }
     report.update({
         "n": m.n,
         "structure": doc.structure,
@@ -275,7 +274,6 @@ def _cmd_jflip(args, argv: list[str]) -> int:
     text, raw = _read_source(args.input)
     doc = parse_matrix_document(text)
     cert = jflip_si_certificate(doc.matrix, side=args.side,
-                                power_cap=args.power_cap,
                                 width_bound=_tolerance(args))
     report = _envelope("jflip", argv, _digest(raw))
     report["n"] = doc.matrix.n
@@ -370,8 +368,7 @@ def _cmd_construct(args, argv: list[str]) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, *, tol=False, kind=False, side=False, power_cap=False,
-                plot=False):
+def _add_common(sub, *, tol=False, kind=False, side=False, plot=False):
     sub.add_argument("--json", action="store_true",
                      help="emit the report as JSON instead of text")
     if tol:
@@ -384,11 +381,6 @@ def _add_common(sub, *, tol=False, kind=False, side=False, power_cap=False,
     if side:
         sub.add_argument("--side", choices=["left", "right"], default="left",
                          help="flip rows (left, JA) or columns (right, AJ)")
-    if power_cap:
-        sub.add_argument("--power-cap", type=int, default=None, dest="power_cap",
-                         help="largest power searched for strict sign "
-                              "definiteness (default 2(n-1); larger caps "
-                              "cannot change the verdict)")
     if plot:
         sub.add_argument("--plot-data", default=None, dest="plot_data",
                          help="write eigenvalue enclosures to this path, one "
@@ -407,13 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
     classify = commands.add_parser(
         "classify", help="minor-based checks for one matrix document")
     classify.add_argument("input", help="matrix document path, or - for stdin")
-    _add_common(classify, power_cap=True)
+    _add_common(classify)
     classify.set_defaults(handler=_cmd_classify)
 
     jflip = commands.add_parser(
         "jflip", help="staged self-interlacing certificate for JA or AJ")
     jflip.add_argument("input", help="matrix document path, or - for stdin")
-    _add_common(jflip, tol=True, side=True, power_cap=True, plot=True)
+    _add_common(jflip, tol=True, side=True, plot=True)
     jflip.set_defaults(handler=_cmd_jflip)
 
     spectrum = commands.add_parser(

@@ -56,11 +56,11 @@ def test_jflip_signature_pattern():
 
 
 def test_classify_anti_identity():
-    cls = classify_sign_definite(anti_identity(3), power_cap=8)
+    cls = classify_sign_definite(anti_identity(3))
     assert cls.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N
     assert cls.signature == (1, -1, -1)
     assert cls.is_sign_definite and not cls.is_class_n_plus
-    assert cls.power_exponent is None and cls.power_cap == 8
+    assert cls.power_exponent is None and cls.power_cap == 4
 
 
 def test_classify_strictly_sign_definite():
@@ -88,10 +88,6 @@ def test_classify_class_n_plus_via_powers():
     assert cls.verdict is SignVerdict.CLASS_N_PLUS
     assert cls.power_exponent == 2
     assert cls.signature == (1, -1)
-    # a cap below the certifying power leaves the verdict at class n
-    capped = classify_sign_definite(m, power_cap=1)
-    assert capped.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N
-    assert capped.power_exponent is None and capped.power_cap == 1
 
 
 def test_classify_identity_and_zero():
@@ -108,8 +104,6 @@ def test_classify_one_by_one():
         SignVerdict.STRICTLY_SIGN_DEFINITE
     assert classify_sign_definite(Matrix([[0]])).verdict is \
         SignVerdict.SIGN_DEFINITE_CLASS_N
-    with pytest.raises(PositivityViolated):
-        classify_sign_definite(identity(2), power_cap=0)
 
 
 def test_class_n_plus_power_certificate_is_reproducible():
@@ -160,13 +154,13 @@ def test_power_search_skips_a_singular_input(monkeypatch):
 
 def test_power_searches_stop_at_the_deciding_exponent(monkeypatch):
     """No power past 2(n-1) (sign classes) or n-1 (oscillation) can change
-    an answer, so a huge cap forms no more powers than the default."""
+    an answer, so a search that finds none forms exactly those powers."""
     exponents = _counted(monkeypatch, "__pow__", 3)
-    cls = classify_sign_definite(identity(3), power_cap=10 ** 9)
-    assert cls.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N and cls.power_cap == 10 ** 9
+    cls = classify_sign_definite(identity(3))
+    assert cls.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N and cls.power_cap == 4
     assert exponents == [2, 3, 4]
     products = _counted(monkeypatch, "__mul__", 1)
-    assert is_oscillatory_by_definition(identity(3), power_cap=10 ** 9) is False
+    assert is_oscillatory_by_definition(identity(3)) is False
     assert len(products) == 1
 
 
@@ -249,8 +243,8 @@ def _oracle_corpus():
 
 
 def test_scans_match_brute_force_lexicographic_scan():
-    """Witnesses and classifications against the definitions, with power
-    caps below, at and past the deciding exponent 2(n-1)."""
+    """Witnesses and classifications against the definitions; the brute
+    force tries powers past the deciding exponent 2(n-1)."""
     verdicts, witness_orders, dense_singular = set(), set(), False
     for m in _oracle_corpus():
         minors = _brute_minors(m)
@@ -258,14 +252,13 @@ def test_scans_match_brute_force_lexicographic_scan():
         assert tnn == _first(minors, lambda v: v < 0), m
         assert stp == _first(minors, lambda v: v <= 0), m
         deciding = max(1, 2 * (m.n - 1))
-        for cap in (1, deciding, deciding + 3):
-            cls = classify_sign_definite(m, cap)
-            conflict = cls.conflict and (cls.conflict.order, cls.conflict.positive,
-                                         cls.conflict.negative)
-            got = (cls.verdict, cls.signature, conflict, cls.power_exponent)
-            assert got == _brute_classify(m, cap), (m, cap)
-            assert cls.power_cap == cap
-            verdicts.add(cls.verdict)
+        cls = classify_sign_definite(m)
+        conflict = cls.conflict and (cls.conflict.order, cls.conflict.positive,
+                                     cls.conflict.negative)
+        got = (cls.verdict, cls.signature, conflict, cls.power_exponent)
+        assert got == _brute_classify(m, deciding + 3), m
+        assert cls.power_cap == deciding
+        verdicts.add(cls.verdict)
         witness_orders |= {("tnn", tnn and tnn[0].order), ("stp", stp and stp[0].order),
                            ("conflict", conflict and conflict[0])}
         if cls.is_sign_definite and minors[-1][1] == 0:
@@ -510,10 +503,7 @@ def test_oscillatory_criterion_agrees_with_definition():
 
 
 def test_definitional_route_certifies_within_size_cap():
-    m = random_oscillatory(4, 2)
-    assert is_oscillatory_by_definition(m, power_cap=3)
-    with pytest.raises(PositivityViolated):
-        is_oscillatory_by_definition(m, power_cap=0)
+    assert is_oscillatory_by_definition(random_oscillatory(4, 2))
 
 
 # -- corner conditions -------------------------------------------------------------
@@ -606,8 +596,10 @@ def _fails_at(k, detail):
 
 JFLIP_GOLDEN = [
     # (A, keyword arguments, stages, classification set, spectrum set)
-    (Matrix([[1, 1], [0, 1]]), {"power_cap": 1},
-     _fails_at(5, "verdict sign_definite_class_n (power cap 1)"), True, False),
+    # the least strict power of the flip is the deciding exponent 2(n-1)
+    (Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), {},
+     JFLIP_ALL_PASS[:4] + [("sign_classification", "pass", "class n+ at power 4"),
+                           ("spectrum", "pass", "kind I, 3 real roots")], True, True),
     (Matrix([[1, 2], [3, 4]]), {},
      _fails_at(1, "minor rows=(1, 2) cols=(1, 2) = -2"), False, False),
     (Matrix([[1, 1], [1, 1]]), {}, _fails_at(2, "determinant = 0"), False, False),
@@ -633,8 +625,6 @@ def test_jflip_certificate_rejects_unknown_side():
 
 def test_jflip_certificate_checks_arguments_before_any_stage():
     for m in (Matrix([[1, 2], [3, 4]]), Matrix([[1, 1], [0, 1]])):
-        with pytest.raises(PositivityViolated):
-            jflip_si_certificate(m, power_cap=0)
         for bound in (0, F(-1, 2)):
             with pytest.raises(PositivityViolated):
                 jflip_si_certificate(m, width_bound=bound)
