@@ -147,11 +147,11 @@ def jacobi_oscillatory_criterion(spec: JacobiSpec) -> bool:
     """Positive off-diagonals given, decide oscillation by leading minors.
 
     Requires every b_k > 0 and c_k > 0 (raises otherwise); returns True
-    exactly when all leading principal minors of the tridiagonal matrix are
-    strictly positive.
+    exactly when all leading principal minors of the tridiagonal matrix, the
+    pivots of one elimination, are strictly positive.
     """
     m = _positive_jacobi(spec)
-    return all(m.leading_principal_minor(k) > 0 for k in range(1, m.n + 1))
+    return all(d > 0 for d in m.leading_principal_minors())
 
 
 def anti_tridiagonal_criterion(spec: JacobiSpec) -> bool:

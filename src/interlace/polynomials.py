@@ -3,16 +3,19 @@
 Coefficients are stored leading-first: ``Polynomial([1, -1, -2, 1])`` is
 z^3 - z^2 - 2z + 1, as exact ``Fraction``s. The spectrum path runs on
 integers: gcds and Sturm chains read one primitive integer remainder
-sequence, and root isolation and bisection carry each box as integer
+sequence, and root isolation and refinement carry each box as integer
 numerators over a common scale, evaluated with homogenized integer Horner
-steps. Fractions are built only for results, and no binary floating point
-enters any certified statement.
+steps. Refinement returns exactly the box bisection would, but reaches
+bisection's final cell by quadratic interval refinement. Fractions are built
+only for results, and no binary floating point enters any certified
+statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
 real roots alternate in sign with strictly decreasing moduli, largest
 positive" into plain Hurwitz stability of the twisted polynomial, which is
-decided by leading principal minors of the Hurwitz matrix.
+decided by the leading principal minors of the Hurwitz matrix: the pivots of
+one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -289,9 +294,9 @@ def hurwitz_matrix(p: Polynomial) -> Matrix:
 
 
 def hurwitz_minors(p: Polynomial) -> tuple[Fraction, ...]:
-    """Leading principal minors Δ_1..Δ_n of the Hurwitz matrix."""
-    h = hurwitz_matrix(p)
-    return tuple(h.leading_principal_minor(k) for k in range(1, h.n + 1))
+    """Leading principal minors Δ_1..Δ_n of the Hurwitz matrix, the pivots
+    of one fraction-free elimination."""
+    return hurwitz_matrix(p).leading_principal_minors()
 
 
 def hurwitz_stable(p: Polynomial) -> bool:
@@ -392,6 +397,14 @@ def _eval_sign(ic: Sequence[int], u: int, v: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _horner(ic: Sequence[int], u: int) -> int:
+    """The integer polynomial with coefficients ``ic`` at u."""
+    acc = 0
+    for c in ic:
+        acc = acc * u + c
+    return acc
+
+
 def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     """Sturm chain of p, each member scaled to primitive ints.
 
@@ -479,34 +492,85 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
 
 
 def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
-    """Bisect a box until its width is <= width_bound (exact hits collapse it).
+    """The box that bisecting ``box`` to width <= width_bound returns, found
+    with about half as many evaluations of p.
 
-    The endpoints are integer numerators over one common scale, so each
-    midpoint is (lo + hi)/(2 scale) with no rational normalization until the
-    result is built.
+    K halvings, K the least k with width / 2^k <= width_bound, end in one of
+    two places: the level-K dyadic cell of the box that holds the root, or
+    the root itself when it is a grid point of level <= K (a midpoint hit).
+    So K is computed exactly and that cell is located by quadratic interval
+    refinement (Abbott, ACM CCA 2014). A secant through the values at the
+    current cell's ends picks one of its 2^s sub-cells, and the signs at the
+    sub-cell's ends confirm it, reusing a known end. s doubles after a
+    success and halves after a failure; s = 1 is one plain bisection step,
+    and s is capped so that no sub-cell is finer than level K. Every point
+    evaluated is a level-K grid point u/v, v = scale * 2^K, so a zero found
+    there is the root that bisection would hit, and every box is bisection's
+    own. p is evaluated as v^n p(u/v) by integer Horner steps.
+
+    A box outside the ``RootBox`` contract with p(lo) p(hi) >= 0 (a root at
+    an endpoint, say) takes only bisection steps, which compare the sign at
+    the midpoint with the sign at lo, and so keeps bisection's result. A
+    sign change around several roots ends in a level-K cell around one of
+    them, which need not be the one bisection picks.
     """
     width_bound = as_fraction(width_bound)
     if width_bound <= 0:
         raise PositivityViolated("width bound must be positive")
     if box.is_exact:
         return box
-    ic = _primitive(p.coeffs)
     scale = lcm(box.lo.denominator, box.hi.denominator)
     lo = box.lo.numerator * (scale // box.lo.denominator)
     hi = box.hi.numerator * (scale // box.hi.denominator)
-    # Halving keeps hi - lo and doubles the scale, so width > bound reads
-    # (hi - lo) * den > num * scale with a fixed left side.
-    spread = (hi - lo) * width_bound.denominator
-    num = width_bound.numerator
-    s_lo = _eval_sign(ic, lo, scale)
-    while spread > num * scale:
-        mid, scale = lo + hi, 2 * scale
-        s_mid = _eval_sign(ic, mid, scale)
-        if s_mid == 0:
-            root = Fraction(mid, scale)
-            return RootBox(root, root, _sign(mid))
-        if s_mid == s_lo:
-            lo, hi = mid, 2 * hi
-        else:
-            lo, hi = 2 * lo, mid
-    return RootBox(Fraction(lo, scale), Fraction(hi, scale), box.sign)
+    # least K with (hi - lo) * den <= num * scale * 2^K, from the ceiling ratio
+    ratio = -(-(hi - lo) * width_bound.denominator // (width_bound.numerator * scale))
+    levels = (ratio - 1).bit_length() if ratio > 1 else 0
+    if levels == 0:
+        return box
+    # grid point j (0 <= j <= 2^K) is u_j / v with u_j = lo 2^K + j (hi - lo)
+    v, base, step = scale << levels, lo << levels, hi - lo
+    # a_k v^k, so that Horner in u_j gives v^n p(u_j / v)
+    ic = list(map(mul, _primitive(p.coeffs), accumulate(repeat(v, p.degree), mul, initial=1)))
+
+    def value(j: int) -> int:
+        return _horner(ic, base + j * step)
+
+    def hit(j: int) -> RootBox:
+        root = Fraction(base + j * step, v)
+        return RootBox(root, root, _sign(root))
+
+    a, b = 0, 1 << levels
+    pa = value(a)
+    # a secant needs the far end too; below three levels bisection is as cheap
+    pb = value(b) if levels > 2 else 0
+    s_lo = _sign(pa)
+    s = 1 if pa * pb < 0 else 0  # 0: bisection steps only
+    while b - a > 1:
+        s = min(s, (b - a).bit_length() - 1)
+        if s <= 1:
+            c = (a + b) >> 1
+            pc = value(c)
+            if pc == 0:
+                return hit(c)
+            if _sign(pc) == s_lo:
+                a, pa = c, pc
+            else:
+                b, pb = c, pc
+            s *= 2
+            continue
+        width = (b - a) >> s
+        c = a + width * ((abs(pa) << s) // (abs(pa) + abs(pb)))
+        d = c + width
+        pc = pa if c == a else value(c)
+        if pc == 0:
+            return hit(c)
+        if (pc > 0) == (pa > 0):
+            pd = pb if d == b else value(d)
+            if pd == 0:
+                return hit(d)
+            if (pd > 0) == (pb > 0):
+                a, b, pa, pb = c, d, pc, pd
+                s *= 2
+                continue
+        s //= 2
+    return RootBox(Fraction(base + a * step, v), Fraction(base + b * step, v), box.sign)

@@ -240,6 +240,33 @@ def test_poly_decides_both_kinds_from_one_gcd(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_poly_reads_twist_stability_from_its_minors(monkeypatch, capsys):
+    """twist_hurwitz_stable is "every Hurwitz minor of the twist > 0", which
+    hurwitz_stable(twist) decides again on its own; only kind II calls it."""
+    from interlace.polynomials import hurwitz_stable, si_twist
+    rng = interlace.SplitMix64(89)
+    polys = [[1, 1, 1, 1], [1, -1, -1], [-1, 1, 1], [2, 0, -3, 0], [1, 0, 1], [1, 2, 1]]
+    polys += [[rng.below(9) - 4 or 1] + [rng.below(9) - 4 for _ in range(rng.below(7))]
+              for _ in range(60)]
+    calls = []
+    monkeypatch.setattr(interlace.cli, "hurwitz_stable",
+                        lambda p: calls.append(p) or hurwitz_stable(p))
+    stable = set()
+    for coeffs in polys:
+        p = interlace.Polynomial(coeffs)
+        if p.degree < 1:
+            continue
+        calls.clear()
+        assert interlace.cli.main(["poly", "--coeffs", " ".join(map(str, coeffs)),
+                                   "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        twist = si_twist(-p if p.coeffs[0] < 0 else p)
+        assert rep["twist_hurwitz_stable"] is hurwitz_stable(twist), coeffs
+        assert calls in ([], [si_twist(p.compose_neg())])
+        stable.add(rep["twist_hurwitz_stable"])
+    assert stable == {True, False}
+
+
 # -- construct --------------------------------------------------------------------
 
 
@@ -457,6 +484,22 @@ def test_structured_mismatch_is_input_error():
 
 
 # -- exit-code contract --------------------------------------------------------------
+
+
+def test_exit_code_three_comes_from_a_failed_cross_check(monkeypatch, capsys, tmp_path):
+    """With the twist route made to answer kind I for diag(1, 2), whose
+    eigenvalues do not alternate in sign, the enclosures disagree, and the
+    cross-check turns that into exit 3 with nothing on stdout."""
+    doc = tmp_path / "diag.mx"
+    doc.write_text("n: 2\nrows:\n1 0\n0 2\n")
+    assert interlace.cli.main(["spectrum", str(doc)]) == 0
+    assert "verdict: neither" in capsys.readouterr().out
+    monkeypatch.setattr(interlace.spectra, "hurwitz_stable", lambda p: True)
+    assert interlace.cli.main(["spectrum", str(doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal invariant violation"), err
+
 
 _SOUP = st.sampled_from([
     "n:", "n: 2", "n: 3", "rows:", "structure:", "jacobi", "antibidiagonal",

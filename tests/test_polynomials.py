@@ -37,7 +37,7 @@ from interlace import (
     si_twist,
     squarefree_part,
 )
-from interlace.polynomials import _remainder_sequence, _sturm_chain
+from interlace.polynomials import _horner, _remainder_sequence, _sturm_chain
 
 WIDTH = F(1, 10 ** 9)
 
@@ -186,6 +186,25 @@ def test_hurwitz_minors_frozen():
     assert hurwitz_minors(Polynomial([1, 2, 2, 1])) == (F(2), F(3), F(3))
     assert hurwitz_minors(Polynomial([1, 1, 2, 1])) == (F(1), F(1), F(1))
     assert hurwitz_minors(Polynomial([1, 1, 1])) == (F(1), F(1))
+    # roots +-i and -1: a zero pivot, after which Δ_3 is its own determinant
+    assert hurwitz_minors(Polynomial([1, 1, 1, 1])) == (F(1), F(0), F(0))
+
+
+def test_hurwitz_minors_match_one_determinant_each():
+    """The elimination's pivots against one determinant per order, on
+    polynomials with rational coefficients, zero coefficients and both
+    leading signs, and on their twists."""
+    polys = _remainder_corpus() + [Polynomial([1, 1, 1, 1]), Polynomial([1, 0, 2, 0, 1])]
+    zero = 0
+    for p in polys:
+        if p.degree < 1:
+            continue
+        for q in (p, si_twist(p)):
+            h = hurwitz_matrix(q)
+            by_det = tuple(h.leading_principal_minor(k) for k in range(1, h.n + 1))
+            assert hurwitz_minors(q) == by_det, q
+            zero += 0 in by_det
+    assert zero >= 3
 
 
 def test_hurwitz_stable_frozen():
@@ -481,6 +500,12 @@ def test_refine_root_matches_fraction_bisection():
     hits = poly_from_roots([F(3, 8), F(-5, 4), 0, 7])  # dyadic roots: exact hits
     cases += [(hits, box) for box in isolate_real_roots(hits)]
     cases += [(hits, RootBox(F(1, 4), F(1, 2), 1)), (hits, RootBox(F(-1, 3), F(1, 3), 0))]
+    # outside the RootBox contract, p(lo) p(hi) >= 0: a root at one end or at
+    # both, two roots inside, none; refinement keeps bisection's answer
+    two = poly_from_roots([1, 2])
+    cases += [(two, RootBox(F(1), F(3, 2), 1)), (two, RootBox(F(3, 2), F(2), 1)),
+              (two, RootBox(F(1, 2), F(5, 2), 1)), (two, RootBox(F(3), F(4), 1)),
+              (two, RootBox(F(1), F(2), 1)), (p, RootBox(F(1, 3), F(5), 1))]
     widths = [F(1, 7 ** 12), F(1, 10 ** 9), F(1, 2 ** 20), F(1, 3), F(2, 3), F(5)]
     exact = 0
     for q, box in cases:
@@ -489,6 +514,59 @@ def test_refine_root_matches_fraction_bisection():
             assert got == fraction_bisection(q, box, w), (q, box, w)
             exact += got.is_exact and not box.is_exact
     assert exact > 0
+    assert refine_root(two, RootBox(F(1), F(3, 2), 1), F(1, 1024)) == \
+        RootBox(F(1), F(1025, 1024), 1)
+
+
+def _squarefree_int_polys():
+    return st.lists(st.integers(-9, 9), min_size=2, max_size=9).map(Polynomial).filter(
+        lambda p: p.degree >= 1).map(squarefree_part).filter(lambda p: p.degree >= 1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_squarefree_int_polys(), st.integers(0, 60), st.integers(1, 9))
+def test_refine_root_matches_fraction_bisection_hypothesis(p, shift, odd):
+    """On isolation boxes, widths that call for no halving (the box's own),
+    one halving (3/4 and 1/2 of it) and up to about sixty (odd / 2^shift of
+    it, and 10^-9)."""
+    for box in isolate_real_roots(p):
+        if box.is_exact:
+            continue
+        for w in (box.width, box.width * F(3, 4), box.width / 2,
+                  box.width * F(odd, 1 << shift), F(1, 10 ** 9)):
+            assert refine_root(p, box, w) == fraction_bisection(p, box, w), (p, box, w)
+
+
+def _halvings(box: RootBox, result: RootBox) -> int:
+    """Bisection steps from box to result: a hit at level s lies an odd
+    multiple of width / 2^s from lo; otherwise the width ratio is 2^s."""
+    if result.is_exact:
+        return ((result.lo - box.lo) / box.width).denominator.bit_length() - 1
+    return (box.width / result.width).numerator.bit_length() - 1
+
+
+def test_refine_root_evaluates_less_than_bisection_halves(monkeypatch):
+    """On a fixed corpus bisection makes one evaluation per halving, after one
+    at lo; the final-cell locator makes under two thirds as many in all
+    (1,321 against 2,498 here)."""
+    evaluations = []
+
+    def counted(ic, u):
+        evaluations.append(u)
+        return _horner(ic, u)
+
+    monkeypatch.setattr("interlace.polynomials._horner", counted)
+    rng = SplitMix64(83)
+    bisection = 0
+    for _ in range(40):
+        coeffs = [1 + rng.below(4)] + [rng.below(19) - 9 for _ in range(2 + rng.below(9))]
+        p = squarefree_part(Polynomial(coeffs))
+        for box in isolate_real_roots(p):
+            got = refine_root(p, box, WIDTH)
+            if not box.is_exact:
+                bisection += _halvings(box, got) + 1
+    assert bisection > 1000
+    assert 3 * len(evaluations) < 2 * bisection, (len(evaluations), bisection)
 
 
 def test_spectrum_charpolys_match_the_fraction_oracles():
