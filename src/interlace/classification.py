@@ -96,7 +96,8 @@ def _scan(m: Matrix) -> Iterator[tuple[MinorSelector, Fraction]]:
     """Every minor of ``m``: orders 1..n, each in ``Matrix.minors`` order.
 
     The one place that fixes scan order; each check below reports the first
-    minor of this stream that breaks it and stops reading there.
+    minor of this stream that breaks it and stops reading there. Checks read
+    a minor's sign off its numerator: a Fraction's denominator is positive.
     """
     for order in range(1, m.n + 1):
         yield from m.minors(order)
@@ -104,7 +105,7 @@ def _scan(m: Matrix) -> Iterator[tuple[MinorSelector, Fraction]]:
 
 def _signature(first: dict[int, tuple[MinorSelector, Fraction]], orders: int) -> Signature:
     """Sign of the first nonzero minor of each order 1..orders, None if none."""
-    return tuple((1 if first[k][1] > 0 else -1) if k in first else None
+    return tuple((1 if first[k][1].numerator > 0 else -1) if k in first else None
                  for k in range(1, orders + 1))
 
 
@@ -132,12 +133,13 @@ def classify_sign_definite(m: Matrix) -> SignClassification:
     first: dict[int, tuple[MinorSelector, Fraction]] = {}  # order -> first nonzero minor
     saw_zero = False
     for sel, val in _scan(m):
-        if val == 0:
+        num = val.numerator
+        if not num:
             saw_zero = True
             continue
         earlier = first.setdefault(sel.order, (sel, val))
-        if (earlier[1] > 0) != (val > 0):
-            pos, neg = (earlier, (sel, val)) if val < 0 else ((sel, val), earlier)
+        if (earlier[1].numerator > 0) != (num > 0):
+            pos, neg = (earlier, (sel, val)) if num < 0 else ((sel, val), earlier)
             sig = _signature(first, sel.order - 1) + (None,) * (n - sel.order + 1)
             return SignClassification(SignVerdict.NOT_SIGN_DEFINITE, sig,
                                       SignConflict(sel.order, pos, neg), None)
@@ -147,7 +149,7 @@ def classify_sign_definite(m: Matrix) -> SignClassification:
         return SignClassification(SignVerdict.STRICTLY_SIGN_DEFINITE, sig, None, 1)
     if sig[-1] is not None:  # M is nonsingular
         for exponent in range(2, default_power_cap(n) + 1):
-            if all(val for _, val in _scan(m ** exponent)):
+            if all(val.numerator for _, val in _scan(m ** exponent)):
                 return SignClassification(SignVerdict.CLASS_N_PLUS, sig, None, exponent)
     return SignClassification(SignVerdict.SIGN_DEFINITE_CLASS_N, sig, None, None)
 
@@ -212,14 +214,15 @@ def tnn_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     A nonsingular TNN matrix is recognised by Neville elimination; only
     other inputs are scanned, so a witness is always the scan's first.
     """
-    return None if _neville(m, strict=False) else _first_bad_minor(m, lambda v: v < 0)
+    return None if _neville(m, strict=False) else _first_bad_minor(
+        m, lambda v: v.numerator < 0)
 
 
 def is_totally_nonnegative(m: Matrix) -> bool:
     """Neville elimination passes every nonsingular TNN matrix, so its "no"
     on a nonsingular input is final; only a singular input is scanned."""
     return _neville(m, strict=False) or (
-        m.det() == 0 and _first_bad_minor(m, lambda v: v < 0) is None)
+        m.det() == 0 and _first_bad_minor(m, lambda v: v.numerator < 0) is None)
 
 
 def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
@@ -228,7 +231,8 @@ def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     A strictly totally positive matrix is recognised by Neville elimination;
     only other inputs are scanned.
     """
-    return None if _neville(m, strict=True) else _first_bad_minor(m, lambda v: v <= 0)
+    return None if _neville(m, strict=True) else _first_bad_minor(
+        m, lambda v: v.numerator <= 0)
 
 
 def is_strictly_totally_positive(m: Matrix) -> bool:

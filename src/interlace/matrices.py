@@ -2,10 +2,11 @@
 
 Everything here is exact: entries are ``fractions.Fraction``. Each matrix
 caches one integer form (D, D*M), D a common multiple of all entry
-denominators, and every kernel reads it: Bareiss elimination on a copy gives
-det(M) * D^n, division-free Berkowitz gives each coefficient c_k * D^k, a
-product is the integer product over D1*D2, and a submatrix (so every minor)
-is a slice of the parent's form that keeps the parent's D.
+denominators, and every kernel reads it: a closed-form expansion (orders
+1-4) or Bareiss elimination on a copy gives det(M) * D^n, division-free
+Berkowitz gives each coefficient c_k * D^k, a product is the integer
+product over D1*D2, and a submatrix (so every minor) is a slice of the
+parent's form that keeps the parent's D.
 Public row/column indices are 1-based, as is conventional for minor
 bookkeeping; slicing internals are 0-based.
 """
@@ -56,6 +57,15 @@ class MinorSelector:
         for idx in (self.rows, self.cols):
             if not (idx[0] >= 1 and all(map(lt, idx, idx[1:]))):
                 raise InvalidSelector(f"indices must be strictly increasing and >= 1: {idx}")
+
+    @classmethod
+    def _trusted(cls, rows: tuple[int, ...], cols: tuple[int, ...]) -> "MinorSelector":
+        """Wrap index tuples that already are strictly increasing, >= 1 and
+        of equal nonzero length (as ``combinations`` yields them), with no
+        check."""
+        sel = object.__new__(cls)
+        sel.__dict__.update(rows=rows, cols=cols)
+        return sel
 
     @property
     def order(self) -> int:
@@ -184,11 +194,33 @@ class Matrix:
         return self._form
 
     def det(self) -> Fraction:
-        """Determinant via fraction-free Bareiss elimination on a copy of the
-        integer form D*M, where every interior division is exact:
-        det(M) = det(D*M) / D^n."""
-        d, b = self._integer_form()
-        return Fraction(_bareiss([list(row) for row in b]), d ** self.n)
+        """det(M) = det(D*M) / D^n from the integer form D*M. Orders 1-4
+        expand D*M in closed form: the entry, ad - bc, cofactors along the
+        first row, and Laplace expansion by the 2x2 minors of rows 1-2 and
+        their complements in rows 3-4. Larger orders run fraction-free
+        Bareiss elimination on a copy, where every interior division is
+        exact."""
+        d, rows = self._integer_form()
+        n = self.n
+        if n == 1:
+            v = rows[0][0]
+        elif n == 2:
+            (a0, a1), (b0, b1) = rows
+            v = a0 * b1 - a1 * b0
+        elif n == 3:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+            v = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        elif n == 4:
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = rows
+            v = ((a0 * b1 - a1 * b0) * (c2 * e3 - c3 * e2)
+                 - (a0 * b2 - a2 * b0) * (c1 * e3 - c3 * e1)
+                 + (a0 * b3 - a3 * b0) * (c1 * e2 - c2 * e1)
+                 + (a1 * b2 - a2 * b1) * (c0 * e3 - c3 * e0)
+                 - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
+                 + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0))
+        else:
+            v = _bareiss([list(row) for row in rows])
+        return Fraction(v) if d == 1 else Fraction(v, d ** n)
 
     def submatrix(self, sel: MinorSelector) -> "Matrix":
         """The selected rows and columns, whose integer form is the same
@@ -225,7 +257,7 @@ class Matrix:
             for col_sel, cols in zip(selectors, picks):
                 sub = Matrix._trusted(tuple(zip(*map(column, cols))),
                                       (d, tuple(zip(*map(int_column, cols)))))
-                yield MinorSelector(row_sel, col_sel), sub.det()
+                yield MinorSelector._trusted(row_sel, col_sel), sub.det()
 
     def leading_principal_minor(self, k: int) -> Fraction:
         sel = MinorSelector(tuple(range(1, k + 1)), tuple(range(1, k + 1)))

@@ -177,8 +177,8 @@ def _brute_minors(m):
             for cols in combinations(idx, k)]
 
 
-def _brute_strict(m):
-    minors = _brute_minors(m)
+def _brute_strict(m, minors_of=_brute_minors):
+    minors = minors_of(m)
     return all(v != 0 for _, v in minors) and all(
         len({v > 0 for s, v in minors if s.order == k}) == 1
         for k in range(1, m.n + 1))
@@ -192,11 +192,11 @@ def _brute_power(m, e):
     return Matrix(rows)
 
 
-def _brute_classify(m, cap):
+def _brute_classify(m, cap, minors_of=_brute_minors):
     """(verdict, signature, conflict, power exponent) from the definitions,
-    trying every power up to ``cap``."""
+    trying every power up to ``cap``; minors come from ``minors_of``."""
     n = m.n
-    minors = _brute_minors(m)
+    minors = minors_of(m)
     signature = []
     for k in range(1, n + 1):
         pos = [(s, v) for s, v in minors if s.order == k and v > 0]
@@ -209,7 +209,7 @@ def _brute_classify(m, cap):
     if all(v != 0 for _, v in minors):
         return SignVerdict.STRICTLY_SIGN_DEFINITE, sig, None, 1
     for e in range(2, cap + 1):
-        if _brute_strict(_brute_power(m, e)):
+        if _brute_strict(_brute_power(m, e), minors_of):
             return SignVerdict.CLASS_N_PLUS, sig, None, e
     return SignVerdict.SIGN_DEFINITE_CLASS_N, sig, None, None
 
@@ -268,6 +268,31 @@ def test_scans_match_brute_force_lexicographic_scan():
     # a singular input whose square has no zero entry: only the skip spares
     # its powers a deep scan
     assert dense_singular
+
+
+def _scan_minors(m):
+    return list(_scan(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 10 ** 6), span=st.integers(1, 4),
+       denominators=st.sampled_from([(2,), (3, 6), (1, 2, 5), (4, 7, 9)]))
+def test_numerator_sign_tests_match_fraction_comparisons_property(n, seed, span,
+                                                                  denominators):
+    """The scans read signs off numerators; an oracle walking the same
+    ``_scan`` stream compares Fractions with 0. Inputs have non-unit
+    denominators; the scaled TNN flip reaches the sign definite verdicts."""
+    m = random_rational_matrix(n, seed, span, denominators)
+    flipped = flip_rows(random_tnn(n, seed)).scale(F(1, denominators[-1]))
+    for x in (m, flipped):
+        minors = _scan_minors(x)
+        assert tnn_violation(x) == _first(minors, lambda v: v < 0), x
+        assert stp_violation(x) == _first(minors, lambda v: v <= 0), x
+        cls = classify_sign_definite(x)
+        conflict = cls.conflict and (cls.conflict.order, cls.conflict.positive,
+                                     cls.conflict.negative)
+        got = (cls.verdict, cls.signature, conflict, cls.power_exponent)
+        assert got == _brute_classify(x, cls.power_cap, _scan_minors), x
 
 
 # -- total nonnegativity ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact matrix core: determinants, minors, flips, characteristic polynomials."""
 
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from interlace import (
     identity,
     random_positive_tnn,
 )
-from interlace.matrices import as_fraction
+from interlace.matrices import _bareiss, as_fraction
 from conftest import (
     cofactor_det,
     faddeev_leverrier_charpoly,
@@ -135,6 +135,30 @@ def test_determinant_matches_cofactor_oracle():
         assert m.det() == cofactor_det(m), m
 
 
+def test_closed_form_determinants_match_bareiss_and_cofactors():
+    """Orders 1-4 never reach Bareiss through ``det``; check the closed
+    forms against it, called directly, and against cofactors: every 2x2 and
+    3x3 matrix with entries in {-1, 0, 1}, seeded 4x4 ones, and prime-row
+    denominators (D != 1)."""
+    cases = [Matrix([[x]]) for x in (-1, 0, 1, F(-3, 7))]
+    for n in (2, 3):
+        cases += [Matrix([flat[i:i + n] for i in range(0, n * n, n)])
+                  for flat in product((-1, 0, 1), repeat=n * n)]
+    cases += [random_int_matrix(4, seed, -1, 1) for seed in range(300)]
+    cases += [random_rational_matrix(4, seed) for seed in range(100)]
+    cases += [_prime_row_matrix(n, 1100 * n + seed, zero_row=zero_row)
+              for n in range(1, 5) for seed in range(8) for zero_row in (None, seed % n)]
+    # a zero (1,1) entry forces Bareiss into its row exchange
+    cases += [Matrix([[0, 1], [2, 3]]), Matrix([[0, 2, 1], [1, 1, 1], [2, 0, 3]]),
+              Matrix([[0, 1, 2, 3], [1, 0, 1, 1], [2, 1, 0, 5], [3, 4, 1, 0]]),
+              Matrix([[0, F(1, 2), 1], [0, 1, F(2, 3)], [3, 0, 1]])]
+    assert sum(m._integer_form()[0] != 1 for m in cases) >= 60
+    for m in cases:
+        d, b = m._integer_form()
+        bareiss = F(_bareiss([list(row) for row in b]), d ** m.n)
+        assert m.det() == bareiss == cofactor_det(m), m
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.fractions(-4, 4, max_denominator=7), min_size=n, max_size=n),
@@ -208,6 +232,19 @@ def test_minor_selector_validation():
         MinorSelector((0, 1), (1, 2))
     with pytest.raises(InvalidSelector):
         MinorSelector((1, 2), (1,))
+
+
+def test_stream_selectors_equal_validated_selectors():
+    """Selectors that ``minors`` builds without validation are the ones the
+    public constructor builds."""
+    for n in range(1, 7):
+        m = random_int_matrix(n, 40 + n)
+        for k in range(1, n + 1):
+            for sel, _ in m.minors(k):
+                checked = MinorSelector(sel.rows, sel.cols)
+                assert sel == checked and hash(sel) == hash(checked)
+                assert type(sel.rows) is tuple and type(sel.cols) is tuple
+                assert sel.order == k
 
 
 def test_full_order_minor_equals_determinant():
