@@ -37,6 +37,7 @@ from typing import Iterator, Optional
 
 from .errors import NonnegativityViolated, PositivityViolated
 from .matrices import Matrix, MinorSelector, as_fraction, flip_cols, flip_rows
+from .polynomials import DEFAULT_WIDTH_BOUND
 
 Signature = tuple[Optional[int], ...]
 
@@ -287,18 +288,24 @@ class CornerConditionReport:
 
     @property
     def left_holds(self) -> bool:
-        return all(w is not None for w in self.left)
+        return self.holds("left")
 
     @property
     def right_holds(self) -> bool:
-        return all(w is not None for w in self.right)
+        return self.holds("right")
 
     def holds(self, side: str) -> bool:
-        return self.left_holds if side == "left" else self.right_holds
+        return not self.failing_indices(side)
 
     def failing_indices(self, side: str) -> tuple[int, ...]:
+        _check_side(side)
         wits = self.left if side == "left" else self.right
         return tuple(i + 1 for i, w in enumerate(wits) if w is None)
+
+
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def _first_r(n: int, predicate) -> Optional[int]:
@@ -442,16 +449,16 @@ _JFLIP_STAGES = (("totally_nonnegative", _tnn_stage),
 
 
 def jflip_si_certificate(m: Matrix, side: str = "left",
-                         width_bound=Fraction(1, 10 ** 9)) -> JFlipCertificate:
+                         width_bound=DEFAULT_WIDTH_BOUND) -> JFlipCertificate:
     """Run the full flip pipeline on A and certify each stage.
 
     side "left" forms B = JA (row reversal), side "right" forms C = AJ
     (column reversal); the corner condition checked matches the side.
     Arguments are checked before any stage runs.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if as_fraction(width_bound) <= 0:
+    _check_side(side)
+    width_bound = as_fraction(width_bound)
+    if width_bound <= 0:
         raise PositivityViolated("width bound must be positive")
     flipped = flip_rows(m) if side == "left" else flip_cols(m)
     run = _FlipRun(m, flipped, side, width_bound)

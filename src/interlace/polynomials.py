@@ -491,6 +491,9 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
                  for lo, hi, v in raw)
 
 
+DEFAULT_WIDTH_BOUND = Fraction(1, 10 ** 9)
+
+
 def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     """The box that bisecting ``box`` to width <= width_bound returns, found
     with about half as many evaluations of p.

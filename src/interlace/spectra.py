@@ -6,6 +6,10 @@ the squarefree part. For any self-interlacing verdict the two routes must
 agree in every detail (count, signs, strict modulus descent), and a mismatch
 raises InternalInvariantViolation rather than producing a report: that error
 marks a bug, never bad input.
+
+The modulus order is certified in one pass over pairs of boxes, refining
+each overlapping pair until it is disjoint. A refined box lies inside the old
+one and no box straddles zero, so a pair once disjoint stays disjoint.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
 from .classification import check_corner_conditions, classify_sign_definite, tnn_violation
 from .errors import (
@@ -24,6 +29,7 @@ from .errors import (
 )
 from .matrices import Matrix, as_fraction, flip_rows
 from .polynomials import (
+    DEFAULT_WIDTH_BOUND,
     Polynomial,
     RootBox,
     hurwitz_stable,
@@ -33,8 +39,6 @@ from .polynomials import (
     si_twist,
     squarefree_part,
 )
-
-DEFAULT_WIDTH_BOUND = Fraction(1, 10 ** 9)
 
 
 class SpectrumVerdict(Enum):
@@ -78,11 +82,9 @@ class SpectrumReport:
 
 def _has_pm_pair(p: Polynomial) -> bool:
     """True when p(z) and p(-z) share a factor other than a power of z."""
+    # g = z^k h with h(0) != 0, and h is not constant iff g has two nonzero terms
     g = poly_gcd(p, p.compose_neg())
-    coeffs = list(g.coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return len(coeffs) > 1
+    return sum(1 for c in g.coeffs if c) > 1
 
 
 def _modulus_overlap(a: RootBox, b: RootBox) -> bool:
@@ -93,29 +95,19 @@ def _modulus_overlap(a: RootBox, b: RootBox) -> bool:
 
 def _certified_modulus_sort(sf: Polynomial, boxes: list[RootBox]) -> list[RootBox]:
     """Refine boxes until all modulus intervals are pairwise disjoint, then
-    sort by strictly decreasing modulus. Requires that no two enclosed roots
-    share a modulus (the caller has excluded ties)."""
+    sort by strictly decreasing modulus; the caller has excluded modulus ties.
+    One lexicographic pass over pairs is enough: a refined box lies inside the
+    old one and none straddles zero, so a passed pair stays disjoint."""
     boxes = list(boxes)
-    while True:
-        clash = None
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if _modulus_overlap(boxes[i], boxes[j]):
-                    clash = (i, j)
-                    break
-            if clash:
-                break
-        if clash is None:
-            break
-        i, j = clash
-        for k in (i, j):
-            box = boxes[k]
-            if not box.is_exact:
-                boxes[k] = refine_root(sf, box, box.width / 2)
-        if boxes[i].is_exact and boxes[j].is_exact:
-            if _modulus_overlap(boxes[i], boxes[j]):  # equal moduli: a true tie
+    for i, j in combinations(range(len(boxes)), 2):
+        while _modulus_overlap(boxes[i], boxes[j]):
+            if boxes[i].is_exact and boxes[j].is_exact:  # equal moduli: a true tie
                 raise InternalInvariantViolation(
                     "tie detection missed equal-modulus roots")
+            for k in (i, j):
+                box = boxes[k]
+                if not box.is_exact:
+                    boxes[k] = refine_root(sf, box, box.width / 2)
     boxes.sort(key=lambda b: b.modulus_interval[0], reverse=True)
     return boxes
 
@@ -140,7 +132,7 @@ def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     p = m.charpoly()
     sf = squarefree_part(p)
     squarefree = sf == p
-    tie = _has_pm_pair(p) or not squarefree
+    tie = not squarefree or _has_pm_pair(p)
 
     if squarefree and hurwitz_stable(si_twist(p)):
         verdict = SpectrumVerdict.KIND_I
@@ -169,7 +161,7 @@ def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
                           width_bound)
 
 
-def verify_sign_pattern(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> bool:
+def verify_sign_pattern(m: Matrix) -> bool:
     """Check sign(λ_k) = ε_k/ε_(k-1) against the certified spectrum.
 
     Requires the sign classification to land in class n+ (raises
@@ -180,19 +172,15 @@ def verify_sign_pattern(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> bool:
     cls = classify_sign_definite(m)
     if not cls.is_class_n_plus:
         raise NotClassNPlus(f"verdict {cls.verdict.value}")
-    report = spectrum_report(m, width_bound)
+    report = spectrum_report(m)
     if report.modulus_tie:
         raise ModulusTie("eigenvalue moduli are not strictly separated")
     eps = cls.signature
     if any(e is None for e in eps) or len(report.boxes) != m.n:
         raise InternalInvariantViolation(
             "class n+ matrix without a determined signature or full real spectrum")
-    predicted = []
-    prev = 1
-    for e in eps:
-        predicted.append(e * prev)  # ε_k / ε_(k-1) for signs in {-1, +1}
-        prev = e
-    return list(report.signs) == predicted
+    # ε_k / ε_(k-1) = ε_k ε_(k-1) for signs in {-1, +1}
+    return list(report.signs) == [e * prev for prev, e in zip((1, *eps), eps)]
 
 
 def kind_two_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumReport:

@@ -6,13 +6,21 @@ entrywise Fraction product checks the integer-form product,
 Faddeev-LeVerrier over Fractions checks the integer Berkowitz
 characteristic polynomial, and Euclid, Sturm isolation and bisection over
 Fractions check the integer remainder sequence and the integer-coordinate
-isolation and refinement.
+isolation and refinement. The modulus sort that rescans from the first pair
+of boxes after every refinement checks the one-pass certified modulus sort.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from interlace import Matrix, Polynomial, RootBox, SplitMix64, identity
+from interlace import (
+    InternalInvariantViolation,
+    Matrix,
+    Polynomial,
+    RootBox,
+    SplitMix64,
+    identity,
+)
 
 
 def cofactor_det(m: Matrix) -> Fraction:
@@ -164,3 +172,38 @@ def fraction_bisection(p: Polynomial, box: RootBox, width) -> RootBox:
         else:
             hi = mid
     return RootBox(lo, hi, box.sign)
+
+
+def restart_modulus_sort(sf: Polynomial, boxes, refine) -> list[RootBox]:
+    """Find the first pair of boxes whose modulus intervals overlap, halve
+    each of its boxes that is not exact with ``refine(sf, box, width / 2)``,
+    and rescan from the first pair; sort by decreasing modulus once no pair
+    overlaps. Two exact boxes that overlap raise InternalInvariantViolation."""
+
+    def overlap(a, b):
+        (alo, ahi), (blo, bhi) = a.modulus_interval, b.modulus_interval
+        return alo <= bhi and blo <= ahi
+
+    boxes = list(boxes)
+    while True:
+        clash = None
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
+                if overlap(boxes[i], boxes[j]):
+                    clash = (i, j)
+                    break
+            if clash:
+                break
+        if clash is None:
+            break
+        i, j = clash
+        for k in (i, j):
+            box = boxes[k]
+            if not box.is_exact:
+                boxes[k] = refine(sf, box, box.width / 2)
+        if boxes[i].is_exact and boxes[j].is_exact:
+            if overlap(boxes[i], boxes[j]):
+                raise InternalInvariantViolation(
+                    "tie detection missed equal-modulus roots")
+    boxes.sort(key=lambda b: b.modulus_interval[0], reverse=True)
+    return boxes

@@ -544,6 +544,15 @@ def test_corner_conditions_frozen():
     assert not eye.holds("left") and not eye.holds("right")
 
 
+def test_corner_conditions_reject_an_unknown_side():
+    cc = check_corner_conditions(Matrix([[1, 1], [0, 1]]))
+    for side in ("Left", "RIGHT", "both", ""):
+        with pytest.raises(ValueError, match="side must be"):
+            cc.holds(side)
+        with pytest.raises(ValueError, match="side must be"):
+            cc.failing_indices(side)
+
+
 def test_corner_conditions_all_positive_matrix():
     cc = check_corner_conditions(Matrix([[1, 1], [1, 1]]))
     assert cc.left == ((1, 1),) and cc.right == ((1, 1),)

@@ -1,33 +1,48 @@
 """Spectrum reports, certified ordering, sign-pattern verification, mirror route."""
 
+import ast
+import inspect
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from interlace import (
+    DEFAULT_WIDTH_BOUND,
     AntiBidiagonalSpec,
+    InternalInvariantViolation,
+    JacobiSpec,
     Matrix,
     ModulusTie,
     NotClassNPlus,
     Polynomial,
     PositivityViolated,
     PreconditionFailed,
+    RootBox,
     SIKind,
+    SplitMix64,
     SpectrumVerdict,
     anti_bidiagonal,
     anti_identity,
+    anti_jacobi,
     decimal_string,
     flip_cols,
     flip_rows,
     identity,
     is_self_interlacing,
+    isolate_real_roots,
     jflip_si_certificate,
     kind_two_report,
+    poly_from_roots,
     random_positive_tnn,
+    refine_root,
     spectrum_report,
     verify_sign_pattern,
 )
-from conftest import random_rational_matrix
+from interlace import polynomials, spectra
+from conftest import random_rational_matrix, restart_modulus_sort
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "interlace"
 
 
 # -- frozen worked examples --------------------------------------------------------
@@ -161,6 +176,134 @@ def test_flip_similarity_gives_equal_verdicts():
         assert left.char_poly == right.char_poly
         assert left.verdict is right.verdict
         assert left.signs == right.signs
+
+
+def test_not_squarefree_char_poly_skips_the_pm_pair_gcd(monkeypatch):
+    """A repeated eigenvalue is already a tie: one gcd (p, p') and no second
+    Euclid walk on (p, p(-z))."""
+    calls = []
+
+    def counting_gcd(p, q, gcd=polynomials.poly_gcd):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(spectra, "poly_gcd", counting_gcd)
+    rep = spectrum_report(identity(3))
+    assert len(calls) == 1
+    assert rep.modulus_tie and not rep.squarefree
+
+
+# -- certified modulus sort ---------------------------------------------------------
+
+
+def _compare_with_restart_sort(monkeypatch, sf, boxes) -> int:
+    """Sort ``boxes`` both ways; equal boxes and equal refine_root calls.
+    Returns the number of refinements."""
+    one_pass, restart = [], []
+
+    def recording(log):
+        def refine(p, box, width):
+            log.append((box, width))
+            return refine_root(p, box, width)
+        return refine
+
+    monkeypatch.setattr(spectra, "refine_root", recording(one_pass))
+    got = spectra._certified_modulus_sort(sf, boxes)
+    want = restart_modulus_sort(sf, boxes, recording(restart))
+    assert got == want, (sf, boxes)
+    assert one_pass == restart, (sf, boxes)
+    return len(one_pass)
+
+
+def test_modulus_sort_matches_restart_loop_on_reports(monkeypatch):
+    rng = SplitMix64(15)
+
+    def value():
+        return F(1 + rng.below(9), 1 + rng.below(4))
+
+    matrices = []
+    for n in range(8, 17):
+        matrices.append(anti_bidiagonal(AntiBidiagonalSpec(
+            value(), [value() for _ in range(n - 1)], [value() for _ in range(n - 1)])))
+        matrices.append(anti_jacobi(JacobiSpec(
+            [value() for _ in range(n)], [value() for _ in range(n - 1)],
+            [value() for _ in range(n - 1)])))
+        matrices.append(flip_rows(random_positive_tnn(n, rng.next_u64())))
+    sorts = []
+
+    def capture(sf, boxes):
+        sorts.append((sf, list(boxes)))
+        return restart_modulus_sort(sf, boxes, refine_root)
+
+    monkeypatch.setattr(spectra, "_certified_modulus_sort", capture)
+    for m in matrices:
+        spectrum_report(m)
+    monkeypatch.undo()
+    assert len(sorts) >= 20
+    refines = sum(_compare_with_restart_sort(monkeypatch, sf, boxes)
+                  for sf, boxes in sorts)
+    assert refines > 0
+
+
+def _close_moduli_roots(rng) -> list[F]:
+    """3 to 6 roots, the first two of opposite signs, the rest of random
+    sign; successive moduli differ by j/1000 or by the dyadic j/1024."""
+    modulus = F(1 + rng.below(16), 8)
+    roots = []
+    for k in range(3 + rng.below(4)):
+        negative = k == 1 or (k > 1 and rng.below(2))
+        roots.append(-modulus if negative else modulus)
+        modulus += F(1 + rng.below(3), 1024 if rng.below(2) else 1000)
+    return roots
+
+
+def test_modulus_sort_matches_restart_loop_on_close_moduli(monkeypatch):
+    rng = SplitMix64(271828)
+    refines = exact = 0
+    for _ in range(2000):
+        sf = poly_from_roots(_close_moduli_roots(rng))
+        boxes = isolate_real_roots(sf)
+        exact += sum(box.is_exact for box in boxes)
+        refines += _compare_with_restart_sort(monkeypatch, sf, boxes)
+    assert refines >= 5000 and exact >= 100, (refines, exact)
+
+
+def test_modulus_sort_raises_on_two_exact_boxes_of_equal_modulus():
+    r = F(3, 4)
+    boxes = [RootBox(r, r, 1), RootBox(-r, -r, -1)]
+    with pytest.raises(InternalInvariantViolation,
+                       match="tie detection missed equal-modulus roots"):
+        spectra._certified_modulus_sort(poly_from_roots([r, -r]), boxes)
+
+
+def test_modulus_sort_separates_an_open_box_from_an_exact_one():
+    half, root = F(1, 2), F(-501, 1000)
+    sf = poly_from_roots([half, root])
+    exact = RootBox(half, half, 1)
+    for boxes in ([exact, RootBox(F(-1), F(-1, 4), -1)],
+                  [RootBox(F(-1), F(-1, 4), -1), exact]):
+        far, near = spectra._certified_modulus_sort(sf, boxes)
+        assert near == exact
+        assert far.lo < root < far.hi
+        assert far.modulus_interval[0] > half
+
+
+def test_one_default_width_bound():
+    """Every width-taking entry point defaults to the one DEFAULT_WIDTH_BOUND,
+    which one module assigns; verify_sign_pattern takes no width at all."""
+    assert spectra.DEFAULT_WIDTH_BOUND is polynomials.DEFAULT_WIDTH_BOUND
+    assert DEFAULT_WIDTH_BOUND is polynomials.DEFAULT_WIDTH_BOUND
+    for fn in (jflip_si_certificate, spectrum_report, kind_two_report):
+        default = inspect.signature(fn).parameters["width_bound"].default
+        assert default is DEFAULT_WIDTH_BOUND, fn.__name__
+    assert list(inspect.signature(verify_sign_pattern).parameters) == ["m"]
+    assigned = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "DEFAULT_WIDTH_BOUND"
+                        for t in node.targets)]
+    assert assigned == ["polynomials"]
 
 
 # -- sign-pattern verification ------------------------------------------------------
