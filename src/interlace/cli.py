@@ -311,6 +311,8 @@ def _cmd_poly(args, argv: list[str]) -> int:
     p = parse_polynomial_tokens(text)
     if p.is_zero:
         raise ParseError("the zero polynomial has no root pattern")
+    if p.degree < 1:
+        raise ParseError(f"the constant {p.coeffs[0]} has no roots to interlace")
     normalized = -p if p.coeffs[0] < 0 else p
     twist = si_twist(normalized)
     minors = hurwitz_minors(twist)
@@ -418,11 +420,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     poly = commands.add_parser(
         "poly", help="twist, Hurwitz minors, and interlacing kinds of a polynomial")
-    poly.add_argument("input", nargs="?", default=None,
-                      help="file of whitespace-separated exact coefficients, "
-                           "leading first (or use --coeffs)")
-    poly.add_argument("--coeffs", default=None,
-                      help="inline coefficients, e.g. \"1 -1 -1\"")
+    source = poly.add_mutually_exclusive_group()
+    source.add_argument("input", nargs="?", default=None,
+                        help="file of whitespace-separated exact coefficients, "
+                             "leading first (or use --coeffs)")
+    source.add_argument("--coeffs", default=None,
+                        help="inline coefficients, e.g. \"1 -1 -1\"")
     _add_common(poly, kind=True)
     poly.set_defaults(handler=_cmd_poly)
 

@@ -285,7 +285,8 @@ class Matrix:
         """Monic characteristic polynomial det(zI - M), exact.
 
         Division-free Berkowitz (Berkowitz, IPL 18, 1984) on the integer form
-        B = D*M that ``det`` also reads, so only integer + and * run. Since
+        B = D*M that ``det`` also reads, so only integer + and * run, each
+        inner product as one ``sum(map(mul, ...))``. Since
         c_k(M) = c_k(B) / D^k, each coefficient is rescaled at the end.
         """
         from .polynomials import Polynomial
@@ -301,10 +302,11 @@ class Matrix:
             toeplitz = [1, -b[r][r]]
             for k in range(r):
                 if k:
-                    col = [sum(a * v for a, v in zip(t_i, col)) for t_i in top]
-                toeplitz.append(-sum(a * v for a, v in zip(row, col)))
-            coeffs = [sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, r) + 1))
-                      for i in range(r + 2)]
+                    col = [sum(map(mul, t_i, col)) for t_i in top]
+                toeplitz.append(-sum(map(mul, row, col)))
+            # coefficient i of the product is sum_j toeplitz[i - j] coeffs[j]
+            rev = toeplitz[::-1]
+            coeffs = [sum(map(mul, rev[r + 1 - i:], coeffs)) for i in range(r + 2)]
         return Polynomial([Fraction(c, d ** k) for k, c in enumerate(coeffs)])
 
 

@@ -5,7 +5,9 @@ z^3 - z^2 - 2z + 1, as exact ``Fraction``s. The spectrum path runs on
 integers: gcds and Sturm chains read one primitive integer remainder
 sequence, and root isolation and refinement carry each box as integer
 numerators over a common scale, evaluated with homogenized integer Horner
-steps. Refinement returns exactly the box bisection would, but reaches
+steps. Isolation only ever evaluates at dyadic points u/2^s, so there each
+power of the denominator is a left shift, and a point is taken in lowest
+terms first. Refinement returns exactly the box bisection would, but reaches
 bisection's final cell by quadratic interval refinement. Fractions are built
 only for results, and no binary floating point enters any certified
 statement.
@@ -386,15 +388,24 @@ class RootBox:
         return (self.lo + self.hi) / 2
 
 
-def _eval_sign(ic: Sequence[int], u: int, v: int) -> int:
-    """Sign of p(u/v), v > 0, by the homogenized integer Horner scheme:
-    the sign of v^n p(u/v) = sum a_k u^(n-k) v^k."""
+def _lowest_terms(u: int, s: int) -> tuple[int, int]:
+    """(u', s') with u'/2^s' = u/2^s and s' >= 0 least: the point's own
+    grid level, so that evaluation there carries no spare factors of two."""
+    if not u:
+        return 0, 0
+    t = min(s, (u & -u).bit_length() - 1)
+    return u >> t, s - t
+
+
+def _dyadic_value(ic: Sequence[int], u: int, s: int) -> int:
+    """2^(s n) p(u / 2^s) = sum a_k u^(n-k) 2^(s k), by homogenized integer
+    Horner steps in which each power of the denominator is a left shift."""
     acc = ic[0]
-    vp = 1
+    shift = 0
     for c in ic[1:]:
-        vp *= v
-        acc = acc * u + c * vp
-    return (acc > 0) - (acc < 0)
+        shift += s
+        acc = acc * u + (c << shift)
+    return acc
 
 
 def _horner(ic: Sequence[int], u: int) -> int:
@@ -415,10 +426,19 @@ def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     return _remainder_sequence(_primitive(p.coeffs), _primitive(p.derivative().coeffs))
 
 
-def _variations(chain: Sequence[Sequence[int]], u: int, v: int) -> int:
-    """Sign changes of the chain at u/v, v > 0."""
-    signs = [s for s in (_eval_sign(c, u, v) for c in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: Sequence[Sequence[int]], u: int, s: int) -> int:
+    """Sign changes of the chain at u / 2^s, zeros skipped, in one pass."""
+    u, s = _lowest_terms(u, s)
+    changes, last = 0, 0
+    for member in chain:
+        value = _dyadic_value(member, u, s)
+        if value > 0:
+            changes += last < 0
+            last = 1
+        elif value < 0:
+            changes += last > 0
+            last = -1
+    return changes
 
 
 def _dyadic_root_bound(ic: Sequence[int]) -> int:
@@ -435,10 +455,15 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     Counting is Sturm variation differences; bisection runs on dyadic
     endpoints inside a power-of-two Cauchy bound, so every evaluation is an
     exact integer sign. Each pending box is two integer numerators over one
-    power-of-two scale, and a work list replaces recursion, so deep splits
-    (roots of very different size) cost no stack. A box is accepted only
-    once it does not straddle zero; the start box is symmetric, so its first
-    split is at zero and every box carries a definite root sign.
+    scale 2^s, and a work list replaces recursion, so deep splits (roots of
+    very different size) cost no stack. A chain member is evaluated at u/2^s
+    as 2^(s n) p(u/2^s) = sum a_k u^(n-k) 2^(s k), with a_k 2^(s k) the
+    shift a_k << s k, after u/2^s is put in lowest terms: the numerators
+    carry the Cauchy bound's factors of two, which would otherwise enlarge
+    every product. The sign changes are counted in one pass over the chain,
+    zeros skipped. A box is accepted only once it does not straddle zero;
+    the start box is symmetric, so its first split is at zero and every box
+    carries a definite root sign.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -452,43 +477,42 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     ic = chain[0]  # p itself as primitive integers
     bound = _dyadic_root_bound(ic)
 
-    def var(u: int, v: int) -> int:
-        return _variations(chain, u, v)
-
-    # (lo, hi, v, variations at lo/v, variations at hi/v) for the box [lo/v, hi/v]
-    work = [(-bound, bound, 1, var(-bound, 1), var(bound, 1))]
+    # (lo, hi, s, variations at lo/2^s, variations at hi/2^s) for the box
+    # [lo/2^s, hi/2^s]
+    work = [(-bound, bound, 0, _variations(chain, -bound, 0), _variations(chain, bound, 0))]
     raw: list[tuple[int, int, int]] = []
     while work:
-        a, b, v, va, vb = work.pop()
+        a, b, s, va, vb = work.pop()
         count = va - vb
         if count == 0:
             continue
         if count == 1 and a * b >= 0:
-            raw.append((a, b, v))
+            raw.append((a, b, s))
             continue
-        mid, a, b, v = a + b, 2 * a, 2 * b, 2 * v
-        if _eval_sign(ic, mid, v) == 0:
+        mid, a, b, s = a + b, 2 * a, 2 * b, s + 1
+        if not _dyadic_value(ic, *_lowest_terms(mid, s)):
             # exact root at mid; shrink a symmetric gap, starting at a quarter
             # of the box, until it isolates mid
             gap = b - a
-            mid, a, b, v = 4 * mid, 4 * a, 4 * b, 4 * v
+            mid, a, b, s = 4 * mid, 4 * a, 4 * b, s + 2
             while True:
                 lo, hi = mid - gap, mid + gap
-                if _eval_sign(ic, lo, v) != 0 and _eval_sign(ic, hi, v) != 0:
-                    v_lo, v_hi = var(lo, v), var(hi, v)
+                if (_dyadic_value(ic, *_lowest_terms(lo, s))
+                        and _dyadic_value(ic, *_lowest_terms(hi, s))):
+                    v_lo, v_hi = _variations(chain, lo, s), _variations(chain, hi, s)
                     if v_lo - v_hi == 1:
                         break
-                mid, a, b, v = 2 * mid, 2 * a, 2 * b, 2 * v
-            raw.append((mid, mid, v))
-            work.append((a, lo, v, va, v_lo))
-            work.append((hi, b, v, v_hi, vb))
+                mid, a, b, s = 2 * mid, 2 * a, 2 * b, s + 1
+            raw.append((mid, mid, s))
+            work.append((a, lo, s, va, v_lo))
+            work.append((hi, b, s, v_hi, vb))
         else:
-            vm = var(mid, v)
-            work.append((a, mid, v, va, vm))
-            work.append((mid, b, v, vm, vb))
-    raw.sort(key=lambda box: Fraction(box[0], box[2]))
-    return tuple(RootBox(Fraction(lo, v), Fraction(hi, v), _sign(lo + hi))
-                 for lo, hi, v in raw)
+            vm = _variations(chain, mid, s)
+            work.append((a, mid, s, va, vm))
+            work.append((mid, b, s, vm, vb))
+    raw.sort(key=lambda box: Fraction(box[0], 1 << box[2]))
+    return tuple(RootBox(Fraction(lo, 1 << s), Fraction(hi, 1 << s), _sign(lo + hi))
+                 for lo, hi, s in raw)
 
 
 DEFAULT_WIDTH_BOUND = Fraction(1, 10 ** 9)

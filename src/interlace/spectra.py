@@ -87,29 +87,27 @@ def _has_pm_pair(p: Polynomial) -> bool:
     return sum(1 for c in g.coeffs if c) > 1
 
 
-def _modulus_overlap(a: RootBox, b: RootBox) -> bool:
-    alo, ahi = a.modulus_interval
-    blo, bhi = b.modulus_interval
-    return alo <= bhi and blo <= ahi
-
-
 def _certified_modulus_sort(sf: Polynomial, boxes: list[RootBox]) -> list[RootBox]:
     """Refine boxes until all modulus intervals are pairwise disjoint, then
     sort by strictly decreasing modulus; the caller has excluded modulus ties.
     One lexicographic pass over pairs is enough: a refined box lies inside the
-    old one and none straddles zero, so a passed pair stays disjoint."""
+    old one and none straddles zero, so a passed pair stays disjoint. Each
+    box's modulus interval is kept beside it and rebuilt only when that box
+    is refined."""
     boxes = list(boxes)
+    moduli = [box.modulus_interval for box in boxes]
     for i, j in combinations(range(len(boxes)), 2):
-        while _modulus_overlap(boxes[i], boxes[j]):
+        while moduli[i][0] <= moduli[j][1] and moduli[j][0] <= moduli[i][1]:
             if boxes[i].is_exact and boxes[j].is_exact:  # equal moduli: a true tie
                 raise InternalInvariantViolation(
                     "tie detection missed equal-modulus roots")
             for k in (i, j):
                 box = boxes[k]
                 if not box.is_exact:
-                    boxes[k] = refine_root(sf, box, box.width / 2)
-    boxes.sort(key=lambda b: b.modulus_interval[0], reverse=True)
-    return boxes
+                    boxes[k] = box = refine_root(sf, box, box.width / 2)
+                    moduli[k] = box.modulus_interval
+    order = sorted(range(len(boxes)), key=lambda k: moduli[k][0], reverse=True)
+    return [boxes[k] for k in order]
 
 
 def _expected_signs(verdict: SpectrumVerdict, count: int) -> tuple[int, ...]:

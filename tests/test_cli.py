@@ -225,6 +225,18 @@ def test_poly_kind_flag_and_file_input(tmp_path):
     assert rep["self_interlacing_kind_II"] is False
 
 
+def test_poly_takes_a_file_or_coeffs_but_not_both(tmp_path):
+    src = tmp_path / "p.txt"
+    src.write_text("1 -1 -2 1\n")
+    for args in (("poly", str(src), "--coeffs", "1 -1 -1"),
+                 ("poly", "--coeffs", "1 -1 -1", str(src))):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (2, ""), (args, err)
+        assert "not allowed with argument" in err, args
+    code, out, err = run_cli("poly")
+    assert (code, out) == (2, "") and "poly needs an input file or --coeffs" in err
+
+
 def test_poly_decides_both_kinds_from_one_gcd(monkeypatch, capsys):
     calls = []
     original = interlace.polynomials.poly_gcd
@@ -391,10 +403,12 @@ def test_exit_code_two_on_bad_input(tmp_path):
     stdins = {1: "n: 2\nrows:\n1 2\nx 4\n", 4: GOLDEN_DOC, 7: GOLDEN_DOC,
               8: "n: 2\nrows:\n1 2\n3 4\n", 9: "n: 2\nrows:\n1 1\n0 1\n",
               10: GOLDEN_DOC, 11: GOLDEN_DOC}
+    messages = {3: "error: the constant 5 has no roots to interlace"}
     for i, args in enumerate(cases):
         code, out, err = run_cli(*args, stdin=stdins.get(i, ""))
         assert (code, out) == (2, ""), (args, code, err)
         assert "error:" in err, args
+        assert messages.get(i, "") in err, (args, err)
 
 
 def test_oversized_literal_fails_before_any_analysis(tmp_path, capsys):

@@ -37,7 +37,14 @@ from interlace import (
     si_twist,
     squarefree_part,
 )
-from interlace.polynomials import _horner, _remainder_sequence, _sturm_chain
+from interlace.polynomials import (
+    _dyadic_value,
+    _horner,
+    _lowest_terms,
+    _remainder_sequence,
+    _sturm_chain,
+    _variations,
+)
 
 WIDTH = F(1, 10 ** 9)
 
@@ -459,6 +466,42 @@ def test_integer_remainder_sequence_matches_fraction_euclid_hypothesis(a, b):
         assert _sturm_chain(p) == _fraction_chain(p)
 
 
+def _fraction_sign(x: F) -> int:
+    return (x > 0) - (x < 0)
+
+
+# u = w 2^t: zero, both signs, and up to 90 spare factors of two, so that
+# lowest terms reach s = 0 as well as stop short of it
+_dyadic_numerators = st.builds(lambda w, t: w << t, st.integers(-200, 200), st.integers(0, 90))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=9), _dyadic_numerators,
+       st.integers(0, 80))
+def test_shift_evaluator_matches_fraction_value_hypothesis(coeffs, u, s):
+    """_dyadic_value is 2^(s n) p(u / 2^s) exactly, so its sign is the sign
+    of the Fraction value; integer coefficients include zeros, and a zero
+    leading one keeps n = len - 1. _lowest_terms keeps the point."""
+    x, n = F(u, 1 << s), len(coeffs) - 1
+    value = _dyadic_value(coeffs, u, s)
+    assert value == sum(c * x ** (n - k) for k, c in enumerate(coeffs)) * 2 ** (s * n)
+    assert _fraction_sign(F(value)) == _fraction_sign(Polynomial(coeffs)(x))
+    low, level = _lowest_terms(u, s)
+    assert F(low, 1 << level) == x and 0 <= level <= s
+    assert level == 0 or low % 2 == 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=9).map(Polynomial).filter(
+    lambda p: not p.is_zero), _dyadic_numerators, st.integers(0, 80))
+def test_variations_match_fraction_sturm_count_hypothesis(p, u, s):
+    x = F(u, 1 << s)
+    signs = [t for t in (_fraction_sign(q(x)) for q in remainder_sequence(p, p.derivative()))
+             if t]
+    expected = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    assert _variations(_sturm_chain(p), u, s) == expected
+
+
 def test_isolation_matches_fraction_sturm_bisection():
     rng = SplitMix64(73)
     checked = 0
@@ -590,6 +633,23 @@ def test_spectrum_charpolys_match_the_fraction_oracles():
         assert boxes == sturm_isolation(sf)
         for box in boxes:
             assert refine_root(sf, box, WIDTH) == fraction_bisection(sf, box, WIDTH)
+
+
+def test_deep_isolation_trees_match_fraction_sturm_bisection():
+    """Past the spectrum corpus above: the row flip of a positive TNN matrix,
+    n = 12, whose eigenvalue moduli spread so far that its tree splits down
+    to 2^-21, and an anti-bidiagonal matrix with n = 24."""
+    flip = flip_rows(random_positive_tnn(12, 1))
+    anti = anti_bidiagonal(AntiBidiagonalSpec(
+        1, tuple(F(1, k + 2) for k in range(1, 24)), tuple(F(1, k + 3) for k in range(1, 24))))
+    denominators = []
+    for m in (flip, anti):
+        sf = squarefree_part(m.charpoly())
+        boxes = isolate_real_roots(sf)
+        assert len(boxes) == m.n
+        assert boxes == sturm_isolation(sf)
+        denominators.append(max(box.lo.denominator for box in boxes))
+    assert denominators[0] >= 2 ** 20
 
 
 def test_isolation_of_roots_far_apart_needs_no_recursion():
