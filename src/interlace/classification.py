@@ -35,9 +35,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
 
-from .errors import NonnegativityViolated, PositivityViolated
-from .matrices import Matrix, MinorSelector, as_fraction, flip_cols, flip_rows
-from .polynomials import DEFAULT_WIDTH_BOUND
+from .errors import NonnegativityViolated
+from .matrices import Matrix, MinorSelector, flip_cols, flip_rows
+from .polynomials import DEFAULT_WIDTH_BOUND, as_width_bound
 
 Signature = tuple[Optional[int], ...]
 
@@ -457,9 +457,7 @@ def jflip_si_certificate(m: Matrix, side: str = "left",
     Arguments are checked before any stage runs.
     """
     _check_side(side)
-    width_bound = as_fraction(width_bound)
-    if width_bound <= 0:
-        raise PositivityViolated("width bound must be positive")
+    width_bound = as_width_bound(width_bound)
     flipped = flip_rows(m) if side == "left" else flip_cols(m)
     run = _FlipRun(m, flipped, side, width_bound)
     stages: list[StageResult] = []

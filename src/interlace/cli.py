@@ -54,7 +54,7 @@ from .documents import (
 )
 from .errors import InterlaceError, InternalInvariantViolation, ParseError, PositivityViolated
 from .matrices import Matrix
-from .polynomials import SIKind, hurwitz_minors, hurwitz_stable, poly_gcd, si_twist
+from .polynomials import SIKind, hurwitz_minors, is_self_interlacing, si_twist, squarefree_part
 from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, spectrum_report
 
 # -- input plumbing ---------------------------------------------------------
@@ -319,9 +319,7 @@ def _cmd_poly(args, argv: list[str]) -> int:
     # The twist keeps a_0 > 0, so by Routh-Hurwitz it is stable exactly when
     # every minor is positive; no second elimination is needed.
     stable = all(d > 0 for d in minors)
-    # One gcd(p, p') decides both kinds, as in spectrum_report; the sign of p
-    # changes neither verdict.
-    squarefree = poly_gcd(p, p.derivative()).degree < 1
+    squarefree = squarefree_part(p) == p
     report = _envelope("poly", argv, _digest(raw))
     report.update({
         "degree": p.degree,
@@ -331,7 +329,7 @@ def _cmd_poly(args, argv: list[str]) -> int:
         "hurwitz_minors_of_twist": [str(d) for d in minors],
         "twist_hurwitz_stable": stable,
         "self_interlacing_kind_I": squarefree and stable,
-        "self_interlacing_kind_II": squarefree and hurwitz_stable(si_twist(p.compose_neg())),
+        "self_interlacing_kind_II": is_self_interlacing(p, SIKind.KIND_II),
     })
     if args.kind:
         requested = SIKind(args.kind)

@@ -2,15 +2,15 @@
 
 Coefficients are stored leading-first: ``Polynomial([1, -1, -2, 1])`` is
 z^3 - z^2 - 2z + 1, as exact ``Fraction``s. The spectrum path runs on
-integers: gcds and Sturm chains read one primitive integer remainder
-sequence, and root isolation and refinement carry each box as integer
-numerators over a common scale, evaluated with homogenized integer Horner
-steps. Isolation only ever evaluates at dyadic points u/2^s, so there each
-power of the denominator is a left shift, and a point is taken in lowest
-terms first. Refinement returns exactly the box bisection would, but reaches
-bisection's final cell by quadratic interval refinement. Fractions are built
-only for results, and no binary floating point enters any certified
-statement.
+integers: gcds read primitive integer remainder sequences, and a polynomial
+keeps that of (p, p'), its Sturm chain, for every squarefree and kind test,
+isolation and refinement. Boxes are integer numerators over a common scale,
+evaluated with homogenized integer Horner steps. Isolation only ever
+evaluates at dyadic points u/2^s, so there each power of the denominator is
+a left shift, and a point is taken in lowest terms first. Refinement returns
+exactly the box bisection would, but reaches bisection's final cell by
+quadratic interval refinement. Fractions are built only for results, and no
+binary floating point enters any certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
@@ -46,7 +46,7 @@ class Polynomial:
     other polynomial has a nonzero leading coefficient after normalization.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_chain")
 
     def __init__(self, coeffs: Iterable):
         data = [as_fraction(c) for c in coeffs]
@@ -54,6 +54,7 @@ class Polynomial:
         while k < len(data) and data[k] == 0:
             k += 1
         object.__setattr__(self, "coeffs", tuple(data[k:]))
+        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -156,12 +157,6 @@ class Polynomial:
                 rem[i + j] -= f * c
         return Polynomial(q), Polynomial(rem[steps:])
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Polynomial":
         n = self.degree
         if n <= 0:
@@ -254,13 +249,13 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p'); same distinct roots, all simple."""
+    """p divided by gcd(p, p') from p's Sturm chain; same roots, all simple."""
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has no squarefree part")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
+    g = _sturm_chain(p)[-1]
+    if len(g) == 1:
         return p
-    quotient, rem = divmod(p, g)
+    quotient, rem = divmod(p, Polynomial(g).monic())
     if not rem.is_zero:  # cannot happen: g divides p
         raise ArithmeticError("gcd failed to divide its argument")
     return quotient
@@ -335,13 +330,15 @@ def is_self_interlacing(p: Polynomial, kind: SIKind = SIKind.KIND_I) -> bool:
 
     Kind I means λ_1 > -λ_2 > λ_3 > ... > 0 once roots are ordered by
     decreasing modulus; in particular all roots are real, simple, nonzero.
-    Decision route: reject repeated roots via gcd(p, p'), then test Hurwitz
-    stability of the twist of p (kind I) or of p(-z) (kind II); the sign of
-    p is irrelevant, since si_twist(-p) = -si_twist(p).
+    ``kind`` is an SIKind or its value. Decision route: reject repeated roots
+    when gcd(p, p'), the end of p's Sturm chain, is not constant, then test
+    Hurwitz stability of the twist of p (kind I) or of p(-z) (kind II); the
+    sign of p is irrelevant, since si_twist(-p) = -si_twist(p).
     """
+    kind = SIKind(kind)
     if p.degree < 1:
         raise DegreeZero("self-interlacing is undefined for constants")
-    if poly_gcd(p, p.derivative()).degree >= 1:
+    if len(_sturm_chain(p)[-1]) > 1:
         return False
     if kind is SIKind.KIND_II:
         p = p.compose_neg()
@@ -417,13 +414,17 @@ def _horner(ic: Sequence[int], u: int) -> int:
 
 
 def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
-    """Sturm chain of p, each member scaled to primitive ints.
+    """Sturm chain of p, each member scaled to primitive ints, computed once
+    and kept on p (which is immutable, so it cannot go stale). Read only.
 
-    The chain is the signed remainder sequence of p and p', so its last
-    member is gcd(p, p') up to a constant factor: constant exactly when p is
-    squarefree.
+    The chain is the signed remainder sequence of p and p', so it starts
+    with p and ends with gcd(p, p') up to a constant factor: constant
+    exactly when p is squarefree.
     """
-    return _remainder_sequence(_primitive(p.coeffs), _primitive(p.derivative().coeffs))
+    if p._chain is None:
+        object.__setattr__(p, "_chain", _remainder_sequence(
+            _primitive(p.coeffs), _primitive(p.derivative().coeffs)))
+    return p._chain
 
 
 def _variations(chain: Sequence[Sequence[int]], u: int, s: int) -> int:
@@ -518,6 +519,14 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
 DEFAULT_WIDTH_BOUND = Fraction(1, 10 ** 9)
 
 
+def as_width_bound(value) -> Fraction:
+    """``value`` as an exact Fraction, which must be positive."""
+    width_bound = as_fraction(value)
+    if width_bound <= 0:
+        raise PositivityViolated("width bound must be positive")
+    return width_bound
+
+
 def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     """The box that bisecting ``box`` to width <= width_bound returns, found
     with about half as many evaluations of p.
@@ -541,9 +550,7 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     sign change around several roots ends in a level-K cell around one of
     them, which need not be the one bisection picks.
     """
-    width_bound = as_fraction(width_bound)
-    if width_bound <= 0:
-        raise PositivityViolated("width bound must be positive")
+    width_bound = as_width_bound(width_bound)
     if box.is_exact:
         return box
     scale = lcm(box.lo.denominator, box.hi.denominator)
@@ -557,7 +564,7 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     # grid point j (0 <= j <= 2^K) is u_j / v with u_j = lo 2^K + j (hi - lo)
     v, base, step = scale << levels, lo << levels, hi - lo
     # a_k v^k, so that Horner in u_j gives v^n p(u_j / v)
-    ic = list(map(mul, _primitive(p.coeffs), accumulate(repeat(v, p.degree), mul, initial=1)))
+    ic = list(map(mul, _sturm_chain(p)[0], accumulate(repeat(v, p.degree), mul, initial=1)))
 
     def value(j: int) -> int:
         return _horner(ic, base + j * step)

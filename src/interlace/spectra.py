@@ -1,11 +1,12 @@
 """Certified eigenvalue reports: kind verdicts, root enclosures, sign patterns.
 
-The verdict comes from the coefficient-twist route on the characteristic
-polynomial (exact, no numerics); the enclosures come from Sturm isolation on
-the squarefree part. For any self-interlacing verdict the two routes must
-agree in every detail (count, signs, strict modulus descent), and a mismatch
-raises InternalInvariantViolation rather than producing a report: that error
-marks a bug, never bad input.
+The verdict is ``is_self_interlacing`` (exact, no numerics) on the
+characteristic polynomial p; the enclosures come from Sturm isolation on its
+squarefree part, which is p when p's chain shows it squarefree. For any
+self-interlacing verdict the two routes must agree in every detail (count,
+signs, strict modulus descent), and a mismatch raises
+InternalInvariantViolation rather than producing a report: that error marks
+a bug, never bad input.
 
 The modulus order is certified in one pass over pairs of boxes, refining
 each overlapping pair until it is disjoint. A refined box lies inside the old
@@ -24,19 +25,19 @@ from .errors import (
     InternalInvariantViolation,
     ModulusTie,
     NotClassNPlus,
-    PositivityViolated,
     PreconditionFailed,
 )
-from .matrices import Matrix, as_fraction, flip_rows
+from .matrices import Matrix, flip_rows
 from .polynomials import (
     DEFAULT_WIDTH_BOUND,
     Polynomial,
     RootBox,
-    hurwitz_stable,
+    SIKind,
+    as_width_bound,
+    is_self_interlacing,
     isolate_real_roots,
     poly_gcd,
     refine_root,
-    si_twist,
     squarefree_part,
 )
 
@@ -124,20 +125,14 @@ def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     until the modulus order is certified. Self-interlacing verdicts are
     cross-checked against the enclosures before the report is returned.
     """
-    width_bound = as_fraction(width_bound)
-    if width_bound <= 0:
-        raise PositivityViolated("width bound must be positive")
+    width_bound = as_width_bound(width_bound)
     p = m.charpoly()
     sf = squarefree_part(p)
     squarefree = sf == p
     tie = not squarefree or _has_pm_pair(p)
 
-    if squarefree and hurwitz_stable(si_twist(p)):
-        verdict = SpectrumVerdict.KIND_I
-    elif squarefree and hurwitz_stable(si_twist(p.compose_neg())):
-        verdict = SpectrumVerdict.KIND_II
-    else:
-        verdict = SpectrumVerdict.NEITHER
+    verdict = next((SpectrumVerdict[kind.name] for kind in SIKind
+                    if is_self_interlacing(p, kind)), SpectrumVerdict.NEITHER)
 
     boxes = [refine_root(sf, box, width_bound) for box in isolate_real_roots(sf)]
     if not tie:
@@ -187,8 +182,10 @@ def kind_two_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
 
     Preconditions (each raising PreconditionFailed with the failing check):
     -A totally nonnegative; A nonsingular; corner conditions hold for -A on
-    the left side. The returned report is for JA and must come back kind II.
+    the left side. A nonpositive width bound fails first. The returned
+    report is for JA and must come back kind II.
     """
+    width_bound = as_width_bound(width_bound)
     neg = -m
     viol = tnn_violation(neg)
     if viol is not None:

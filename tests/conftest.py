@@ -13,6 +13,8 @@ of boxes after every refinement checks the one-pass certified modulus sort.
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
+
 from interlace import (
     InternalInvariantViolation,
     Matrix,
@@ -20,7 +22,22 @@ from interlace import (
     RootBox,
     SplitMix64,
     identity,
+    polynomials,
 )
+
+
+@pytest.fixture
+def euclid_walks(monkeypatch) -> list:
+    """The argument pairs of every Euclid walk (call of
+    ``polynomials._remainder_sequence``) made while the test runs."""
+    walks = []
+
+    def counting(a, b, walk=polynomials._remainder_sequence):
+        walks.append((a, b))
+        return walk(a, b)
+
+    monkeypatch.setattr(polynomials, "_remainder_sequence", counting)
+    return walks
 
 
 def cofactor_det(m: Matrix) -> Fraction:
@@ -89,7 +106,7 @@ def remainder_sequence(a: Polynomial, b: Polynomial) -> list[Polynomial]:
     seq = [a]
     while not b.is_zero:
         seq.append(b)
-        a, b = b, -(a % b)
+        a, b = b, -divmod(a, b)[1]
     return seq
 
 

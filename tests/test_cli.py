@@ -237,19 +237,10 @@ def test_poly_takes_a_file_or_coeffs_but_not_both(tmp_path):
     assert (code, out) == (2, "") and "poly needs an input file or --coeffs" in err
 
 
-def test_poly_decides_both_kinds_from_one_gcd(monkeypatch, capsys):
-    calls = []
-    original = interlace.polynomials.poly_gcd
-
-    def counting(p, q):
-        calls.append((p, q))
-        return original(p, q)
-
-    monkeypatch.setattr(interlace.polynomials, "poly_gcd", counting)
-    monkeypatch.setattr(interlace.cli, "poly_gcd", counting)
+def test_poly_decides_both_kinds_from_one_gcd(euclid_walks, capsys):
     assert interlace.cli.main(["poly", "--coeffs", "1 -1 -1"]) == 0
     assert "self_interlacing_kind_I: true" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(euclid_walks) == 1
 
 
 def test_poly_reads_twist_stability_from_its_minors(monkeypatch, capsys):
@@ -261,7 +252,7 @@ def test_poly_reads_twist_stability_from_its_minors(monkeypatch, capsys):
     polys += [[rng.below(9) - 4 or 1] + [rng.below(9) - 4 for _ in range(rng.below(7))]
               for _ in range(60)]
     calls = []
-    monkeypatch.setattr(interlace.cli, "hurwitz_stable",
+    monkeypatch.setattr(interlace.polynomials, "hurwitz_stable",
                         lambda p: calls.append(p) or hurwitz_stable(p))
     stable = set()
     for coeffs in polys:
@@ -501,14 +492,14 @@ def test_structured_mismatch_is_input_error():
 
 
 def test_exit_code_three_comes_from_a_failed_cross_check(monkeypatch, capsys, tmp_path):
-    """With the twist route made to answer kind I for diag(1, 2), whose
+    """With is_self_interlacing made to answer kind I for diag(1, 2), whose
     eigenvalues do not alternate in sign, the enclosures disagree, and the
     cross-check turns that into exit 3 with nothing on stdout."""
     doc = tmp_path / "diag.mx"
     doc.write_text("n: 2\nrows:\n1 0\n0 2\n")
     assert interlace.cli.main(["spectrum", str(doc)]) == 0
     assert "verdict: neither" in capsys.readouterr().out
-    monkeypatch.setattr(interlace.spectra, "hurwitz_stable", lambda p: True)
+    monkeypatch.setattr(interlace.spectra, "is_self_interlacing", lambda p, kind: True)
     assert interlace.cli.main(["spectrum", str(doc)]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -86,7 +86,7 @@ def test_gcd_contains_common_factor():
         a = g * Polynomial([1, rng.below(5)])
         b = g * Polynomial([1, rng.below(5), 1 + rng.below(4)])
         got = poly_gcd(a, b)
-        assert (got % g).is_zero  # gcd is a multiple of every common factor
+        assert divmod(got, g)[1].is_zero  # gcd is a multiple of every common factor
 
 
 def _sympy_monic_gcd(sympy, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -283,10 +283,31 @@ def test_self_interlacing_edge_cases():
     assert not is_self_interlacing(Polynomial([1, 0]))     # root 0
     assert not is_self_interlacing(Polynomial([1, 0, -1])) # modulus tie +-1
     assert not is_self_interlacing(poly_from_roots([2, 2]))  # repeated root
+    # a kind is an SIKind or its value; anything else is rejected
+    p = poly_from_roots([-3, 2, -1])
+    assert is_self_interlacing(p, "II") and not is_self_interlacing(p, "I")
+    for junk in ("III", "kind_II", 2, None):
+        with pytest.raises(ValueError):
+            is_self_interlacing(p, junk)
     # negated leading coefficient is normalized away
     assert is_self_interlacing(-poly_from_roots([3, -2, 1]))
     with pytest.raises(DegreeZero):
         is_self_interlacing(Polynomial([1]))
+
+
+def test_both_kinds_share_one_euclid_walk(euclid_walks):
+    p = poly_from_roots([-3, 2, -1])
+    assert not is_self_interlacing(p, SIKind.KIND_I)
+    assert is_self_interlacing(p, SIKind.KIND_II)
+    assert len(euclid_walks) == 1
+
+
+def test_cached_chain_leaves_equality_hash_and_repr_alone():
+    p, q = poly_from_roots([-3, 2, -1]), poly_from_roots([-3, 2, -1])
+    chain = _sturm_chain(p)
+    assert p._chain is chain and q._chain is None
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert _sturm_chain(p) is chain and len({p, q}) == 1
 
 
 def test_kind_two_is_kind_one_after_reflection():

@@ -88,6 +88,8 @@ def test_spectrum_rejects_nonpositive_width_bound():
     for bound in (-1, 0, "0"):
         with pytest.raises(PositivityViolated):
             spectrum_report(rotation, bound)
+        with pytest.raises(PositivityViolated):  # before any precondition fails
+            kind_two_report(Matrix([[1, 2], [3, 4]]), bound)
 
 
 def test_spectrum_kind_two_mirror_example():
@@ -145,8 +147,8 @@ def _polynomial_verdict(p: Polynomial) -> SpectrumVerdict:
 
 
 def test_spectrum_verdict_matches_is_self_interlacing():
-    """The report's one squarefree test plus the twists decides exactly what
-    is_self_interlacing decides on the characteristic polynomial."""
+    """The report's verdict is what is_self_interlacing decides on the
+    characteristic polynomial, over all three verdicts."""
     cases = [random_rational_matrix(n, 700 + 10 * n + k) for n in range(1, 7)
              for k in range(6)]
     for n in range(2, 7):
@@ -178,9 +180,9 @@ def test_flip_similarity_gives_equal_verdicts():
         assert left.signs == right.signs
 
 
-def test_not_squarefree_char_poly_skips_the_pm_pair_gcd(monkeypatch):
-    """A repeated eigenvalue is already a tie: one gcd (p, p') and no second
-    Euclid walk on (p, p(-z))."""
+def test_not_squarefree_char_poly_skips_the_pm_pair_gcd(monkeypatch, euclid_walks):
+    """A repeated eigenvalue is already a tie: no gcd of (p, p(-z)), and two
+    Euclid walks in all, the Sturm chains of p and of its squarefree part."""
     calls = []
 
     def counting_gcd(p, q, gcd=polynomials.poly_gcd):
@@ -190,8 +192,16 @@ def test_not_squarefree_char_poly_skips_the_pm_pair_gcd(monkeypatch):
     monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
     monkeypatch.setattr(spectra, "poly_gcd", counting_gcd)
     rep = spectrum_report(identity(3))
-    assert len(calls) == 1
+    assert calls == [] and len(euclid_walks) == 2
     assert rep.modulus_tie and not rep.squarefree
+
+
+def test_squarefree_spectrum_walks_euclid_once_on_p_and_p_prime(euclid_walks):
+    """One chain of p serves the squarefree test, both kinds, isolation and
+    refinement; the other walk is the gcd of (p, p(-z))."""
+    rep = spectrum_report(flip_rows(random_positive_tnn(6, 1)))
+    assert rep.squarefree and rep.verdict is SpectrumVerdict.KIND_I
+    assert len(euclid_walks) == 2
 
 
 # -- certified modulus sort ---------------------------------------------------------
