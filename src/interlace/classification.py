@@ -192,7 +192,7 @@ def _neville(m: Matrix, strict: bool) -> bool:
     multiplier >= 0), which holds exactly when M is nonsingular and totally
     nonnegative. Both answers are exact; a singular TNN matrix gets False.
     """
-    _, b = m._integer_form()
+    _, b = m._form
     for rows in (b, [list(col) for col in zip(*b)]):
         for block in _neville_blocks(rows):
             pivots = [row[0] for row in block]
@@ -242,11 +242,11 @@ def is_strictly_totally_positive(m: Matrix) -> bool:
 
 def is_oscillatory(m: Matrix) -> bool:
     """Criterion route (Gantmacher-Krein): both off-diagonals strictly
-    positive (entries (j, j+1) and (j+1, j)), then nonsingular and totally
+    positive (read off D*M, as D > 0), then nonsingular and totally
     nonnegative, which Neville elimination decides exactly."""
-    n = m.n
-    for j in range(1, n):
-        if m[j, j + 1] <= 0 or m[j + 1, j] <= 0:
+    _, b = m._form
+    for j in range(m.n - 1):
+        if b[j][j + 1] <= 0 or b[j + 1][j] <= 0:
             return False
     return _neville(m, strict=False)
 

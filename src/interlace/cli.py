@@ -52,7 +52,7 @@ from .documents import (
     parse_polynomial_tokens,
     places_for_width,
 )
-from .errors import InterlaceError, InternalInvariantViolation, ParseError, PositivityViolated
+from .errors import InterlaceError, InternalInvariantViolation, ParseError
 from .matrices import Matrix
 from .polynomials import SIKind, hurwitz_minors, is_self_interlacing, si_twist, squarefree_part
 from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, spectrum_report
@@ -77,10 +77,8 @@ def _digest(data: bytes) -> str:
 
 
 def _tolerance(args) -> Fraction:
-    tol = DEFAULT_WIDTH_BOUND if args.tol is None else _parse_value(args.tol)
-    if tol <= 0:
-        raise PositivityViolated("--tol must be positive")
-    return tol
+    """--tol, parsed; each analysis checks that a width bound is positive."""
+    return DEFAULT_WIDTH_BOUND if args.tol is None else _parse_value(args.tol)
 
 
 def _values(text: str) -> tuple[Fraction, ...]:

@@ -1,12 +1,12 @@
 """Exact rational matrices with the minor machinery the classifiers need.
 
-Everything here is exact: entries are ``fractions.Fraction``. Each matrix
-caches one integer form (D, D*M), D a common multiple of all entry
-denominators, and every kernel reads it: a closed-form expansion (orders
-1-4) or Bareiss elimination on a copy gives det(M) * D^n, division-free
-Berkowitz gives each coefficient c_k * D^k, a product is the integer
-product over D1*D2, and a submatrix (so every minor) is a slice of the
-parent's form that keeps the parent's D.
+Everything here is exact. A matrix stores one integer form (D, D*M), D a
+positive common multiple of the entry denominators, and its Fraction entries
+are a view built on first read. Every kernel reads the form: closed forms
+(orders 1-4) or Bareiss elimination on a copy give det(M) * D^n, Berkowitz
+gives c_k * D^k division-free, a product is the integer product over D1*D2,
+a submatrix (so every minor) is a slice keeping the parent's D, and negation,
+scaling, transposes and flips act on the form alone.
 Public row/column indices are 1-based, as is conventional for minor
 bookkeeping; slicing internals are 0-based.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import lt, mul
+from operator import add, lt, mul
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidSelector
@@ -75,11 +75,14 @@ class MinorSelector:
 class Matrix:
     """Immutable square matrix over the rationals.
 
-    ``m[i, j]`` uses 1-based indices. Arithmetic (+, -, unary -, * for both
-    matrix and scalar products, ** for nonnegative integer powers) stays exact.
+    Stored as ``_form`` = (D, D*M as int rows) alone. D is a positive common
+    multiple of the entry denominators, not canonical (a slice keeps its
+    parent's D, a product's is D1*D2), so ==, hash, repr and ``m[i, j]``
+    (1-based) read ``rows``, the Fraction view. Arithmetic (+, -, unary -, *
+    for matrix and scalar products, ** for nonnegative powers) stays exact.
     """
 
-    __slots__ = ("n", "rows", "_form")
+    __slots__ = ("n", "_form", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(as_fraction(x) for x in row) for row in rows)
@@ -88,25 +91,37 @@ class Matrix:
             raise DimensionMismatch("empty matrix")
         if any(len(r) != n for r in data):
             raise DimensionMismatch(f"rows of a {n}x{n} matrix must have length {n}")
+        d = lcm(*(x.denominator for row in data for x in row))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_form", (d, tuple(
+            tuple(x.numerator * (d // x.denominator) for x in row) for row in data)))
+        object.__setattr__(self, "_rows", data)
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...], form=None) -> "Matrix":
-        """Wrap rows that already are a nonempty square tuple of tuples of
-        Fractions, with no conversion or shape check; ``form``, when given,
-        is an integer form (D, D*M) of exactly these rows."""
+    def _trusted(cls, d: int, b: tuple[tuple[int, ...], ...]) -> "Matrix":
+        """Wrap a form (D, D*M): D > 0, ``b`` a square tuple of int tuples; no check."""
         m = object.__new__(cls)
-        object.__setattr__(m, "n", len(rows))
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "_form", form)
+        object.__setattr__(m, "n", len(b))
+        object.__setattr__(m, "_form", (d, b))
+        object.__setattr__(m, "_rows", None)
         return m
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix._trusted, self._form
+
     # -- access ----------------------------------------------------------
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built from the form on first read."""
+        if self._rows is None:
+            d, b = self._form
+            object.__setattr__(self, "_rows", tuple(
+                tuple(Fraction(x, d) for x in row) for row in b))
+        return self._rows
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -138,33 +153,30 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_size(other)
-        return Matrix._trusted(tuple(tuple(a + b for a, b in zip(ra, rb))
-                                     for ra, rb in zip(self.rows, other.rows)))
+        return Matrix(map(add, ra, rb) for ra, rb in zip(self.rows, other.rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_size(other)
-        return Matrix._trusted(tuple(tuple(a - b for a, b in zip(ra, rb))
-                                     for ra, rb in zip(self.rows, other.rows)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(tuple(tuple(-x for x in row) for row in self.rows))
+        d, b = self._form
+        return Matrix._trusted(d, tuple(tuple(-x for x in row) for row in b))
 
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
-        return Matrix._trusted(tuple(tuple(c * x for x in row) for row in self.rows))
+        (d, b), p = self._form, c.numerator
+        return Matrix._trusted(d * c.denominator, tuple(tuple(p * x for x in row) for row in b))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._same_size(other)
-            d1, a = self._integer_form()
-            d2, b = other._integer_form()
-            d, cols = d1 * d2, tuple(zip(*b))
-            return Matrix._trusted(tuple(
-                tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in a))
+            (d1, a), (d2, b) = self._form, other._form
+            cols = tuple(zip(*b))
+            return Matrix._trusted(d1 * d2, tuple(
+                tuple(sum(map(mul, row, col)) for col in cols) for row in a))
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = scale
 
     def __pow__(self, m: int) -> "Matrix":
         if not isinstance(m, int) or m < 0:
@@ -179,19 +191,10 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(tuple(zip(*self.rows)))
+        d, b = self._form
+        return Matrix._trusted(d, tuple(zip(*b)))
 
     # -- determinants and minors ------------------------------------------
-
-    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, D*M as int rows), computed once: D is the lcm of all entry
-        denominators, or the parent's D for a submatrix. Read only."""
-        if self._form is None:
-            d = lcm(*(x.denominator for row in self.rows for x in row))
-            object.__setattr__(self, "_form", (d, tuple(
-                tuple(x.numerator * (d // x.denominator) for x in row)
-                for row in self.rows)))
-        return self._form
 
     def det(self) -> Fraction:
         """det(M) = det(D*M) / D^n from the integer form D*M. Orders 1-4
@@ -200,7 +203,7 @@ class Matrix:
         their complements in rows 3-4. Larger orders run fraction-free
         Bareiss elimination on a copy, where every interior division is
         exact."""
-        d, rows = self._integer_form()
+        d, rows = self._form
         n = self.n
         if n == 1:
             v = rows[0][0]
@@ -227,11 +230,9 @@ class Matrix:
         slice of this matrix's form, with this matrix's D."""
         if sel.rows[-1] > self.n or sel.cols[-1] > self.n:
             raise InvalidSelector(f"{sel} exceeds size {self.n}")
-        d, b = self._integer_form()
+        d, b = self._form
         rows, cols = [i - 1 for i in sel.rows], [j - 1 for j in sel.cols]
-        return Matrix._trusted(
-            tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
-            (d, tuple(tuple(b[i][j] for j in cols) for i in rows)))
+        return Matrix._trusted(d, tuple(tuple(b[i][j] for j in cols) for i in rows))
 
     def minor(self, sel: MinorSelector) -> Fraction:
         return self.submatrix(sel).det()
@@ -247,16 +248,14 @@ class Matrix:
         """
         if not (1 <= order <= self.n):
             raise InvalidSelector(f"minor order {order} outside 1..{self.n}")
-        d, b = self._integer_form()
+        d, b = self._form
         picks = list(combinations(range(self.n), order))
         selectors = [tuple(i + 1 for i in pick) for pick in picks]
         for row_sel, rows in zip(selectors, picks):
             # columns of the selected rows; a minor's rows are its columns' zip
-            column = list(zip(*(self.rows[i] for i in rows))).__getitem__
-            int_column = list(zip(*(b[i] for i in rows))).__getitem__
+            column = list(zip(*(b[i] for i in rows))).__getitem__
             for col_sel, cols in zip(selectors, picks):
-                sub = Matrix._trusted(tuple(zip(*map(column, cols))),
-                                      (d, tuple(zip(*map(int_column, cols)))))
+                sub = Matrix._trusted(d, tuple(zip(*map(column, cols))))
                 yield MinorSelector._trusted(row_sel, col_sel), sub.det()
 
     def leading_principal_minor(self, k: int) -> Fraction:
@@ -268,7 +267,7 @@ class Matrix:
         the integer form: pivot k is Δ_k(D*M), so Δ_k(M) = pivot / D^k. At
         the first zero pivot the pass stops, and each later Δ_k is its own
         ``leading_principal_minor``."""
-        d, b = self._integer_form()
+        d, b = self._form
         rows = [list(row) for row in b]
         _bareiss(rows, exchange=False)
         out = []
@@ -291,7 +290,7 @@ class Matrix:
         """
         from .polynomials import Polynomial
 
-        d, b = self._integer_form()
+        d, b = self._form
         # coeffs of det(zI - B_r) for the leading r x r block, leading first
         coeffs = [1, -b[0][0]]
         for r in range(1, self.n):
@@ -349,16 +348,16 @@ def identity(n: int) -> Matrix:
 
 def anti_identity(n: int) -> Matrix:
     """The flip J with 1s on the anti-diagonal; det J = (-1)^(n(n-1)/2)."""
-    if n < 1:
-        raise DimensionMismatch("size must be >= 1")
-    return Matrix(tuple(Fraction(int(i + j == n - 1)) for j in range(n)) for i in range(n))
+    return flip_rows(identity(n))
 
 
 def flip_rows(m: Matrix) -> Matrix:
     """Reverse row order; equals J*M."""
-    return Matrix._trusted(m.rows[::-1])
+    d, b = m._form
+    return Matrix._trusted(d, b[::-1])
 
 
 def flip_cols(m: Matrix) -> Matrix:
     """Reverse column order; equals M*J."""
-    return Matrix._trusted(tuple(row[::-1] for row in m.rows))
+    d, b = m._form
+    return Matrix._trusted(d, tuple(row[::-1] for row in b))

@@ -59,6 +59,9 @@ class Polynomial:
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
+
     # -- basics -------------------------------------------------------------
 
     @property

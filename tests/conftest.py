@@ -2,7 +2,8 @@
 
 The slow routes here are naive on purpose; each validates one shipped fast
 path. The cofactor determinant checks the Bareiss determinant, the
-entrywise Fraction product checks the integer-form product,
+entrywise Fraction product and entrywise maps check the integer-form
+product and the other integer-form arithmetic,
 Faddeev-LeVerrier over Fractions checks the integer Berkowitz
 characteristic polynomial, and Euclid, Sturm isolation and bisection over
 Fractions check the integer remainder sequence and the integer-coordinate
@@ -64,6 +65,11 @@ def fraction_matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b.rows))
     return Matrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
                    for row in a.rows])
+
+
+def entrywise(f, *ms: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of ``f`` applied to the Fraction entries of ``ms`` in one place."""
+    return tuple(tuple(map(f, *rows)) for rows in zip(*(m.rows for m in ms)))
 
 
 def faddeev_leverrier_charpoly(m: Matrix) -> Polynomial:

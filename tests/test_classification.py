@@ -1,5 +1,7 @@
 """Sign classes, total nonnegativity, oscillation, corners, flip certificate."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 from itertools import combinations
 from math import isqrt
@@ -474,7 +476,7 @@ def test_initial_minor_trap_is_not_tnn():
 def _neville_peak_bits(m):
     """Largest entry, in bits, of any block Neville elimination of D*M and of
     its transpose passes through, run to the end whatever the pivot signs."""
-    _, b = m._integer_form()
+    _, b = m._form
     return max(abs(x).bit_length()
                for rows in (b, [list(c) for c in zip(*b)])
                for block in _neville_blocks(rows)
@@ -483,7 +485,7 @@ def _neville_peak_bits(m):
 
 def _hadamard_bits(m):
     """Bits of prod_i ||row_i|| of D*M, which bounds every minor of D*M."""
-    _, b = m._integer_form()
+    _, b = m._form
     return sum(isqrt(sum(x * x for x in row)).bit_length() for row in b)
 
 
@@ -494,7 +496,7 @@ def test_neville_rows_stay_within_minor_size():
                               [F(k % 7 + 1, k % 4 + 1) for k in range(15)])
     ab = anti_bidiagonal(spec)
     for m in (ab, flip_rows(ab)):       # the flip is upper bidiagonal and TNN
-        _, b = m._integer_form()
+        _, b = m._form
         entry_bits = max(abs(x).bit_length() for row in b for x in row)
         assert _neville_peak_bits(m) <= entry_bits
     assert _neville(flip_rows(ab), strict=False) and not _neville(ab, strict=False)
@@ -502,6 +504,20 @@ def test_neville_rows_stay_within_minor_size():
         tnn = random_positive_tnn(12, seed)
         assert _neville(tnn, strict=False)
         assert _neville_peak_bits(tnn) <= _hadamard_bits(tnn)
+
+
+def test_kernels_never_build_the_fraction_view():
+    """Products and flips store only their integer form, and every kernel
+    and decider reads that form, so the Fraction view is never built."""
+    cases = [random_positive_tnn(4, 3).scale(F(2, 3)), random_tnn(4, 0).scale(F(1, 6)),
+             random_rational_matrix(4, 17)]
+    for a in cases:
+        for m in (a * a, flip_rows(a)):
+            m.det(), m.charpoly()
+            for k in range(1, m.n + 1):
+                list(m.minors(k))
+            is_oscillatory(m), is_totally_nonnegative(m), classify_sign_definite(m)
+            assert m._rows is None, a
 
 
 # -- oscillation -----------------------------------------------------------------
@@ -662,6 +678,22 @@ def test_jflip_certificate_checks_arguments_before_any_stage():
         for bound in (0, F(-1, 2)):
             with pytest.raises(PositivityViolated):
                 jflip_si_certificate(m, width_bound=bound)
+
+
+def test_matrices_polynomials_and_reports_copy_and_pickle():
+    """Each round trip rebuilds from the stored state: a matrix from its
+    integer form, a polynomial from its coefficients; the Fraction view and
+    the Sturm chain, both caches, stay behind."""
+    cert = jflip_si_certificate(random_positive_tnn(4, 5))
+    m, p = cert.flipped * cert.flipped, cert.spectrum.char_poly
+    assert m.rows and p._chain is not None
+    for obj in (m, p, cert.spectrum, cert):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin._form == m._form and twin._rows is None
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin.coeffs == p.coeffs and twin._chain is None
 
 
 # -- tridiagonal criteria ------------------------------------------------------------

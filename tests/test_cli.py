@@ -390,11 +390,14 @@ def test_exit_code_two_on_bad_input(tmp_path):
         ("spectrum", "-", "--tol", "1/0"),       # zero denominator in a flag
         ("jflip", "-", "--tol", "1/0"),
         ("construct", "jacobi", "--a", "1/0", "--b", "", "--c", ""),
+        ("jflip", "-", "--tol", "0"),
     ]
     stdins = {1: "n: 2\nrows:\n1 2\nx 4\n", 4: GOLDEN_DOC, 7: GOLDEN_DOC,
               8: "n: 2\nrows:\n1 2\n3 4\n", 9: "n: 2\nrows:\n1 1\n0 1\n",
-              10: GOLDEN_DOC, 11: GOLDEN_DOC}
-    messages = {3: "error: the constant 5 has no roots to interlace"}
+              10: GOLDEN_DOC, 11: GOLDEN_DOC, 13: GOLDEN_DOC}
+    messages = {3: "error: the constant 5 has no roots to interlace",
+                4: "error: width bound must be positive",
+                13: "error: width bound must be positive"}
     for i, args in enumerate(cases):
         code, out, err = run_cli(*args, stdin=stdins.get(i, ""))
         assert (code, out) == (2, ""), (args, code, err)

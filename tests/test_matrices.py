@@ -27,6 +27,7 @@ from interlace import (
 from interlace.matrices import _bareiss, as_fraction
 from conftest import (
     cofactor_det,
+    entrywise,
     faddeev_leverrier_charpoly,
     fraction_matmul,
     random_int_matrix,
@@ -73,15 +74,16 @@ def test_matrix_is_immutable():
     m = identity(2)
     with pytest.raises(AttributeError):
         m.n = 3
-    m.det()  # with the integer form cached, assignment still raises
-    for name, value in (("n", 3), ("rows", ((F(1),),)), ("_form", (1, ((1,),)))):
+    m.det(), m.rows  # after a kernel and the view have run, assignment still raises
+    for name, value in (("n", 3), ("rows", ((F(1),),)), ("_form", (1, ((1,),))),
+                        ("_rows", None)):
         with pytest.raises(AttributeError):
             setattr(m, name, value)
     assert m == identity(2) and m.det() == 1
 
 
 def test_cached_integer_form_is_not_consumed():
-    """Every kernel reads the one cached form: repeating a call, or running
+    """Every kernel reads the one stored form: repeating a call, or running
     another kernel after it, gives what a fresh matrix gives."""
     for seed in range(12):
         n = 1 + seed % 6
@@ -152,9 +154,9 @@ def test_closed_form_determinants_match_bareiss_and_cofactors():
     cases += [Matrix([[0, 1], [2, 3]]), Matrix([[0, 2, 1], [1, 1, 1], [2, 0, 3]]),
               Matrix([[0, 1, 2, 3], [1, 0, 1, 1], [2, 1, 0, 5], [3, 4, 1, 0]]),
               Matrix([[0, F(1, 2), 1], [0, 1, F(2, 3)], [3, 0, 1]])]
-    assert sum(m._integer_form()[0] != 1 for m in cases) >= 60
+    assert sum(m._form[0] != 1 for m in cases) >= 60
     for m in cases:
-        d, b = m._integer_form()
+        d, b = m._form
         bareiss = F(_bareiss([list(row) for row in b]), d ** m.n)
         assert m.det() == bareiss == cofactor_det(m), m
 
@@ -300,7 +302,7 @@ def test_submatrix_matches_a_fresh_matrix_despite_the_parent_denominator():
     fresh = Matrix([[F(1, 2), F(-3, 4), F(5, 1)],
                     [F(-5, 2), F(3, 1), F(1, 6)],
                     [F(7, 4), F(0), F(-1, 3)]])
-    assert sub._integer_form()[0] == m._integer_form()[0] != fresh._integer_form()[0]
+    assert sub._form[0] == m._form[0] != fresh._form[0]
     assert sub == fresh and hash(sub) == hash(fresh)
     assert sub.det() == fresh.det() == cofactor_det(fresh) == m.minor(sel)
     assert sub.charpoly() == fresh.charpoly() == faddeev_leverrier_charpoly(fresh)
@@ -393,6 +395,36 @@ def test_scalar_arithmetic():
     assert (a - a) == Matrix([[0, 0], [0, 0]])
     assert (2 * a) == Matrix([[2, 4], [6, 8]])
     assert a.transpose() == Matrix([[1, 3], [2, 4]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32), st.fractions(-4, 4, max_denominator=7),
+       st.integers(0, 3), st.data())
+def test_integer_form_and_fraction_view_agree(n, seed, c, e, data):
+    """A derived matrix stores only its integer form (D, D*M); its Fraction
+    view, and the form read entry by entry over D, equal the oracle."""
+    a = random_rational_matrix(n, seed)
+    b = random_rational_matrix(n, seed + 1, denominators=(1, 5, 6))
+    k = data.draw(st.integers(1, n))
+    sel = MinorSelector(*(sorted(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k)))
+                          for _ in range(2)))
+    ra = a.rows
+    cases = [(-a, entrywise(lambda x: -x, a)),
+             (a.scale(c), entrywise(lambda x: c * x, a)),
+             (c * a, entrywise(lambda x: c * x, a)),
+             (a * b, fraction_matmul(a, b).rows),
+             (a ** e, _fraction_power(a, e).rows),
+             (a.transpose(), tuple(zip(*ra))),
+             (flip_rows(a), ra[::-1]),
+             (flip_cols(a), tuple(row[::-1] for row in ra)),
+             (a.submatrix(sel), tuple(tuple(ra[i - 1][j - 1] for j in sel.cols)
+                                      for i in sel.rows)),
+             (a + b, entrywise(lambda x, y: x + y, a, b)),
+             (a - b, entrywise(lambda x, y: x - y, a, b))]
+    for m, oracle in cases:
+        d, form = m._form
+        assert d > 0 and tuple(tuple(F(x, d) for x in row) for row in form) == oracle
+        assert m.rows == oracle
 
 
 @settings(deadline=None, max_examples=40)
