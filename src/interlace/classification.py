@@ -12,8 +12,17 @@ The yes/no predicates for strict total positivity and oscillation read it
 alone. The scan runs only where its result is needed: the violation
 reports fall back to it after a "no" so a failure carries the scan's first
 witness, ``is_totally_nonnegative`` needs it only for a singular input,
-and sign classification is always a full scan. Its power search scans only
-powers of a nonsingular input, and none past 2(n-1), which decides it.
+and sign classification scans the input itself in full.
+
+Contiguous minors (consecutive rows and columns) stand in for the scan
+elsewhere. Dodgson condensation computes all of them in O(n^3), and by
+Karlin's Fekete-type criterion (Total Positivity, 1968, ch. 2) a matrix is
+strictly sign regular with signature σ exactly when every contiguous k-minor
+has sign σ_k. So the class n+ power search reads only each power's
+contiguous minors; it forms only powers of a nonsingular input, and none
+past 2(n-1), which decides it. And ``stp_violation`` scans only the least
+order that holds a contiguous minor <= 0, since every lower order is then
+all positive.
 Verdicts form a hierarchy: strictly sign definite implies class n+ (power
 exponent 1), which implies sign definite of class n.
 
@@ -93,15 +102,50 @@ class SignClassification:
                                 SignVerdict.STRICTLY_SIGN_DEFINITE)
 
 
-def _scan(m: Matrix) -> Iterator[tuple[MinorSelector, Fraction]]:
-    """Every minor of ``m``: orders 1..n, each in ``Matrix.minors`` order.
+def _scan(m: Matrix, start: int = 1) -> Iterator[tuple[MinorSelector, Fraction]]:
+    """Every minor of ``m`` of order ``start``..n, each order in
+    ``Matrix.minors`` order.
 
     The one place that fixes scan order; each check below reports the first
     minor of this stream that breaks it and stops reading there. Checks read
     a minor's sign off its numerator: a Fraction's denominator is positive.
     """
-    for order in range(1, m.n + 1):
+    for order in range(start, m.n + 1):
         yield from m.minors(order)
+
+
+def _contiguous_minors(b) -> Iterator[list[list[int]]]:
+    """Tables of the contiguous minors of the square integer matrix ``b``.
+
+    Table k (k = 1..n) holds at [i][j] the k-minor of rows i..i+k-1 and
+    columns j..j+k-1 (0-based). It comes from the two tables before it by
+    the Desnanot-Jacobi identity (Dodgson condensation):
+    C_(k+1) = (NW * SE - NE * SW) / interior C_(k-1), each division exact.
+    The divisors of table k+1 are the entries of table k-1, so a consumer
+    must stop at the first table holding a zero. ``_first_contiguous_failure``
+    stops at the first table that fails its sign test, which such a table
+    does.
+    """
+    prev = [[1] * (len(b) + 1)] * (len(b) + 1)
+    cur = [list(row) for row in b]
+    while cur:
+        yield cur
+        prev, cur = cur, [
+            [(nw * se - ne * sw) // c
+             for nw, ne, sw, se, c in zip(top, top[1:], bottom, bottom[1:], inner[1:])]
+            for top, bottom, inner in zip(cur, cur[1:], prev[1:])]
+
+
+def _first_contiguous_failure(m: Matrix, signature: tuple[int, ...]) -> Optional[int]:
+    """Least order k holding a contiguous k-minor of ``m`` that is zero or not
+    of sign ``signature[k-1]``, read off D*M (D > 0), or None if none does:
+    by Karlin's Fekete-type criterion, exactly when ``m`` is strictly sign
+    regular with that signature."""
+    _, b = m._form
+    for k, (table, s) in enumerate(zip(_contiguous_minors(b), signature), 1):
+        if not (min(map(min, table)) > 0 if s > 0 else max(map(max, table)) < 0):
+            return k
+    return None
 
 
 def _signature(first: dict[int, tuple[MinorSelector, Fraction]], orders: int) -> Signature:
@@ -122,12 +166,15 @@ def classify_sign_definite(m: Matrix) -> SignClassification:
     NOT_SIGN_DEFINITE with the first conflicting pair as witness. If no
     order conflicts and no minor vanishes the matrix is strictly sign
     definite (power exponent 1). Otherwise, if M is nonsingular, powers M^m
-    for m = 2..2(n-1) are scanned. By Cauchy-Binet every k-minor of M^m is
-    0 or of sign σ_k^m, so the least power with no zero minor certifies
-    class n+. Else the verdict is SIGN_DEFINITE_CLASS_N, and it is final: a
-    singular M has only singular powers, and for a nonsingular M, M^2 is
-    nonsingular TNN by Cauchy-Binet, so if any power is strict, M^2 is
-    oscillatory and M^(2(n-1)) is strict (Gantmacher-Krein).
+    for m = 2..2(n-1) are tried. By Cauchy-Binet every k-minor of M^m is
+    0 or of sign σ_k^m, so M^m is strict exactly when none vanishes, and by
+    Karlin's criterion exactly when every contiguous k-minor has sign σ_k^m;
+    the search reads only those of each power, and the least power that
+    passes certifies class n+. Else the verdict is SIGN_DEFINITE_CLASS_N,
+    and it is final: a singular M has only singular powers, and for a
+    nonsingular M, M^2 is nonsingular TNN by Cauchy-Binet, so if any power
+    is strict, M^2 is oscillatory and M^(2(n-1)) is strict
+    (Gantmacher-Krein).
     """
     n = m.n
 
@@ -150,7 +197,8 @@ def classify_sign_definite(m: Matrix) -> SignClassification:
         return SignClassification(SignVerdict.STRICTLY_SIGN_DEFINITE, sig, None, 1)
     if sig[-1] is not None:  # M is nonsingular
         for exponent in range(2, default_power_cap(n) + 1):
-            if all(val.numerator for _, val in _scan(m ** exponent)):
+            power, power_sig = m ** exponent, tuple(s ** exponent for s in sig)
+            if _first_contiguous_failure(power, power_sig) is None:
                 return SignClassification(SignVerdict.CLASS_N_PLUS, sig, None, exponent)
     return SignClassification(SignVerdict.SIGN_DEFINITE_CLASS_N, sig, None, None)
 
@@ -204,9 +252,10 @@ def _neville(m: Matrix, strict: bool) -> bool:
     return True
 
 
-def _first_bad_minor(m: Matrix, bad) -> Optional[tuple[MinorSelector, Fraction]]:
-    """First minor of the scan whose value ``bad`` rejects, or None."""
-    return next(((sel, val) for sel, val in _scan(m) if bad(val)), None)
+def _first_bad_minor(m: Matrix, bad, start: int = 1) -> Optional[tuple[MinorSelector, Fraction]]:
+    """First minor of the scan from order ``start`` whose value ``bad``
+    rejects, or None."""
+    return next(((sel, val) for sel, val in _scan(m, start) if bad(val)), None)
 
 
 def tnn_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
@@ -229,11 +278,16 @@ def is_totally_nonnegative(m: Matrix) -> bool:
 def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     """First minor <= 0 in enumeration order, or None if all > 0.
 
-    A strictly totally positive matrix is recognised by Neville elimination;
-    only other inputs are scanned.
+    A strictly totally positive matrix is recognised by Neville elimination.
+    For any other input the witness lies in the least order k* that holds a
+    minor <= 0. By Fekete's criterion that is the least order holding a
+    contiguous minor <= 0, which condensation finds in O(n^3), and every
+    lower order is all positive; so only order k* is scanned.
     """
-    return None if _neville(m, strict=True) else _first_bad_minor(
-        m, lambda v: v.numerator <= 0)
+    if _neville(m, strict=True):
+        return None
+    return _first_bad_minor(m, lambda v: v.numerator <= 0,
+                            _first_contiguous_failure(m, (1,) * m.n))
 
 
 def is_strictly_totally_positive(m: Matrix) -> bool:

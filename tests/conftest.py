@@ -9,10 +9,13 @@ characteristic polynomial, and Euclid, Sturm isolation and bisection over
 Fractions check the integer remainder sequence and the integer-coordinate
 isolation and refinement. The modulus sort that rescans from the first pair
 of boxes after every refinement checks the one-pass certified modulus sort.
+The class n+ power search that scans every minor of each power checks the
+search that reads each power's contiguous minors alone.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Optional
 
 import pytest
 
@@ -58,6 +61,20 @@ def cofactor_det(m: Matrix) -> Fraction:
         return total
 
     return expand([list(r) for r in m.rows])
+
+
+def least_strict_power_by_scan(m: Matrix) -> Optional[int]:
+    """The class n+ power search by full minor scans, for an ``m`` whose
+    own minors are sign definite: if m is nonsingular, the least e in
+    2..2(n-1) whose power m ** e has no vanishing minor of any order (by
+    Cauchy-Binet, exactly when it is strictly sign definite), else None."""
+    if m.det() == 0:
+        return None
+    for e in range(2, max(1, 2 * (m.n - 1)) + 1):
+        power = m ** e
+        if all(v != 0 for k in range(1, m.n + 1) for _, v in power.minors(k)):
+            return e
+    return None
 
 
 def fraction_matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -17,6 +17,7 @@ from interlace import (
     NonnegativityViolated,
     PositivityViolated,
     SignVerdict,
+    SplitMix64,
     SpectrumVerdict,
     anti_bidiagonal,
     anti_identity,
@@ -43,8 +44,9 @@ from interlace import (
     tnn_violation,
 )
 from interlace import classification
-from interlace.classification import _neville, _neville_blocks, _scan
-from conftest import cofactor_det, random_int_matrix, random_rational_matrix
+from interlace.classification import _contiguous_minors, _neville, _neville_blocks, _scan
+from conftest import (cofactor_det, least_strict_power_by_scan, random_int_matrix,
+                      random_rational_matrix)
 
 
 # -- signature target ---------------------------------------------------------
@@ -297,6 +299,147 @@ def test_numerator_sign_tests_match_fraction_comparisons_property(n, seed, span,
         assert got == _brute_classify(x, cls.power_cap, _scan_minors), x
 
 
+# -- contiguous minors by condensation -------------------------------------------
+
+
+def _contiguous_corpus():
+    """Integer and rational matrices, n <= 6, most with no zero contiguous minor."""
+    for n in range(1, 7):
+        for seed in range(6):
+            yield random_int_matrix(n, seed, -9, 9)
+            yield random_rational_matrix(n, seed, span=9, denominators=(1, 2, 3, 5))
+            a = random_positive_tnn(n, seed).scale(F(2, 3))
+            yield from (a, flip_rows(a), -flip_cols(a), a * flip_rows(a))
+
+
+def test_contiguous_minors_match_cofactor_determinants():
+    """Table k holds the k-minors of D*M on consecutive rows and columns, up
+    to the first table holding a zero, past which no consumer reads."""
+    full = 0
+    for m in _contiguous_corpus():
+        d, b = m._form
+        tables = 0
+        for k, table in enumerate(_contiguous_minors(b), 1):
+            assert len(table) == len(table[0]) == m.n - k + 1, m
+            for i, row in enumerate(table):
+                for j, value in enumerate(row):
+                    block = Matrix([[m[r, c] for c in range(j + 1, j + k + 1)]
+                                    for r in range(i + 1, i + k + 1)])
+                    assert value == cofactor_det(block) * d ** k, (m, k, i, j)
+            tables = k
+            if 0 in (x for row in table for x in row):
+                break
+        full += tables == m.n
+    assert full >= 150
+
+
+def _contiguous_peak_bits(m):
+    """Largest entry, in bits, of the contiguous-minor tables of D*M up to
+    the first one holding a zero."""
+    _, b = m._form
+    peak = 0
+    for table in _contiguous_minors(b):
+        entries = [x for row in table for x in row]
+        peak = max(peak, *(abs(x).bit_length() for x in entries))
+        if 0 in entries:
+            return peak
+    return peak
+
+
+def test_contiguous_minor_tables_stay_within_minor_size():
+    """Every table entry is a minor of D*M, so Hadamard's bound holds for
+    all of them; the exact division keeps the products NW*SE, of twice the
+    size, out of every table."""
+    for seed in range(3):
+        a = random_positive_tnn(12, seed)
+        for m in (a, flip_rows(a).scale(F(5, 7)), random_rational_matrix(9, seed, 9),
+                  random_int_matrix(10, seed, -50, 50)):
+            assert _contiguous_peak_bits(m) <= _hadamard_bits(m), m
+
+
+def _bidiagonals(n, seed):
+    """Two upper bidiagonal matrices, entries 1..3 drawn off ``seed``."""
+    rng = SplitMix64(seed)
+    return [bidiagonal_upper([1 + rng.below(3) for _ in range(n)],
+                             [1 + rng.below(3) for _ in range(n - 1)]) for _ in range(2)]
+
+
+def _tridiagonal(n, seed):
+    """An oscillatory tridiagonal L*U: its least strict power is the (n-1)-th."""
+    upper, lower = _bidiagonals(n, seed)
+    return lower.transpose() * upper
+
+
+_TNN_FACTORS = {
+    "tnn": random_tnn,
+    "positive": random_positive_tnn,
+    "oscillatory": random_oscillatory,
+    "bidiagonal": lambda n, seed: _bidiagonals(n, seed)[0],
+    "tridiagonal": _tridiagonal,
+}
+# each keeps a sign regular matrix sign regular: S*A for S = I, -I, J, -J and A*J
+_SIGN_TRANSFORMS = (lambda a: a, lambda a: -a, flip_rows, lambda a: -flip_rows(a),
+                    flip_cols)
+
+
+def _transformed_product(n, factors, bump):
+    """The product of sign-transformed TNN factors (kind, transform, seed),
+    with ``bump`` = (position, delta) added to one entry when given."""
+    m = identity(n)
+    for kind, transform, seed in factors:
+        m = m * _SIGN_TRANSFORMS[transform](_TNN_FACTORS[kind](n, seed))
+    if bump is not None:
+        rows = [list(r) for r in m.rows]
+        rows[bump[0] // n % n][bump[0] % n] += bump[1]
+        m = Matrix(rows)
+    return m
+
+
+def _assert_power_search_matches_scan(m):
+    cls = classify_sign_definite(m)
+    if cls.verdict is SignVerdict.STRICTLY_SIGN_DEFINITE:
+        assert cls.power_exponent == 1
+    elif cls.verdict is SignVerdict.NOT_SIGN_DEFINITE:
+        assert cls.power_exponent is None
+    else:
+        assert cls.power_exponent == least_strict_power_by_scan(m), m
+        assert cls.is_class_n_plus == (cls.power_exponent is not None)
+    return cls
+
+
+_factor_lists = st.lists(st.tuples(st.sampled_from(sorted(_TNN_FACTORS)),
+                                   st.integers(0, len(_SIGN_TRANSFORMS) - 1),
+                                   st.integers(0, 10 ** 6)), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), factors=_factor_lists,
+       bump=st.none() | st.tuples(st.integers(0, 24), st.integers(-2, 2)))
+def test_power_search_matches_the_full_scan_property(n, factors, bump):
+    """Contiguous minors decide each power as the scan of all its minors does."""
+    _assert_power_search_matches_scan(_transformed_product(n, factors, bump))
+
+
+def test_power_search_matches_the_full_scan_on_odd_powers():
+    """A seeded corpus of the same products reaches class n+ at an odd
+    exponent >= 3 with a signature that is not all positive, where the
+    power's contiguous minors must carry the signs of M's own. It also
+    reaches every verdict, and an even exponent with such a signature."""
+    rng, reached = SplitMix64(19), set()
+    kinds = sorted(_TNN_FACTORS)
+    for _ in range(300):
+        n = 2 + rng.below(4)
+        factors = [(kinds[rng.below(len(kinds))], rng.below(len(_SIGN_TRANSFORMS)),
+                    rng.next_u64()) for _ in range(1 + rng.below(3))]
+        bump = (rng.below(25), rng.below(5) - 2) if rng.below(4) == 0 else None
+        cls = _assert_power_search_matches_scan(_transformed_product(n, factors, bump))
+        e = cls.power_exponent
+        reached.add((cls.verdict, e and (e > 1, e % 2, -1 in cls.signature)))
+    assert set(SignVerdict) == {verdict for verdict, _ in reached}
+    assert {(SignVerdict.CLASS_N_PLUS, (True, 1, True)),
+            (SignVerdict.CLASS_N_PLUS, (True, 0, True))} <= reached
+
+
 # -- total nonnegativity ------------------------------------------------------------
 
 
@@ -422,6 +565,24 @@ def _hard_input():
     rows = [list(r) for r in m.rows]
     rows[0][10] -= m.det() / corner + F(1, 10 ** 6)
     return Matrix(rows)
+
+
+def test_stp_witness_scans_only_the_first_bad_order(monkeypatch):
+    """Every minor of the hard input but its determinant is positive, so the
+    least order with a contiguous minor <= 0 is 11, and the witness comes
+    from the one minor of that order."""
+    hard = _hard_input()
+    orders, minors = [], Matrix.minors
+
+    def counted(m, order):
+        orders.append(order)
+        return minors(m, order)
+
+    monkeypatch.setattr(Matrix, "minors", counted)
+    sel, val = stp_violation(hard)
+    assert sel == MinorSelector(tuple(range(1, 12)), tuple(range(1, 12)))
+    assert val == hard.det() < 0
+    assert orders == [11]
 
 
 def test_predicates_decide_without_the_minor_scan(monkeypatch):
