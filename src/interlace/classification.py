@@ -6,23 +6,23 @@ is the single place that decides this order, and with it the first witness
 reported for any failure and the minor where each check stops.
 
 Exact Neville elimination of M and M^T decides in O(n^3) whether M is
-nonsingular totally nonnegative and whether it is strictly totally positive
-(Gasca & Peña, "Total positivity and Neville elimination", LAA 165, 1992).
-The yes/no predicates for strict total positivity and oscillation read it
-alone. The scan runs only where its result is needed: the violation
-reports fall back to it after a "no" so a failure carries the scan's first
-witness, ``is_totally_nonnegative`` needs it only for a singular input,
-and sign classification scans the input itself in full.
+nonsingular totally nonnegative (Gasca & Peña, "Total positivity and
+Neville elimination", LAA 165, 1992); it answers only that question.
 
-Contiguous minors (consecutive rows and columns) stand in for the scan
-elsewhere. Dodgson condensation computes all of them in O(n^3), and by
-Karlin's Fekete-type criterion (Total Positivity, 1968, ch. 2) a matrix is
-strictly sign regular with signature σ exactly when every contiguous k-minor
-has sign σ_k. So the class n+ power search reads only each power's
-contiguous minors; it forms only powers of a nonsingular input, and none
-past 2(n-1), which decides it. And ``stp_violation`` scans only the least
-order that holds a contiguous minor <= 0, since every lower order is then
-all positive.
+Contiguous minors (consecutive rows and columns) decide strictness. Dodgson
+condensation computes all of them in O(n^3), and by Karlin's Fekete-type
+criterion (Total Positivity, 1968, ch. 2) a matrix is strictly sign regular
+with signature σ exactly when every contiguous k-minor has sign σ_k. So
+strict total positivity (σ = (1, ..., 1)) and each power of the class n+
+search are read off contiguous minors alone; that search forms only powers
+of a nonsingular input, and none past 2(n-1), which decides it.
+
+The scan runs only where its result is needed: the violation reports fall
+back to it after a "no" so a failure carries the scan's first witness,
+``is_totally_nonnegative`` needs it only for a singular input, and sign
+classification scans the input itself in full. ``stp_violation`` scans only
+the least order that holds a contiguous minor <= 0, since every lower order
+is then all positive.
 Verdicts form a hierarchy: strictly sign definite implies class n+ (power
 exponent 1), which implies sign definite of class n.
 
@@ -231,23 +231,20 @@ def _neville_blocks(rows: list[list[int]]) -> Iterator[list[list[int]]]:
             rows.append(tail)
 
 
-def _neville(m: Matrix, strict: bool) -> bool:
-    """Gasca-Peña decider (LAA 165, 1992) on Neville elimination of M and M^T.
-
-    strict: every pivot is > 0, which holds exactly when M is strictly
-    totally positive. Otherwise: each pivot column is a positive diagonal
-    pivot, then positive pivots, then zeros (no row exchange, every
-    multiplier >= 0), which holds exactly when M is nonsingular and totally
-    nonnegative. Both answers are exact; a singular TNN matrix gets False.
+def _neville(m: Matrix) -> bool:
+    """Gasca-Peña decider (LAA 165, 1992) on Neville elimination of M and M^T:
+    each pivot column is a positive diagonal pivot, then positive pivots, then
+    zeros (no row exchange, every multiplier >= 0), which holds exactly when
+    M is nonsingular and totally nonnegative. A singular TNN matrix gets
+    False.
     """
     _, b = m._form
     for rows in (b, [list(col) for col in zip(*b)]):
         for block in _neville_blocks(rows):
             pivots = [row[0] for row in block]
             positive = next((i for i, p in enumerate(pivots) if p <= 0), len(pivots))
-            # past the run of positive pivots from the diagonal: strict allows
-            # nothing, otherwise a nonempty run followed only by zeros
-            if positive < len(pivots) and (strict or not positive or any(pivots[positive:])):
+            # past a nonempty run of positive pivots from the diagonal, only zeros
+            if positive < len(pivots) and (not positive or any(pivots[positive:])):
                 return False
     return True
 
@@ -264,34 +261,31 @@ def tnn_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     A nonsingular TNN matrix is recognised by Neville elimination; only
     other inputs are scanned, so a witness is always the scan's first.
     """
-    return None if _neville(m, strict=False) else _first_bad_minor(
-        m, lambda v: v.numerator < 0)
+    return None if _neville(m) else _first_bad_minor(m, lambda v: v.numerator < 0)
 
 
 def is_totally_nonnegative(m: Matrix) -> bool:
     """Neville elimination passes every nonsingular TNN matrix, so its "no"
     on a nonsingular input is final; only a singular input is scanned."""
-    return _neville(m, strict=False) or (
+    return _neville(m) or (
         m.det() == 0 and _first_bad_minor(m, lambda v: v.numerator < 0) is None)
 
 
 def stp_violation(m: Matrix) -> Optional[tuple[MinorSelector, Fraction]]:
     """First minor <= 0 in enumeration order, or None if all > 0.
 
-    A strictly totally positive matrix is recognised by Neville elimination.
-    For any other input the witness lies in the least order k* that holds a
-    minor <= 0. By Fekete's criterion that is the least order holding a
-    contiguous minor <= 0, which condensation finds in O(n^3), and every
-    lower order is all positive; so only order k* is scanned.
+    The witness lies in the least order k* that holds a minor <= 0. By
+    Fekete's criterion that is the least order holding a contiguous
+    minor <= 0, which condensation finds in O(n^3), and every lower order is
+    all positive; so only order k* is scanned, and none when there is no k*.
     """
-    if _neville(m, strict=True):
-        return None
-    return _first_bad_minor(m, lambda v: v.numerator <= 0,
-                            _first_contiguous_failure(m, (1,) * m.n))
+    order = _first_contiguous_failure(m, (1,) * m.n)
+    return None if order is None else _first_bad_minor(
+        m, lambda v: v.numerator <= 0, order)
 
 
 def is_strictly_totally_positive(m: Matrix) -> bool:
-    return _neville(m, strict=True)
+    return _first_contiguous_failure(m, (1,) * m.n) is None
 
 
 def is_oscillatory(m: Matrix) -> bool:
@@ -302,7 +296,7 @@ def is_oscillatory(m: Matrix) -> bool:
     for j in range(m.n - 1):
         if b[j][j + 1] <= 0 or b[j + 1][j] <= 0:
             return False
-    return _neville(m, strict=False)
+    return _neville(m)
 
 
 def is_oscillatory_by_definition(m: Matrix) -> bool:
@@ -310,8 +304,8 @@ def is_oscillatory_by_definition(m: Matrix) -> bool:
     totally positive. Powers 1..n-1 (at least 1) decide it: when any power
     works, the (n-1)-th already does (Gantmacher-Krein). A singular M has no
     such power, so the nonsingular TNN test of Neville elimination
-    suffices."""
-    if not _neville(m, strict=False):
+    suffices; each power's strictness is read off its contiguous minors."""
+    if not _neville(m):
         return False
     power = m
     for exponent in range(1, max(1, m.n - 1) + 1):

@@ -220,7 +220,7 @@ def _random_ladder(n: int, seed: int, first_lo: int, later_lo: int,
     if n < 1:
         raise DimensionMismatch("size must be >= 1")
     rng = SplitMix64(seed)
-    acc = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    acc = [[int(r == c) for c in range(n)] for r in range(n)]
 
     def ladder(pairs: list[tuple[int, int]]) -> None:
         for r in range(n - 1):

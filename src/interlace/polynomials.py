@@ -241,12 +241,8 @@ def _remainder_sequence(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, .
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic last member of the remainder sequence (zero if p = q = 0)."""
-    if p.is_zero:
-        return q if q.is_zero else q.monic()
-    if q.is_zero:
-        return p.monic()
-    if p.degree == 0 or q.degree == 0:
-        return Polynomial([1])
+    if p.is_zero and q.is_zero:
+        return p
     *_, g = _remainder_sequence(_primitive(p.coeffs), _primitive(q.coeffs))
     return Polynomial(g).monic()
 

@@ -3,7 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 
 import pytest
@@ -532,8 +532,7 @@ def _assert_decider_matches_oracle(m, seen):
     det = minors[-1][1]
     tnn_nonsingular = det != 0 and all(v >= 0 for _, v in minors)
     stp = all(v > 0 for _, v in minors)
-    assert _neville(m, strict=False) == tnn_nonsingular, m
-    assert _neville(m, strict=True) == stp, m
+    assert _neville(m) == tnn_nonsingular, m
     tnn, stp_w = _first(minors, lambda v: v < 0), _first(minors, lambda v: v <= 0)
     assert tnn_violation(m) == tnn == _scan_only(m, lambda v: v < 0), m
     assert is_totally_nonnegative(m) == (tnn is None), m
@@ -545,8 +544,8 @@ def _assert_decider_matches_oracle(m, seen):
 
 
 def test_neville_decider_matches_minor_oracle():
-    """Yes exactly on nonsingular TNN (strict: STP) inputs, by cofactor minors,
-    and the public scans return what the scan alone returns."""
+    """Neville says yes exactly on nonsingular TNN inputs, by cofactor
+    minors, and the public scans return what the scan alone returns."""
     seen = set()
     for m in _neville_corpus():
         _assert_decider_matches_oracle(m, seen)
@@ -586,9 +585,10 @@ def test_stp_witness_scans_only_the_first_bad_order(monkeypatch):
 
 
 def test_predicates_decide_without_the_minor_scan(monkeypatch):
-    """The STP and both oscillation predicates read Neville elimination
-    alone, and so does the TNN predicate on a nonsingular input; the
-    exponential scan is left to the witness reports and singular inputs."""
+    """The STP and both oscillation predicates read Neville elimination and
+    contiguous minors alone, and the TNN predicate reads Neville elimination
+    alone on a nonsingular input; the exponential scan is left to the
+    witness reports and singular inputs."""
     hard = _hard_input()
     assert all(v > 0 for _, _, v in hard.entries()) and hard.det() < 0
     corpus = list(_neville_corpus())  # random_tnn certifies itself by the scan
@@ -605,6 +605,44 @@ def test_predicates_decide_without_the_minor_scan(monkeypatch):
     assert answers == {(p.__name__, a) for p in predicates for a in (True, False)}
     nonsingular = [m for m in corpus if m.det() != 0]
     assert {is_totally_nonnegative(m) for m in nonsingular} == {True, False}
+
+
+def test_strictness_never_reaches_neville_elimination(monkeypatch):
+    """Contiguous minors alone decide strict total positivity and the order
+    of its witness; Neville elimination answers only nonsingular TNN."""
+    corpus = list(_neville_corpus())
+
+    def no_neville(*args, **kwargs):
+        raise AssertionError("Neville elimination ran")
+
+    monkeypatch.setattr(classification, "_neville", no_neville)
+    verdicts = set()
+    for m in corpus:
+        stp = _stp_by_scan(m)
+        assert is_strictly_totally_positive(m) == stp, m
+        assert stp_violation(m) == _scan_only(m, lambda v: v <= 0), m
+        verdicts.add(stp)
+    assert verdicts == {True, False}
+
+
+def _small_matrices():
+    """Every 2x2 matrix with entries in -2..2 and every 3x3 one in 1..3."""
+    for n, values in ((2, range(-2, 3)), (3, range(1, 4))):
+        for entries in product(values, repeat=n * n):
+            yield Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def test_fekete_criterion_exhaustively_on_small_matrices():
+    """STP exactly when no minor is <= 0, and the witness is the scan's
+    first such minor, on every small matrix by cofactor minors."""
+    stp_count = 0
+    for m in _small_matrices():
+        minors = _brute_minors(m)
+        witness = _first(minors, lambda v: v <= 0)
+        assert is_strictly_totally_positive(m) == (witness is None), m
+        assert stp_violation(m) == witness, m
+        stp_count += witness is None
+    assert stp_count == 27
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,7 +667,7 @@ def test_initial_minor_trap_is_not_tnn():
                and 1 in (s.rows[0], s.cols[0])]
     assert all(v >= 0 for v in initial)
     assert all(trap.leading_principal_minor(k) > 0 for k in range(1, 5))
-    assert not _neville(trap, strict=False)
+    assert not _neville(trap)
     assert not is_totally_nonnegative(trap)
     assert tnn_violation(trap) == _first(minors, lambda v: v < 0)
 
@@ -660,10 +698,10 @@ def test_neville_rows_stay_within_minor_size():
         _, b = m._form
         entry_bits = max(abs(x).bit_length() for row in b for x in row)
         assert _neville_peak_bits(m) <= entry_bits
-    assert _neville(flip_rows(ab), strict=False) and not _neville(ab, strict=False)
+    assert _neville(flip_rows(ab)) and not _neville(ab)
     for seed in range(3):
         tnn = random_positive_tnn(12, seed)
-        assert _neville(tnn, strict=False)
+        assert _neville(tnn)
         assert _neville_peak_bits(tnn) <= _hadamard_bits(tnn)
 
 
@@ -678,6 +716,8 @@ def test_kernels_never_build_the_fraction_view():
             for k in range(1, m.n + 1):
                 list(m.minors(k))
             is_oscillatory(m), is_totally_nonnegative(m), classify_sign_definite(m)
+            is_strictly_totally_positive(m), stp_violation(m)
+            is_oscillatory_by_definition(m)
             assert m._rows is None, a
 
 
