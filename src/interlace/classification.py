@@ -29,8 +29,9 @@ exponent 1), which implies sign definite of class n.
 A key consumer is the flip certificate: multiplying a totally nonnegative A
 by the anti-identity J gives B = JA (or C = AJ) whose nonzero order-k minors
 all carry the sign (-1)^(k(k-1)/2); under corner conditions on the entries,
-B gets a self-interlacing spectrum. Each stage of that chain is certified
-separately and the pipeline stops at the first failure.
+B gets a self-interlacing spectrum. As AJ = (JA^T)^T, the conditions for AJ
+are those for JA of A^T, so one walk over the integer form serves both.
+Each stage is certified separately, and the pipeline stops at the first failure.
 
 The checks here take any matrix; the structured families and their
 tridiagonal criteria live in ``constructors``, which imports this module.
@@ -46,14 +47,14 @@ from typing import Iterator, Optional
 
 from .errors import NonnegativityViolated
 from .matrices import Matrix, MinorSelector, flip_cols, flip_rows
-from .polynomials import DEFAULT_WIDTH_BOUND, as_width_bound
+from .polynomials import DEFAULT_WIDTH_BOUND, _twist_sign, as_width_bound
 
 Signature = tuple[Optional[int], ...]
 
 
 def jflip_signature(n: int) -> tuple[int, ...]:
-    """Target signature ε_k = (-1)^(k(k-1)/2) (+,-,-,+,+,-,-,...) for k=1..n."""
-    return tuple(-1 if (k * (k - 1) // 2) % 2 else 1 for k in range(1, n + 1))
+    """Target signature ε_k = (-1)^(k(k-1)/2) (+,-,-,+,...) for k=1..n: the twist's signs."""
+    return tuple(map(_twist_sign, range(n)))
 
 
 class SignVerdict(Enum):
@@ -293,10 +294,7 @@ def is_oscillatory(m: Matrix) -> bool:
     positive (read off D*M, as D > 0), then nonsingular and totally
     nonnegative, which Neville elimination decides exactly."""
     _, b = m._form
-    for j in range(m.n - 1):
-        if b[j][j + 1] <= 0 or b[j + 1][j] <= 0:
-            return False
-    return _neville(m)
+    return all(b[j][j + 1] > 0 < b[j + 1][j] for j in range(m.n - 1)) and _neville(m)
 
 
 def is_oscillatory_by_definition(m: Matrix) -> bool:
@@ -326,8 +324,9 @@ class CornerConditionReport:
     For each i = 1..n-1, ``left[i-1]`` holds (r1, r2) with
     a(n-i, r1)*a(n+1-r1, i) > 0 and a(n+1-i, r2)*a(n+1-r2, i+1) > 0, or None
     when no witness exists; these govern the row-flipped product JA.
-    ``right`` mirrors the products for AJ: a(i, n+1-r1)*a(r1, n-i) > 0 and
-    a(i+1, n+1-r2)*a(r2, n+1-i) > 0. Witnesses are the smallest valid r.
+    ``right`` mirrors the products for AJ, those of JA for A^T:
+    a(i, n+1-r1)*a(r1, n-i) > 0 and a(i+1, n+1-r2)*a(r2, n+1-i) > 0.
+    Witnesses are the smallest valid r.
     """
 
     n: int
@@ -356,33 +355,28 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def _first_r(n: int, predicate) -> Optional[int]:
-    for r in range(1, n + 1):
-        if predicate(r):
-            return r
-    return None
+def _corner_walk(b) -> tuple[Optional[tuple[int, int]], ...]:
+    """The ``left`` witnesses of ``CornerConditionReport``, read off the form
+    D*M (D > 0) of a nonnegative matrix: both factors of a product > 0."""
+    n, up = len(b), list(zip(*b[::-1]))  # column j bottom up: a(n+1-r, j) at r
+
+    def first(row, column) -> Optional[int]:
+        return next((r for r, (x, y) in enumerate(zip(row, column), 1) if x > 0 < y), None)
+
+    pairs = ((first(b[n - 1 - i], up[i - 1]), first(b[n - i], up[i])) for i in range(1, n))
+    return tuple(None if None in pair else pair for pair in pairs)
 
 
 def check_corner_conditions(m: Matrix) -> CornerConditionReport:
-    """Evaluate both corner conditions on an entrywise-nonnegative matrix.
-
-    For n = 1 there is no i to check and both sides hold vacuously.
-    """
-    n = m.n
-    for i, j, x in m.entries():
-        if x < 0:
-            raise NonnegativityViolated(f"entry ({i},{j}) = {x} is negative")
-
-    left: list[Optional[tuple[int, int]]] = []
-    right: list[Optional[tuple[int, int]]] = []
-    for i in range(1, n):
-        l1 = _first_r(n, lambda r: m[n - i, r] * m[n + 1 - r, i] > 0)
-        l2 = _first_r(n, lambda r: m[n + 1 - i, r] * m[n + 1 - r, i + 1] > 0)
-        left.append((l1, l2) if l1 is not None and l2 is not None else None)
-        r1 = _first_r(n, lambda r: m[i, n + 1 - r] * m[r, n - i] > 0)
-        r2 = _first_r(n, lambda r: m[i + 1, n + 1 - r] * m[r, n + 1 - i] > 0)
-        right.append((r1, r2) if r1 is not None and r2 is not None else None)
-    return CornerConditionReport(n, tuple(left), tuple(right))
+    """Evaluate both corner conditions on an entrywise-nonnegative matrix;
+    ``right`` is the ``left`` walk of A^T, as AJ = (JA^T)^T. For n = 1 there
+    is no i to check and both sides hold vacuously."""
+    d, b = m._form
+    for i, row in enumerate(b, 1):
+        for j, x in enumerate(row, 1):
+            if x < 0:
+                raise NonnegativityViolated(f"entry ({i},{j}) = {Fraction(x, d)} is negative")
+    return CornerConditionReport(m.n, _corner_walk(b), _corner_walk(tuple(zip(*b))))
 
 
 # -- flip certificate ------------------------------------------------------------

@@ -36,7 +36,6 @@ from .classification import (
     tnn_violation,
 )
 from .constructors import (
-    AntiBidiagonalSpec,
     random_oscillatory,
     random_positive_tnn,
     random_tnn,
@@ -353,13 +352,10 @@ def _cmd_construct(args, argv: list[str]) -> int:
             raise ParseError(f"{family} needs "
                              + ", ".join(f"--{key}" for key, _ in keys))
         params = {key: _values(getattr(args, key)) for key, _ in keys}
-        for key, length in keys:
-            if length == "1" and len(params[key]) != 1:
-                raise ParseError(f"--{key} takes exactly one value for this family")
         if family == "tridiagonal-equivalent":
-            spec = AntiBidiagonalSpec(params["a"][0], params["b"], params["c"])
+            build_structured(structure, params)
             structure = "jacobi"
-            params["a"] += (Fraction(0),) * (spec.n - 1)
+            params["a"] += (Fraction(0),) * len(params["b"])
         doc = MatrixDocument(build_structured(structure, params), structure, params)
     sys.stdout.write(format_matrix_document(doc))
     return 0

@@ -237,7 +237,7 @@ def _random_ladder(n: int, seed: int, first_lo: int, later_lo: int,
         for row in acc:
             row[c] *= d
     ladder([(i, i - 1) for i in range(n - 1, 0, -1)])
-    return Matrix(acc)
+    return Matrix._trusted(1, tuple(map(tuple, acc)))
 
 
 def random_tnn(n: int, seed: int) -> Matrix:
@@ -258,7 +258,7 @@ def random_positive_tnn(n: int, seed: int) -> Matrix:
     being returned.
     """
     m = _random_ladder(n, seed, 1, 1, 1)
-    if (any(x <= 0 for _, _, x in m.entries()) or m.det() == 0
+    if (min(map(min, m._form[1])) <= 0 or m.det() == 0
             or not is_totally_nonnegative(m)):
         raise InternalInvariantViolation("positive ladder must give a totally "
                                          "nonnegative matrix with positive "

@@ -4,9 +4,10 @@ Everything here is exact. A matrix stores one integer form (D, D*M), D a
 positive common multiple of the entry denominators, and its Fraction entries
 are a view built on first read. Every kernel reads the form: closed forms
 (orders 1-4) or Bareiss elimination on a copy give det(M) * D^n, Berkowitz
-gives c_k * D^k division-free, a product is the integer product over D1*D2,
-a submatrix (so every minor) is a slice keeping the parent's D, and negation,
-scaling, transposes and flips act on the form alone.
+gives c_k * D^k division-free, a sum is the integer sum over lcm(D1, D2), a
+product is the integer product over D1*D2, a submatrix (so every minor) is a
+slice keeping the parent's D, and negation, scaling, transposes and flips act
+on the form alone.
 Public row/column indices are 1-based, as is conventional for minor
 bookkeeping; slicing internals are 0-based.
 """
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add, lt, mul
-from typing import Iterable, Iterator
+from operator import lt, mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InvalidSelector
 
@@ -40,6 +41,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The lcm D of the denominators of ``values``, and D times each value."""
+    d = lcm(*(x.denominator for x in values))
+    return d, tuple(x.numerator * (d // x.denominator) for x in values)
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,9 @@ class Matrix:
             raise DimensionMismatch("empty matrix")
         if any(len(r) != n for r in data):
             raise DimensionMismatch(f"rows of a {n}x{n} matrix must have length {n}")
-        d = lcm(*(x.denominator for row in data for x in row))
+        d, flat = _common_denominator([x for row in data for x in row])
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_form", (d, tuple(
-            tuple(x.numerator * (d // x.denominator) for x in row) for row in data)))
+        object.__setattr__(self, "_form", (d, tuple(zip(*[iter(flat)] * n))))  # rows of n
         object.__setattr__(self, "_rows", data)
 
     @classmethod
@@ -153,7 +159,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_size(other)
-        return Matrix(map(add, ra, rb) for ra, rb in zip(self.rows, other.rows))
+        (d1, a), (d2, b) = self._form, other._form
+        d = lcm(d1, d2)
+        s, t = d // d1, d // d2
+        return Matrix._trusted(d, tuple(tuple(s * x + t * y for x, y in zip(ra, rb))
+                                        for ra, rb in zip(a, b)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
@@ -343,7 +353,7 @@ def _bareiss(rows: list[list[int]], exchange: bool = True) -> int:
 def identity(n: int) -> Matrix:
     if n < 1:
         raise DimensionMismatch("size must be >= 1")
-    return Matrix(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return Matrix._trusted(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def anti_identity(n: int) -> Matrix:

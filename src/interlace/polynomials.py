@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -36,7 +36,7 @@ from .errors import (
     PositivityViolated,
     ZeroPolynomial,
 )
-from .matrices import Matrix, as_fraction
+from .matrices import Matrix, _common_denominator, as_fraction
 
 
 class Polynomial:
@@ -190,8 +190,7 @@ def poly_from_roots(roots: Iterable) -> Polynomial:
 def _primitive(ic: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational coefficient list by a positive rational to primitive
     integers (sign pattern preserved; the zero list stays empty)."""
-    m = lcm(*(c.denominator for c in ic))
-    ints = [c.numerator * (m // c.denominator) for c in ic]
+    _, ints = _common_denominator(ic)
     g = gcd(*ints)
     return tuple(c // g for c in ints)
 
@@ -281,12 +280,13 @@ def si_twist(p: Polynomial) -> Polynomial:
 
 
 def hurwitz_matrix(p: Polynomial) -> Matrix:
-    """The n x n Hurwitz matrix H[i][j] = a_(2j-i), indices 1-based."""
+    """The n x n Hurwitz matrix H[i][j] = a_(2j-i) (1-based), over p's common denominator."""
     n = p.degree
     if n < 1:
         raise DegreeZero("Hurwitz matrix needs degree >= 1")
-    return Matrix(tuple(p.coefficient(2 * j - i) for j in range(1, n + 1))
-                  for i in range(1, n + 1))
+    d, a = _common_denominator(p.coeffs)
+    padded = (0,) * (n - 1) + a + (0,) * n  # a_k at k + n - 1
+    return Matrix._trusted(d, tuple(padded[n - i:3 * n - i:2] for i in range(n)))
 
 
 def hurwitz_minors(p: Polynomial) -> tuple[Fraction, ...]:
@@ -552,9 +552,7 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     width_bound = as_width_bound(width_bound)
     if box.is_exact:
         return box
-    scale = lcm(box.lo.denominator, box.hi.denominator)
-    lo = box.lo.numerator * (scale // box.lo.denominator)
-    hi = box.hi.numerator * (scale // box.hi.denominator)
+    scale, (lo, hi) = _common_denominator((box.lo, box.hi))
     # least K with (hi - lo) * den <= num * scale * 2^K, from the ceiling ratio
     ratio = -(-(hi - lo) * width_bound.denominator // (width_bound.numerator * scale))
     levels = (ratio - 1).bit_length() if ratio > 1 else 0

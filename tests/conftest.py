@@ -1,9 +1,11 @@
 """Shared oracles and generators for the test suite.
 
 The slow routes here are naive on purpose; each validates one shipped fast
-path. The cofactor determinant checks the Bareiss determinant, the
-entrywise Fraction product and entrywise maps check the integer-form
-product and the other integer-form arithmetic,
+path. The cofactor determinant checks the Bareiss determinant, and cofactor
+minors on plain integer rows check the minor stream on integer inputs. The
+four corner products over Fraction entries check the corner walk over the
+integer form and its transpose. The entrywise Fraction product and entrywise
+maps check the integer-form product and the other integer-form arithmetic,
 Faddeev-LeVerrier over Fractions checks the integer Berkowitz
 characteristic polynomial, and Euclid, Sturm isolation and bisection over
 Fractions check the integer remainder sequence and the integer-coordinate
@@ -14,6 +16,7 @@ search that reads each power's contiguous minors alone.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
@@ -22,6 +25,7 @@ import pytest
 from interlace import (
     InternalInvariantViolation,
     Matrix,
+    MinorSelector,
     Polynomial,
     RootBox,
     SplitMix64,
@@ -61,6 +65,53 @@ def cofactor_det(m: Matrix) -> Fraction:
         return total
 
     return expand([list(r) for r in m.rows])
+
+
+def integer_minors(rows) -> list:
+    """Every minor of the square integer matrix ``rows`` as (selector, int),
+    orders 1..n, each order in ``Matrix.minors`` order (row selectors outer,
+    column selectors inner, both lexicographic). Each k-minor is the
+    cofactor expansion along its first row, over the (k-1)-minors already
+    expanded, on plain int rows: no Matrix and no Fraction per minor."""
+    n = len(rows)
+    idx = tuple(range(1, n + 1))
+    dets: dict = {}
+    out = []
+    for k in idx:
+        subsets = list(combinations(idx, k))
+        for rs in subsets:
+            top = rows[rs[0] - 1]
+            for cs in subsets:
+                if k == 1:
+                    v = top[cs[0] - 1]
+                else:
+                    v = sum((-1) ** j * top[c - 1] * dets[rs[1:], cs[:j] + cs[j + 1:]]
+                            for j, c in enumerate(cs) if top[c - 1])
+                dets[rs, cs] = v
+                out.append((MinorSelector(rs, cs), v))
+    return out
+
+
+def corner_conditions_by_products(m: Matrix) -> tuple:
+    """(left, right) corner witnesses straight from the four products over
+    the Fraction entries m[i, j]: for i = 1..n-1, the least r with
+    a(n-i, r)*a(n+1-r, i) > 0 and with a(n+1-i, r)*a(n+1-r, i+1) > 0 (left),
+    and with a(i, n+1-r)*a(r, n-i) > 0 and a(i+1, n+1-r)*a(r, n+1-i) > 0
+    (right), or None for i when either has no such r."""
+    n = m.n
+
+    def first(product):
+        return next((r for r in range(1, n + 1) if product(r) > 0), None)
+
+    left, right = [], []
+    for i in range(1, n):
+        l1 = first(lambda r: m[n - i, r] * m[n + 1 - r, i])
+        l2 = first(lambda r: m[n + 1 - i, r] * m[n + 1 - r, i + 1])
+        left.append((l1, l2) if l1 is not None and l2 is not None else None)
+        r1 = first(lambda r: m[i, n + 1 - r] * m[r, n - i])
+        r2 = first(lambda r: m[i + 1, n + 1 - r] * m[r, n + 1 - i])
+        right.append((r1, r2) if r1 is not None and r2 is not None else None)
+    return tuple(left), tuple(right)
 
 
 def least_strict_power_by_scan(m: Matrix) -> Optional[int]:

@@ -15,6 +15,7 @@ from interlace import (
     Matrix,
     MinorSelector,
     NonnegativityViolated,
+    Polynomial,
     PositivityViolated,
     SignVerdict,
     SplitMix64,
@@ -28,6 +29,7 @@ from interlace import (
     classify_sign_definite,
     flip_cols,
     flip_rows,
+    hurwitz_matrix,
     identity,
     is_oscillatory,
     is_oscillatory_by_definition,
@@ -45,8 +47,8 @@ from interlace import (
 )
 from interlace import classification
 from interlace.classification import _contiguous_minors, _neville, _neville_blocks, _scan
-from conftest import (cofactor_det, least_strict_power_by_scan, random_int_matrix,
-                      random_rational_matrix)
+from conftest import (cofactor_det, corner_conditions_by_products, integer_minors,
+                      least_strict_power_by_scan, random_int_matrix, random_rational_matrix)
 
 
 # -- signature target ---------------------------------------------------------
@@ -172,7 +174,11 @@ def test_power_searches_stop_at_the_deciding_exponent(monkeypatch):
 
 
 def _brute_minors(m):
-    """Every minor, orders 1..n, rows then columns lexicographic, by cofactors."""
+    """Every minor, orders 1..n, rows then columns lexicographic, by cofactors:
+    on plain int rows when every entry is an integer, else one Fraction
+    expansion per minor."""
+    if all(x.denominator == 1 for row in m.rows for x in row):
+        return integer_minors([[int(x) for x in row] for row in m.rows])
     idx = range(1, m.n + 1)
     return [(MinorSelector(rows, cols),
              cofactor_det(Matrix([[m[i, j] for j in cols] for i in rows])))
@@ -719,6 +725,21 @@ def test_kernels_never_build_the_fraction_view():
             is_strictly_totally_positive(m), stp_violation(m)
             is_oscillatory_by_definition(m)
             assert m._rows is None, a
+    # corner conditions, both flip certificates of a product, the Hurwitz
+    # matrix of a rational polynomial and a sum read and build forms alone
+    a = random_positive_tnn(4, 3).scale(F(2, 3))
+    m = a * a
+    check_corner_conditions(m)
+    for side in ("left", "right"):
+        cert = jflip_si_certificate(m, side)
+        assert cert.passed and cert.flipped._rows is None, side
+    assert m._rows is None
+    h = hurwitz_matrix(Polynomial([1, F(3, 2), F(5, 7), F(1, 3), 2]))
+    h.leading_principal_minors()
+    assert h._rows is None
+    b = random_tnn(4, 0).scale(F(1, 6))
+    total = m + b
+    assert total._rows is m._rows is b._rows is None
 
 
 # -- oscillation -----------------------------------------------------------------
@@ -775,9 +796,41 @@ def test_corner_conditions_all_positive_matrix():
     assert cc.left == ((1, 1),) and cc.right == ((1, 1),)
 
 
+def _corner_corpus():
+    """Every 1x1 and 2x2 matrix over {0, 1, 2}, every 3x3 0/1 matrix, and
+    seeded nonnegative n <= 7 matrices with zeros and 1/3 entries."""
+    for n, values in ((1, range(3)), (2, range(3)), (3, range(2))):
+        for entries in product(values, repeat=n * n):
+            yield Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+    for n in range(1, 8):
+        for seed in range(40):
+            m = random_rational_matrix(n, seed, span=3, denominators=(1, 1, 3))
+            yield Matrix([[abs(x) for x in row] for row in m.rows])
+            yield Matrix([[max(x, 0) for x in row] for row in m.rows])
+
+
+def test_corner_walk_matches_the_four_products():
+    """One walk over the form and over its transpose gives both sides, as
+    the four corner products define them."""
+    holds, sides_differ = set(), False
+    for m in _corner_corpus():
+        cc = check_corner_conditions(m)
+        assert (cc.left, cc.right) == corner_conditions_by_products(m), m
+        # substituting r -> n+1-r turns the products of left index i into
+        # those of right index n-i, so the sides fail at mirrored indices
+        mirrored = tuple(m.n - i for i in reversed(cc.failing_indices("left")))
+        assert cc.failing_indices("right") == mirrored, m
+        if m.n > 1:
+            holds.add(cc.left_holds)
+        sides_differ |= cc.left != cc.right
+    assert holds == {True, False} and sides_differ
+
+
 def test_corner_conditions_require_nonnegative_entries():
     with pytest.raises(NonnegativityViolated):
         check_corner_conditions(Matrix([[1, -1], [1, 1]]))
+    with pytest.raises(NonnegativityViolated, match=r"entry \(2,1\) = -1/3 is negative"):
+        check_corner_conditions(Matrix([[1, F(1, 2)], [F(-1, 3), 1]]))
 
 
 def test_corner_conditions_vacuous_for_size_one():

@@ -315,6 +315,8 @@ def test_construct_exit_code_two_per_family():
         ("antibidiagonal", "--a", "1 2", "--b", "1", "--c", "1"),
         ("tridiagonal-equivalent", "--b", "1", "--c", "1"),
         ("tridiagonal-equivalent", "--a", "1", "--b", "-1", "--c", "1"),
+        ("tridiagonal-equivalent", "--a", "", "--b", "1", "--c", "1"),
+        ("tridiagonal-equivalent", "--a", "1 2", "--b", "1", "--c", "1"),
         ("jacobi", "--b", "1", "--c", "1"),
         ("jacobi", "--a", "1 2", "--b", "1 2", "--c", "1"),
         ("antijacobi", "--a", "1 2", "--c", "1"),

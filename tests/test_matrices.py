@@ -30,6 +30,7 @@ from conftest import (
     entrywise,
     faddeev_leverrier_charpoly,
     fraction_matmul,
+    integer_minors,
     random_int_matrix,
     random_rational_matrix,
 )
@@ -288,6 +289,10 @@ def test_minor_values_match_cofactor_oracle():
     for m in cases:
         for k in range(1, m.n + 1):
             assert list(m.minors(k)) == _fresh_minors(m, k), (m, k)
+        # the integer-row oracle agrees with the Fraction one
+        if all(x.denominator == 1 for row in m.rows for x in row):
+            fresh = [pair for k in range(1, m.n + 1) for pair in _fresh_minors(m, k)]
+            assert integer_minors([[int(x) for x in row] for row in m.rows]) == fresh, m
 
 
 def test_submatrix_matches_a_fresh_matrix_despite_the_parent_denominator():
