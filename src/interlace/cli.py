@@ -51,7 +51,12 @@ from .documents import (
     parse_polynomial_tokens,
     places_for_width,
 )
-from .errors import InterlaceError, InternalInvariantViolation, ParseError
+from .errors import (
+    InterlaceError,
+    InternalInvariantViolation,
+    NonnegativityViolated,
+    ParseError,
+)
 from .matrices import Matrix
 from .polynomials import SIKind, hurwitz_minors, is_self_interlacing, si_twist, squarefree_part
 from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, spectrum_report
@@ -227,9 +232,12 @@ def _cmd_classify(args, argv: list[str]) -> int:
     tnn = (None if cls.is_sign_definite and -1 not in cls.signature
            else tnn_violation(m))
     stp = stp_violation(m)
-    corner_block: dict = {"applicable": all(x >= 0 for _, _, x in m.entries())}
-    if corner_block["applicable"]:
+    try:
         corners = check_corner_conditions(m)
+    except NonnegativityViolated:
+        corner_block: dict = {"applicable": False}
+    else:
+        corner_block = {"applicable": True}
         for side, witnesses in (("left", corners.left), ("right", corners.right)):
             corner_block[side] = {
                 "holds": corners.holds(side),

@@ -7,7 +7,8 @@ keeps that of (p, p'), its Sturm chain, for every squarefree and kind test,
 isolation and refinement. Boxes are integer numerators over a common scale,
 evaluated with homogenized integer Horner steps. Isolation only ever
 evaluates at dyadic points u/2^s, so there each power of the denominator is
-a left shift, and a point is taken in lowest terms first. Refinement returns
+a left shift, and a point is taken in lowest terms first; counts beyond
+Fujiwara's root bound are read off leading coefficients. Refinement returns
 exactly the box bisection would, but reaches bisection's final cell by
 quadratic interval refinement. Fractions are built only for results, and no
 binary floating point enters any certified statement.
@@ -27,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
-from operator import mul
+from operator import mul, ne
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -441,8 +442,44 @@ def _variations(chain: Sequence[Sequence[int]], u: int, s: int) -> int:
     return changes
 
 
+def _variations_at_infinity(chain: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(V(-inf), V(+inf)): the sign changes of the chain's leading
+    coefficients, each times (-1)^degree at -inf. No member is zero, so
+    none is skipped."""
+    plus = [member[0] > 0 for member in chain]
+    minus = [lead != (len(member) % 2 == 0) for lead, member in zip(plus, chain)]
+    return sum(map(ne, minus, minus[1:])), sum(map(ne, plus, plus[1:]))
+
+
+def _fujiwara_exponent(ic: Sequence[int]) -> int:
+    """Least e >= 0 with 2^e strictly above Fujiwara's bound
+    2 max(|a_1/a_0|, |a_2/a_0|^(1/2), ..., |a_(n-1)/a_0|^(1/(n-1)),
+    |a_n/(2 a_0)|^(1/n)), which no root exceeds in modulus (Fujiwara,
+    Tohoku Math. J. 10, 1916).
+
+    2^e exceeds it exactly when |a_k| < |a_0| 2^((e-1)k) for every k < n and
+    |a_n| < 2|a_0| 2^((e-1)n), integer comparisons. Bit lengths give a start
+    that is the least e or one below it, so at most one bump follows.
+    """
+    n, lead = len(ic) - 1, abs(ic[0])
+    terms = [(k, abs(c), lead << (k == n)) for k, c in enumerate(ic[1:], 1) if c]
+    # (e - 1) k >= bits|a_k| - bits(rhs) is necessary; (e - 1) k > it is enough
+    e = max([0] + [1 - (r.bit_length() - c.bit_length()) // k for k, c, r in terms])
+    t = e - 1
+    fits = all(c << max(-t * k, 0) < r << max(t * k, 0) for k, c, r in terms)
+    return e if fits else e + 1
+
+
 def _dyadic_root_bound(ic: Sequence[int]) -> int:
-    """Power of two strictly exceeding the Cauchy bound 1 + max|a_k|/|a_0|."""
+    """Power of two strictly exceeding the Cauchy bound 1 + max|a_k|/|a_0|.
+
+    It fixes the isolation tree: the start box is [-bound, bound], and every
+    box and every refinement below it is a dyadic subdivision of that box.
+    No count is evaluated at it: the bound is past every root, so the
+    counts at -bound and +bound are V(-inf) and V(+inf). Fujiwara's bound
+    (``_fujiwara_exponent``) is usually tighter, but taking it for the start
+    box would move every box, so it only answers counts inside this one.
+    """
     lead = abs(ic[0])
     tail = max((abs(c) for c in ic[1:]), default=0)
     return 1 << ((lead + tail) // lead).bit_length()
@@ -464,6 +501,14 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     zeros skipped. A box is accepted only once it does not straddle zero;
     the start box is symmetric, so its first split is at zero and every box
     carries a definite root sign.
+
+    Not every count is evaluated. By Sturm's theorem the count is constant
+    beyond the largest root modulus, so at the start box's ends and at every
+    midpoint of modulus >= 2^e, 2^e above Fujiwara's bound, it is V(+inf) or
+    V(-inf), read off the chain's leading coefficients, and such a midpoint
+    needs no exact-root test. The Cauchy box is kept, so the tree, the boxes
+    and the gap loop around an exact midpoint root are those of evaluating
+    every count; only evaluations are saved.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -476,10 +521,12 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
 
     ic = chain[0]  # p itself as primitive integers
     bound = _dyadic_root_bound(ic)
+    e = _fujiwara_exponent(ic)
+    v_minus, v_plus = _variations_at_infinity(chain)
 
     # (lo, hi, s, variations at lo/2^s, variations at hi/2^s) for the box
     # [lo/2^s, hi/2^s]
-    work = [(-bound, bound, 0, _variations(chain, -bound, 0), _variations(chain, bound, 0))]
+    work = [(-bound, bound, 0, v_minus, v_plus)]
     raw: list[tuple[int, int, int]] = []
     while work:
         a, b, s, va, vb = work.pop()
@@ -490,7 +537,11 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
             raw.append((a, b, s))
             continue
         mid, a, b, s = a + b, 2 * a, 2 * b, s + 1
-        if not _dyadic_value(ic, *_lowest_terms(mid, s)):
+        if abs(mid).bit_length() > e + s:  # |mid / 2^s| >= 2^e
+            vm = v_plus if mid > 0 else v_minus
+        elif _dyadic_value(ic, *_lowest_terms(mid, s)):
+            vm = _variations(chain, mid, s)
+        else:
             # exact root at mid; shrink a symmetric gap, starting at a quarter
             # of the box, until it isolates mid
             gap = b - a
@@ -506,10 +557,9 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
             raw.append((mid, mid, s))
             work.append((a, lo, s, va, v_lo))
             work.append((hi, b, s, v_hi, vb))
-        else:
-            vm = _variations(chain, mid, s)
-            work.append((a, mid, s, va, vm))
-            work.append((mid, b, s, vm, vb))
+            continue
+        work.append((a, mid, s, va, vm))
+        work.append((mid, b, s, vm, vb))
     raw.sort(key=lambda box: Fraction(box[0], 1 << box[2]))
     return tuple(RootBox(Fraction(lo, 1 << s), Fraction(hi, 1 << s), _sign(lo + hi))
                  for lo, hi, s in raw)

@@ -48,6 +48,32 @@ def euclid_walks(monkeypatch) -> list:
     return walks
 
 
+@pytest.fixture
+def sturm_evaluations(monkeypatch) -> list:
+    """The points of every Sturm count (call of ``polynomials._variations``)
+    and of every exact-root test (call of ``polynomials._dyadic_value`` made
+    outside a count) while the test runs, as ("count" or "value", u, s) for
+    the point u / 2^s."""
+    points, counting = [], []
+
+    def count(chain, u, s, variations=polynomials._variations):
+        points.append(("count", u, s))
+        counting.append(True)
+        try:
+            return variations(chain, u, s)
+        finally:
+            counting.pop()
+
+    def value(ic, u, s, dyadic_value=polynomials._dyadic_value):
+        if not counting:
+            points.append(("value", u, s))
+        return dyadic_value(ic, u, s)
+
+    monkeypatch.setattr(polynomials, "_variations", count)
+    monkeypatch.setattr(polynomials, "_dyadic_value", value)
+    return points
+
+
 def cofactor_det(m: Matrix) -> Fraction:
     """Laplace expansion along the first row; exponential but obviously right."""
 

@@ -15,6 +15,7 @@ from conftest import (
 from interlace import (
     AntiBidiagonalSpec,
     DegreeZero,
+    JacobiSpec,
     Matrix,
     NotSquarefree,
     Polynomial,
@@ -24,6 +25,7 @@ from interlace import (
     SplitMix64,
     ZeroPolynomial,
     anti_bidiagonal,
+    anti_jacobi,
     flip_rows,
     hurwitz_matrix,
     hurwitz_minors,
@@ -38,12 +40,15 @@ from interlace import (
     squarefree_part,
 )
 from interlace.polynomials import (
+    _dyadic_root_bound,
     _dyadic_value,
+    _fujiwara_exponent,
     _horner,
     _lowest_terms,
     _remainder_sequence,
     _sturm_chain,
     _variations,
+    _variations_at_infinity,
 )
 
 WIDTH = F(1, 10 ** 9)
@@ -523,6 +528,42 @@ def test_variations_match_fraction_sturm_count_hypothesis(p, u, s):
     assert _variations(_sturm_chain(p), u, s) == expected
 
 
+def _boundary_corpus() -> list[Polynomial]:
+    """Roots at and around the power of two above Fujiwara's bound, z - 2^k
+    and z + 2^k attaining it; roots at 0; rational and negative leading
+    coefficients; non-real roots; and the characteristic polynomials of
+    anti-bidiagonal, anti-Jacobi and TNN-flip matrices with n <= 10."""
+    z = Polynomial([1, 0])
+    polys = []
+    for k in range(-2, 7):
+        t = F(2) ** k
+        polys += [poly_from_roots([t]), poly_from_roots([-t]), poly_from_roots([t, -t]),
+                  poly_from_roots([t, t / 2, -t / 4]), poly_from_roots([t - 1, t, t + 1]),
+                  poly_from_roots([-t - F(1, 3), 1, t + F(1, 3)]),
+                  poly_from_roots([t]) * Polynomial([1, 0, t * t])]
+    polys += [z, z * poly_from_roots([1, -2]), z * Polynomial([1, 0, 1]),
+              Polynomial([F(-3, 2), 3]), poly_from_roots([F(1, 2), F(-5, 4)]) * F(-2, 3),
+              poly_from_roots([F(7, 3), 0, F(-1, 9)]) * F(5, 7), Polynomial([-4, 0, 1]),
+              Polynomial([1, 0, 1]), Polynomial([1, 0, 0, 0, 1]),
+              Polynomial([1, 2, 5]) * poly_from_roots([3]),
+              Polynomial([1, 0, 16]) * poly_from_roots([F(1, 8)]) * -1,
+              Polynomial([F(1, 9), 0, 0, 0, 0, -7])]
+    rng = SplitMix64(89)
+
+    def rational(signed=False):
+        return F(1 + rng.below(9), 1 + rng.below(4)) * (-1 if signed and rng.below(4) == 0 else 1)
+
+    for n in range(2, 11):
+        polys.append(anti_bidiagonal(AntiBidiagonalSpec(
+            rational(), [rational() for _ in range(n - 1)],
+            [rational() for _ in range(n - 1)])).charpoly())
+        polys.append(anti_jacobi(JacobiSpec([rational(True) for _ in range(n)],
+                                            [rational(True) for _ in range(n - 1)],
+                                            [rational(True) for _ in range(n - 1)])).charpoly())
+        polys.append(flip_rows(random_positive_tnn(n, 50 + n)).charpoly())
+    return polys
+
+
 def test_isolation_matches_fraction_sturm_bisection():
     rng = SplitMix64(73)
     checked = 0
@@ -554,6 +595,67 @@ def test_isolation_matches_fraction_sturm_bisection():
         assert box.lo <= root <= box.hi and box.sign == (root > 0) - (root < 0)
         signs.add(box.sign)
     assert signs == {-1, 0, 1}
+    # around the root bound, at zero, with rational or negative leading
+    # coefficients, with non-real roots, and small spectrum charpolys
+    kinds = {"attained": 0, "zero root": 0, "negative lead": 0, "non-real": 0}
+    for p in _boundary_corpus():
+        sf = squarefree_part(p)
+        if sf.degree < 1:
+            continue
+        boxes = isolate_real_roots(sf)
+        assert boxes == sturm_isolation(sf), p
+        top = 2 ** _fujiwara_exponent(_sturm_chain(sf)[0])
+        kinds["attained"] += sf.degree == 1 and abs(sf(0) / sf.coeffs[0]) == top / 2
+        kinds["zero root"] += sf(0) == 0
+        kinds["negative lead"] += sf.coeffs[0] < 0
+        kinds["non-real"] += len(boxes) < sf.degree
+    assert all(kinds.values()), kinds
+
+
+def _squarefree_int_polys():
+    return st.lists(st.integers(-9, 9), min_size=2, max_size=9).map(Polynomial).filter(
+        lambda p: p.degree >= 1).map(squarefree_part).filter(lambda p: p.degree >= 1)
+
+
+@settings(deadline=None, max_examples=120)
+@given(_squarefree_int_polys())
+def test_fujiwara_exponent_bounds_every_root_hypothesis(p):
+    """2^e is the least power of two with e >= 0 above Fujiwara's bound, it
+    is strictly past every root, and the counts there and at the Cauchy
+    box's ends are those read off the chain's leading coefficients. The
+    boxes follow the Cauchy tree and may reach past 2^e; the root each one
+    holds may not."""
+    chain = _sturm_chain(p)
+    e, n, lead = _fujiwara_exponent(chain[0]), p.degree, abs(p.coeffs[0])
+    ratios = [(abs(c) / lead / (2 if k == n else 1), k) for k, c in enumerate(p.coeffs[1:], 1)]
+    # 2^e > 2 r^(1/k) exactly when r < 2^((e-1)k)
+    assert all(r < F(2) ** ((e - 1) * k) for r, k in ratios)
+    assert e == 0 or any(r >= F(2) ** ((e - 2) * k) for r, k in ratios)
+    top = 2 ** e
+    for box in sturm_isolation(p):
+        if box.is_exact:
+            assert abs(box.lo) < top, (p, box)
+        else:
+            assert p(max(box.lo, -top)) * p(min(box.hi, top)) < 0, (p, box)
+    bound = _dyadic_root_bound(chain[0])
+    at_infinity = _variations_at_infinity(chain)
+    assert at_infinity == (_variations(chain, -bound, 0), _variations(chain, bound, 0))
+    assert at_infinity == (_variations(chain, -top, 0), _variations(chain, top, 0))
+
+
+def test_isolation_evaluates_nothing_past_the_fujiwara_bound(sturm_evaluations):
+    """Roots 1..10: the Cauchy box is [-2^24, 2^24] and 2^7 is past
+    Fujiwara's bound, so the counts and exact-root tests at the tree's
+    points of modulus >= 2^7 are all answered by the chain's leading
+    coefficients: 34 evaluations here (15 counts, 19 exact-root tests),
+    against 70 when every count is evaluated."""
+    p = poly_from_roots(range(1, 11))
+    boxes = isolate_real_roots(p)
+    assert len(boxes) == 10 and all(box.lo <= r <= box.hi for box, r in zip(boxes, range(1, 11)))
+    top = 2 ** _fujiwara_exponent(_sturm_chain(p)[0])
+    assert top == 2 ** 7 and _dyadic_root_bound(_sturm_chain(p)[0]) == 2 ** 24
+    assert all(abs(F(u, 1 << s)) < top for _, u, s in sturm_evaluations)
+    assert len(sturm_evaluations) <= 34, len(sturm_evaluations)
 
 
 def test_refine_root_matches_fraction_bisection():
@@ -580,11 +682,6 @@ def test_refine_root_matches_fraction_bisection():
     assert exact > 0
     assert refine_root(two, RootBox(F(1), F(3, 2), 1), F(1, 1024)) == \
         RootBox(F(1), F(1025, 1024), 1)
-
-
-def _squarefree_int_polys():
-    return st.lists(st.integers(-9, 9), min_size=2, max_size=9).map(Polynomial).filter(
-        lambda p: p.degree >= 1).map(squarefree_part).filter(lambda p: p.degree >= 1)
 
 
 @settings(deadline=None, max_examples=80)
