@@ -326,7 +326,9 @@ class CornerConditionReport:
     when no witness exists; these govern the row-flipped product JA.
     ``right`` mirrors the products for AJ, those of JA for A^T:
     a(i, n+1-r1)*a(r1, n-i) > 0 and a(i+1, n+1-r2)*a(r2, n+1-i) > 0.
-    Witnesses are the smallest valid r.
+    Witnesses are the smallest valid r. r -> n+1-r turns the left products
+    at i into the right ones at n-i, so the sides fail at mirrored indices
+    and one verdict, ``holds``, serves JA and AJ.
     """
 
     n: int
@@ -334,15 +336,8 @@ class CornerConditionReport:
     right: tuple[Optional[tuple[int, int]], ...]
 
     @property
-    def left_holds(self) -> bool:
-        return self.holds("left")
-
-    @property
-    def right_holds(self) -> bool:
-        return self.holds("right")
-
-    def holds(self, side: str) -> bool:
-        return not self.failing_indices(side)
+    def holds(self) -> bool:
+        return None not in self.left
 
     def failing_indices(self, side: str) -> tuple[int, ...]:
         _check_side(side)
@@ -452,7 +447,7 @@ def _nonsingular_stage(run: _FlipRun) -> tuple[bool, str]:
 
 def _corner_stage(run: _FlipRun) -> tuple[bool, str]:
     corners = check_corner_conditions(run.matrix)
-    if corners.holds(run.side):
+    if corners.holds:
         return True, ""
     return False, f"no witness for i in {corners.failing_indices(run.side)}"
 

@@ -240,7 +240,7 @@ def _cmd_classify(args, argv: list[str]) -> int:
         corner_block = {"applicable": True}
         for side, witnesses in (("left", corners.left), ("right", corners.right)):
             corner_block[side] = {
-                "holds": corners.holds(side),
+                "holds": corners.holds,
                 "failing_indices": list(corners.failing_indices(side)),
                 "witnesses": [list(w) if w else None for w in witnesses],
             }

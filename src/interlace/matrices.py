@@ -295,8 +295,8 @@ class Matrix:
 
         Division-free Berkowitz (Berkowitz, IPL 18, 1984) on the integer form
         B = D*M that ``det`` also reads, so only integer + and * run, each
-        inner product as one ``sum(map(mul, ...))``. Since
-        c_k(M) = c_k(B) / D^k, each coefficient is rescaled at the end.
+        inner product as one ``sum(map(mul, ...))``. As c_k(M) = c_k(B) / D^k,
+        the polynomial is the integers c_k(B) D^(n-k) over D^n.
         """
         from .polynomials import Polynomial
 
@@ -316,7 +316,8 @@ class Matrix:
             # coefficient i of the product is sum_j toeplitz[i - j] coeffs[j]
             rev = toeplitz[::-1]
             coeffs = [sum(map(mul, rev[r + 1 - i:], coeffs)) for i in range(r + 2)]
-        return Polynomial([Fraction(c, d ** k) for k, c in enumerate(coeffs)])
+        return Polynomial._trusted(Fraction(1, d ** self.n),
+                                   [c * d ** (self.n - k) for k, c in enumerate(coeffs)])
 
 
 def _bareiss(rows: list[list[int]], exchange: bool = True) -> int:

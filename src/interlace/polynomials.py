@@ -1,16 +1,17 @@
 """Exact univariate polynomials, stability tests, and real-root isolation.
 
-Coefficients are stored leading-first: ``Polynomial([1, -1, -2, 1])`` is
-z^3 - z^2 - 2z + 1, as exact ``Fraction``s. The spectrum path runs on
-integers: gcds read primitive integer remainder sequences, and a polynomial
-keeps that of (p, p'), its Sturm chain, for every squarefree and kind test,
-isolation and refinement. Boxes are integer numerators over a common scale,
-evaluated with homogenized integer Horner steps. Isolation only ever
-evaluates at dyadic points u/2^s, so there each power of the denominator is
-a left shift, and a point is taken in lowest terms first; counts beyond
-Fujiwara's root bound are read off leading coefficients. Refinement returns
-exactly the box bisection would, but reaches bisection's final cell by
-quadratic interval refinement. Fractions are built only for results, and no
+Coefficients are given leading-first: ``Polynomial([1, -1, -2, 1])`` is
+z^3 - z^2 - 2z + 1. A polynomial stores only its integer form (c, P), P
+primitive integers and c > 0 rational, and every kernel reads P: gcds read
+primitive integer remainder sequences, and a polynomial keeps that of
+(P, P'), its Sturm chain, for every squarefree and kind test, isolation and
+refinement. Boxes are integer numerators over a common scale, evaluated
+with homogenized integer Horner steps. Isolation only ever evaluates at
+dyadic points u/2^s, so there each power of the denominator is a left
+shift, and a point is taken in lowest terms first; counts beyond Fujiwara's
+root bound are read off leading coefficients. Refinement returns exactly
+the box bisection would, but reaches bisection's final cell by quadratic
+interval refinement. Fractions are built only for results, and no
 binary floating point enters any certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
@@ -26,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, dropwhile, repeat, zip_longest
 from math import gcd
-from operator import mul, ne
+from operator import mul, ne, not_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -43,54 +44,60 @@ from .matrices import Matrix, _common_denominator, as_fraction
 class Polynomial:
     """Immutable dense polynomial over the rationals, leading coefficient first.
 
-    The zero polynomial has an empty coefficient tuple and degree -1; any
-    other polynomial has a nonzero leading coefficient after normalization.
+    Stored as ``_form`` = (c, P) alone, p = c*P: P integers with gcd 1 and a
+    nonzero head (so p's signs), c > 0 a Fraction; zero is (1, ()), degree
+    -1. The form is canonical, so ==, hash and pickling read it.
     """
 
-    __slots__ = ("coeffs", "_chain")
+    __slots__ = ("_form", "_chain")
 
-    def __init__(self, coeffs: Iterable):
-        data = [as_fraction(c) for c in coeffs]
-        k = 0
-        while k < len(data) and data[k] == 0:
-            k += 1
-        object.__setattr__(self, "coeffs", tuple(data[k:]))
-        object.__setattr__(self, "_chain", None)
+    def __new__(cls, coeffs: Iterable):
+        d, ints = _common_denominator([as_fraction(c) for c in coeffs])
+        return cls._trusted(Fraction(1, d), ints)
+
+    @classmethod
+    def _trusted(cls, c: Fraction, ints: Sequence[int]) -> "Polynomial":
+        """c*ints (c > 0, integers leading first) in lowest form; no check."""
+        g = gcd(*ints)
+        p = object.__new__(cls)
+        object.__setattr__(p, "_form", (c * g, tuple(x // g for x in dropwhile(not_, ints)))
+                           if g else (Fraction(1), ()))
+        object.__setattr__(p, "_chain", None)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        return Polynomial, (self.coeffs,)
+        return Polynomial._trusted, self._form
 
     # -- basics -------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction coefficients c*P_k, built on every read."""
+        return tuple(self._form[0] * x for x in self._form[1])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._form[1]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._form[1]
 
     def coefficient(self, k: int) -> Fraction:
         """a_k in p(z) = a_0 z^n + a_1 z^(n-1) + ... + a_n; 0 outside 0..n."""
-        if 0 <= k <= self.degree:
-            return self.coeffs[k]
-        return Fraction(0)
+        return self.coeffs[k] if 0 <= k <= self.degree else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and self._form == other._form
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self._form)
 
     def __call__(self, x) -> Fraction:
-        x = as_fraction(x)
-        acc = Fraction(0)
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
+        return self._form[0] * _horner(self._form[1], as_fraction(x))
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -119,14 +126,11 @@ class Polynomial:
     # -- arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._trusted(self._form[0], [-x for x in self._form[1]])
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        pad = len(a) - len(b)
-        return Polynomial(tuple(a[:pad]) + tuple(x + y for x, y in zip(a[pad:], b)))
+        a, b = self.coeffs[::-1], other.coeffs[::-1]
+        return Polynomial([x + y for x, y in zip_longest(a, b, fillvalue=0)][::-1])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -135,13 +139,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             c = as_fraction(other)
             return Polynomial(c * x for x in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        (c1, a), (c2, b) = self._form, other._form
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Polynomial._trusted(c1 * c2, out)
 
     __rmul__ = __mul__
 
@@ -152,32 +155,32 @@ class Polynomial:
             return Polynomial(()), self
         rem = list(self.coeffs)
         q: list[Fraction] = []
-        lead = other.coeffs[0]
+        divisor = other.coeffs
         steps = self.degree - other.degree + 1
         for i in range(steps):
-            f = rem[i] / lead
+            f = rem[i] / divisor[0]
             q.append(f)
-            for j, c in enumerate(other.coeffs):
+            for j, c in enumerate(divisor):
                 rem[i + j] -= f * c
         return Polynomial(q), Polynomial(rem[steps:])
 
     def derivative(self) -> "Polynomial":
-        n = self.degree
-        if n <= 0:
-            return Polynomial(())
-        return Polynomial(c * (n - k) for k, c in enumerate(self.coeffs[:-1]))
+        c, ints = self._form
+        n = len(ints) - 1
+        return Polynomial._trusted(c, [x * (n - k) for k, x in enumerate(ints[:-1])])
 
     def compose_neg(self) -> "Polynomial":
         """p(-z): the coefficient of z^(n-k) picks up (-1)^(n-k)."""
-        n = self.degree
-        return Polynomial(c if (n - k) % 2 == 0 else -c
-                          for k, c in enumerate(self.coeffs))
+        c, ints = self._form
+        n = len(ints) - 1
+        return Polynomial._trusted(c, [-x if (n - k) % 2 else x for k, x in enumerate(ints)])
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial cannot be made monic")
-        lead = self.coeffs[0]
-        return Polynomial(c / lead for c in self.coeffs)
+        ints = self._form[1]
+        return Polynomial._trusted(Fraction(1, abs(ints[0])),
+                                   ints if ints[0] > 0 else [-x for x in ints])
 
 
 def poly_from_roots(roots: Iterable) -> Polynomial:
@@ -186,14 +189,6 @@ def poly_from_roots(roots: Iterable) -> Polynomial:
     for r in roots:
         p = p * Polynomial([1, -as_fraction(r)])
     return p
-
-
-def _primitive(ic: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational coefficient list by a positive rational to primitive
-    integers (sign pattern preserved; the zero list stays empty)."""
-    _, ints = _common_denominator(ic)
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
 
 
 def _negated_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -243,21 +238,28 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic last member of the remainder sequence (zero if p = q = 0)."""
     if p.is_zero and q.is_zero:
         return p
-    *_, g = _remainder_sequence(_primitive(p.coeffs), _primitive(q.coeffs))
+    *_, g = _remainder_sequence(p._form[1], q._form[1])
     return Polynomial(g).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p') from p's Sturm chain; same roots, all simple."""
+    """p divided by gcd(p, p') from p's Sturm chain; same roots, all simple.
+    Its last member g is primitive, so P / g is exact integer long division."""
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has no squarefree part")
     g = _sturm_chain(p)[-1]
     if len(g) == 1:
         return p
-    quotient, rem = divmod(p, Polynomial(g).monic())
-    if not rem.is_zero:  # cannot happen: g divides p
+    g = g if g[0] > 0 else [-x for x in g]
+    c, rem = p._form[0], list(p._form[1])
+    steps = len(rem) - len(g) + 1
+    for i in range(steps):  # rem[:i] holds the quotient so far
+        rem[i] //= g[0]
+        for j, x in enumerate(g[1:], i + 1):
+            rem[j] -= rem[i] * x
+    if any(rem[steps:]):  # cannot happen: g divides p
         raise ArithmeticError("gcd failed to divide its argument")
-    return quotient
+    return Polynomial._trusted(c * g[0], rem[:steps])  # p / monic(g) = c g_0 (P / g)
 
 
 # -- coefficient twist and Hurwitz stability ---------------------------------
@@ -277,15 +279,18 @@ def si_twist(p: Polynomial) -> Polynomial:
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot twist the zero polynomial")
-    return Polynomial(_twist_sign(k) * c for k, c in enumerate(p.coeffs))
+    c, ints = p._form
+    return Polynomial._trusted(c, [_twist_sign(k) * x for k, x in enumerate(ints)])
 
 
 def hurwitz_matrix(p: Polynomial) -> Matrix:
-    """The n x n Hurwitz matrix H[i][j] = a_(2j-i) (1-based), over p's common denominator."""
+    """The n x n Hurwitz matrix H[i][j] = a_(2j-i) (1-based), over D = den(c),
+    which is the lcm of p's coefficient denominators, as gcd(P) = 1."""
     n = p.degree
     if n < 1:
         raise DegreeZero("Hurwitz matrix needs degree >= 1")
-    d, a = _common_denominator(p.coeffs)
+    c, ints = p._form
+    d, a = c.denominator, tuple(c.numerator * x for x in ints)
     padded = (0,) * (n - 1) + a + (0,) * n  # a_k at k + n - 1
     return Matrix._trusted(d, tuple(padded[n - i:3 * n - i:2] for i in range(n)))
 
@@ -306,11 +311,10 @@ def hurwitz_stable(p: Polynomial) -> bool:
     """
     if p.degree < 1:
         raise DegreeZero("stability is undefined for constants")
-    if p.coeffs[0] < 0:
-        p = -p
-    if any(c <= 0 for c in p.coeffs):
+    ints = p._form[1]
+    if any(x * ints[0] <= 0 for x in ints):
         return False
-    return all(d > 0 for d in hurwitz_minors(p))
+    return all(d > 0 for d in hurwitz_minors(p if ints[0] > 0 else -p))
 
 
 class SIKind(Enum):
@@ -417,13 +421,13 @@ def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     """Sturm chain of p, each member scaled to primitive ints, computed once
     and kept on p (which is immutable, so it cannot go stale). Read only.
 
-    The chain is the signed remainder sequence of p and p', so it starts
-    with p and ends with gcd(p, p') up to a constant factor: constant
-    exactly when p is squarefree.
+    The chain is the signed remainder sequence of P and P', read off the
+    forms, so it starts with P itself and ends with gcd(p, p') up to a
+    constant factor: constant exactly when p is squarefree.
     """
     if p._chain is None:
         object.__setattr__(p, "_chain", _remainder_sequence(
-            _primitive(p.coeffs), _primitive(p.derivative().coeffs)))
+            p._form[1], p.derivative()._form[1]))
     return p._chain
 
 

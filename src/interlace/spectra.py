@@ -85,7 +85,7 @@ def _has_pm_pair(p: Polynomial) -> bool:
     """True when p(z) and p(-z) share a factor other than a power of z."""
     # g = z^k h with h(0) != 0, and h is not constant iff g has two nonzero terms
     g = poly_gcd(p, p.compose_neg())
-    return sum(1 for c in g.coeffs if c) > 1
+    return sum(1 for x in g._form[1] if x) > 1
 
 
 def _certified_modulus_sort(sf: Polynomial, boxes: list[RootBox]) -> list[RootBox]:
@@ -181,8 +181,8 @@ def kind_two_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     negation is totally nonnegative.
 
     Preconditions (each raising PreconditionFailed with the failing check):
-    -A totally nonnegative; A nonsingular; corner conditions hold for -A on
-    the left side. A nonpositive width bound fails first. The returned
+    -A totally nonnegative; A nonsingular; corner conditions hold for -A.
+    A nonpositive width bound fails first. The returned
     report is for JA and must come back kind II.
     """
     width_bound = as_width_bound(width_bound)
@@ -196,7 +196,7 @@ def kind_two_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     if m.det() == 0:
         raise PreconditionFailed("nonsingular", "determinant = 0")
     corners = check_corner_conditions(neg)
-    if not corners.left_holds:
+    if not corners.holds:
         raise PreconditionFailed(
             "corner_conditions",
             f"no witness for i in {corners.failing_indices('left')}")

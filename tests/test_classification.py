@@ -47,6 +47,7 @@ from interlace import (
 )
 from interlace import classification
 from interlace.classification import _contiguous_minors, _neville, _neville_blocks, _scan
+from interlace.polynomials import _sturm_chain
 from conftest import (cofactor_det, corner_conditions_by_products, integer_minors,
                       least_strict_power_by_scan, random_int_matrix, random_rational_matrix)
 
@@ -775,18 +776,16 @@ def test_definitional_route_certifies_within_size_cap():
 def test_corner_conditions_frozen():
     cc = check_corner_conditions(Matrix([[1, 1], [0, 1]]))
     assert cc.left == ((2, 2),) and cc.right == ((1, 1),)
-    assert cc.left_holds and cc.right_holds
+    assert cc.holds
     eye = check_corner_conditions(identity(2))
     assert eye.left == (None,) and eye.right == (None,)
-    assert eye.failing_indices("left") == (1,)
-    assert not eye.holds("left") and not eye.holds("right")
+    assert eye.failing_indices("left") == eye.failing_indices("right") == (1,)
+    assert not eye.holds
 
 
 def test_corner_conditions_reject_an_unknown_side():
     cc = check_corner_conditions(Matrix([[1, 1], [0, 1]]))
     for side in ("Left", "RIGHT", "both", ""):
-        with pytest.raises(ValueError, match="side must be"):
-            cc.holds(side)
         with pytest.raises(ValueError, match="side must be"):
             cc.failing_indices(side)
 
@@ -820,8 +819,9 @@ def test_corner_walk_matches_the_four_products():
         # those of right index n-i, so the sides fail at mirrored indices
         mirrored = tuple(m.n - i for i in reversed(cc.failing_indices("left")))
         assert cc.failing_indices("right") == mirrored, m
+        assert cc.holds == (not cc.failing_indices("left")), m
         if m.n > 1:
-            holds.add(cc.left_holds)
+            holds.add(cc.holds)
         sides_differ |= cc.left != cc.right
     assert holds == {True, False} and sides_differ
 
@@ -836,7 +836,7 @@ def test_corner_conditions_require_nonnegative_entries():
 def test_corner_conditions_vacuous_for_size_one():
     cc = check_corner_conditions(Matrix([[5]]))
     assert cc.left == () and cc.right == ()
-    assert cc.left_holds and cc.right_holds
+    assert cc.holds
 
 
 def test_bidiagonal_upper_satisfies_left_corner_condition():
@@ -844,7 +844,7 @@ def test_bidiagonal_upper_satisfies_left_corner_condition():
         d = [1 + (seed + k) % 3 for k in range(n)]
         e = [1 + (seed + k) % 2 for k in range(n - 1)]
         cc = check_corner_conditions(bidiagonal_upper(d, e))
-        assert cc.left_holds, (n, seed)
+        assert cc.holds, (n, seed)
 
 
 # -- flip certificate -------------------------------------------------------------
@@ -935,9 +935,9 @@ def test_jflip_certificate_checks_arguments_before_any_stage():
 
 
 def test_matrices_polynomials_and_reports_copy_and_pickle():
-    """Each round trip rebuilds from the stored state: a matrix from its
-    integer form, a polynomial from its coefficients; the Fraction view and
-    the Sturm chain, both caches, stay behind."""
+    """Each round trip rebuilds from the stored state: a matrix and a
+    polynomial from their integer forms; the Fraction view and the Sturm
+    chain, both caches, stay behind, and the chain rebuilds equal."""
     cert = jflip_si_certificate(random_positive_tnn(4, 5))
     m, p = cert.flipped * cert.flipped, cert.spectrum.char_poly
     assert m.rows and p._chain is not None
@@ -947,7 +947,8 @@ def test_matrices_polynomials_and_reports_copy_and_pickle():
     for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin._form == m._form and twin._rows is None
     for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-        assert twin.coeffs == p.coeffs and twin._chain is None
+        assert twin._form == p._form and twin._chain is None
+        assert _sturm_chain(twin) == p._chain and twin._chain is not None
 
 
 # -- tridiagonal criteria ------------------------------------------------------------

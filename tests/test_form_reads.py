@@ -1,10 +1,13 @@
-"""The analysis modules read a matrix through its integer form alone.
+"""The analysis modules read matrices and polynomials through their integer
+forms alone.
 
 A tuple subscript ``m[i, j]`` or an ``.entries()`` call reads the Fraction
 view of a matrix; outside ``matrices`` itself, only the presentation layers
 (``cli``, ``documents``) may do so. Subscripts of builtin and ``typing``
 generics (``tuple[int, ...]``, ``Optional[...]``) are type expressions, not
-reads.
+reads. A ``.coeffs`` read builds the Fraction view of a polynomial; only the
+presentation layers and ``class Polynomial`` itself, whose Fraction
+arithmetic and printing read it, may do so.
 """
 
 import ast
@@ -16,6 +19,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "interlace"
 ANALYSES = ("classification", "polynomials", "spectra", "constructors")
 GENERICS = {name for name in dir(builtins) if isinstance(getattr(builtins, name), type)}
 GENERICS |= set(typing.__all__)
+
+
+def _parse(module: str) -> ast.AST:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
 def _view_reads(tree: ast.AST) -> list[str]:
@@ -30,10 +37,27 @@ def _view_reads(tree: ast.AST) -> list[str]:
     return found
 
 
+def _coeffs_reads(tree: ast.AST) -> list[str]:
+    """Every ``.coeffs`` attribute read outside ``class Polynomial``."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == "Polynomial":
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs":
+            found.append((node.lineno, f"line {node.lineno}: {ast.unparse(node)}"))
+        stack.extend(ast.iter_child_nodes(node))
+    return [text for _, text in sorted(found)]
+
+
 def test_analyses_never_read_the_fraction_view():
     for module in ANALYSES:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-        assert _view_reads(tree) == [], module
+        assert _view_reads(_parse(module)) == [], module
+
+
+def test_kernels_never_read_polynomial_coefficients():
+    reads = {module: _coeffs_reads(_parse(module)) for module in ANALYSES + ("matrices",)}
+    assert {module: found for module, found in reads.items() if found} == {}
 
 
 def test_the_check_sees_a_view_read():
@@ -41,3 +65,11 @@ def test_the_check_sees_a_view_read():
         "x: tuple[int, ...] = m[1, 2]\nfor i, j, v in m.entries(): pass\n"
         "y: dict[str, Optional[int]] = {}\n"))
     assert reads == ["line 1: m[1, 2]", "line 2: m.entries()"]
+
+
+def test_the_check_sees_a_coeffs_read_outside_the_class():
+    reads = _coeffs_reads(ast.parse(
+        "class Polynomial:\n    def f(self):\n        return self.coeffs\n"
+        "def g(p):\n    return p.coeffs[0], p._form, coeffs\n"
+        "class Other:\n    def h(self, p):\n        return p.coeffs\n"))
+    assert reads == ["line 5: p.coeffs", "line 8: p.coeffs"]

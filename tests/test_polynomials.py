@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the sign twist, Hurwitz stability, root isolation."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -490,6 +491,54 @@ def test_integer_remainder_sequence_matches_fraction_euclid_hypothesis(a, b):
             == [primitive_ints(r) for r in remainder_sequence(p, q)])
     if not p.is_zero:
         assert _sturm_chain(p) == _fraction_chain(p)
+
+
+# rational coefficient lists with leading zeros, leads of both signs and
+# roots at 0
+_coefficient_lists = st.builds(lambda lead, body, roots: [0] * lead + body + [0] * roots,
+                               st.integers(0, 2), st.lists(_rationals, max_size=8),
+                               st.integers(0, 3))
+
+
+def _stripped(values) -> tuple:
+    values = list(values)
+    while values and values[0] == 0:
+        values.pop(0)
+    return tuple(values)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_coefficient_lists, _coefficient_lists)
+def test_form_is_canonical_and_transforms_match_fraction_definitions_hypothesis(a, b):
+    """(c, P) has gcd(P) = 1, c > 0 and a nonzero head, or is (1, ()); each
+    transform on the form is its Fraction definition on the coefficients;
+    the Sturm chain starts with P, and the Hurwitz matrix is the layout over
+    the lcm of the coefficient denominators."""
+    p, q = Polynomial(a), Polynomial(b)
+    for r, source in ((p, a), (q, b)):
+        c, ints = r._form
+        assert type(c) is F and c > 0
+        assert (gcd(*ints) == 1 and ints[0] != 0) if ints else r._form == (1, ())
+        assert r.coeffs == _stripped(map(F, source)) and Polynomial(r.coeffs) == r
+    a, b, n = p.coeffs, q.coeffs, p.degree
+    assert (-p).coeffs == tuple(-x for x in a)
+    assert p.derivative().coeffs == _stripped(x * (n - k) for k, x in enumerate(a[:-1]))
+    assert p.compose_neg().coeffs == tuple(-x if (n - k) % 2 else x for k, x in enumerate(a))
+    product = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    assert (p * q).coeffs == _stripped(product)
+    assert _sturm_chain(p)[0] == p._form[1]
+    if p.is_zero:
+        return
+    assert si_twist(p).coeffs == tuple((-1) ** (k * (k + 1) // 2) * x for k, x in enumerate(a))
+    assert p.monic().coeffs == tuple(x / a[0] for x in a)
+    if n >= 1:
+        d = lcm(*(x.denominator for x in a))
+        layout = tuple(tuple(int(a[2 * j - i] * d) if 0 <= 2 * j - i <= n else 0
+                             for j in range(1, n + 1)) for i in range(1, n + 1))
+        assert hurwitz_matrix(p)._form == (d, layout)
 
 
 def _fraction_sign(x: F) -> int:

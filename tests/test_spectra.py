@@ -226,6 +226,36 @@ def _compare_with_restart_sort(monkeypatch, sf, boxes) -> int:
     return len(one_pass)
 
 
+def test_spectrum_kernels_never_build_the_coefficient_view(monkeypatch):
+    """Every kernel of a report and of both kind tests reads a polynomial's
+    integer form, so the Fraction coefficients are never built: on
+    anti-bidiagonal and 1/3-entry anti-Jacobi matrices and on matrices with
+    repeated, zero and +-paired eigenvalues."""
+    reads = []
+    view = vars(Polynomial)["coeffs"]
+    monkeypatch.setattr(Polynomial, "coeffs", property(
+        lambda p: reads.append(p) or view.__get__(p, Polynomial)))
+    third = F(1, 3)
+    cases = [anti_bidiagonal(AntiBidiagonalSpec(F(3, 2), (1, third, 2, F(5, 7)),
+                                                (third, 1, F(2, 3), 4))),
+             anti_jacobi(JacobiSpec((1, third, 1, third), (third,) * 3, (third,) * 3)),
+             anti_jacobi(JacobiSpec((third, -1, 2), (F(2, 3), third), (third, 1))),
+             Matrix([[2, 0, 0], [0, 2, 0], [0, 0, third]]),       # repeated
+             Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),           # +-1 and 0
+             Matrix([[0, third, 1], [3, 0, 0], [0, 0, 2]]),       # +-1 and 2
+             flip_rows(random_positive_tnn(5, 2))]
+    verdicts = set()
+    for m in cases:
+        rep = spectrum_report(m)
+        verdicts.add((rep.verdict, rep.squarefree, rep.modulus_tie))
+        for kind in SIKind:
+            is_self_interlacing(rep.char_poly, kind)
+    assert reads == []
+    assert {(SpectrumVerdict.KIND_I, True, False), (SpectrumVerdict.NEITHER, False, True),
+            (SpectrumVerdict.NEITHER, True, True)} <= verdicts
+    assert str(rep.char_poly) and reads  # the view itself still counts
+
+
 def test_modulus_sort_matches_restart_loop_on_reports(monkeypatch):
     rng = SplitMix64(15)
 
