@@ -58,7 +58,7 @@ from .errors import (
     ParseError,
 )
 from .matrices import Matrix
-from .polynomials import SIKind, hurwitz_minors, is_self_interlacing, si_twist, squarefree_part
+from .polynomials import SIKind, hurwitz_minors, is_self_interlacing, si_twist
 from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, spectrum_report
 
 # -- input plumbing ---------------------------------------------------------
@@ -322,9 +322,8 @@ def _cmd_poly(args, argv: list[str]) -> int:
     twist = si_twist(normalized)
     minors = hurwitz_minors(twist)
     # The twist keeps a_0 > 0, so by Routh-Hurwitz it is stable exactly when
-    # every minor is positive; no second elimination is needed.
+    # every minor is positive, and that stability is the kind I verdict.
     stable = all(d > 0 for d in minors)
-    squarefree = squarefree_part(p) == p
     report = _envelope("poly", argv, _digest(raw))
     report.update({
         "degree": p.degree,
@@ -333,7 +332,7 @@ def _cmd_poly(args, argv: list[str]) -> int:
         "twist_coefficients": [str(c) for c in twist.coeffs],
         "hurwitz_minors_of_twist": [str(d) for d in minors],
         "twist_hurwitz_stable": stable,
-        "self_interlacing_kind_I": squarefree and stable,
+        "self_interlacing_kind_I": stable,
         "self_interlacing_kind_II": is_self_interlacing(p, SIKind.KIND_II),
     })
     if args.kind:

@@ -191,11 +191,12 @@ class Matrix:
     def __pow__(self, m: int) -> "Matrix":
         if not isinstance(m, int) or m < 0:
             raise ValueError("matrix powers must be nonnegative integers")
-        result = identity(self.n)
-        base = self
+        if m == 0:
+            return identity(self.n)
+        result, base = None, self  # binary powering from the first factor
         while m:
             if m & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if m > 1 else base
             m >>= 1
         return result

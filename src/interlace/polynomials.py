@@ -4,15 +4,15 @@ Coefficients are given leading-first: ``Polynomial([1, -1, -2, 1])`` is
 z^3 - z^2 - 2z + 1. A polynomial stores only its integer form (c, P), P
 primitive integers and c > 0 rational, and every kernel reads P: gcds read
 primitive integer remainder sequences, and a polynomial keeps that of
-(P, P'), its Sturm chain, for every squarefree and kind test, isolation and
-refinement. Boxes are integer numerators over a common scale, evaluated
-with homogenized integer Horner steps. Isolation only ever evaluates at
-dyadic points u/2^s, so there each power of the denominator is a left
-shift, and a point is taken in lowest terms first; counts beyond Fujiwara's
-root bound are read off leading coefficients. Refinement returns exactly
-the box bisection would, but reaches bisection's final cell by quadratic
-interval refinement. Fractions are built only for results, and no
-binary floating point enters any certified statement.
+(P, P'), its Sturm chain, for its squarefree part and root isolation alone.
+Boxes are integer numerators over a common scale, evaluated with
+homogenized integer Horner steps. Isolation only ever evaluates at dyadic
+points u/2^s, so there each power of the denominator is a left shift, and a
+point is taken in lowest terms first; counts beyond Fujiwara's root bound
+are read off leading coefficients. Refinement returns exactly the box
+bisection would, but reaches bisection's final cell by quadratic interval
+refinement. Fractions are built only for results, and no binary floating
+point enters any certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
@@ -239,7 +239,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.is_zero and q.is_zero:
         return p
     *_, g = _remainder_sequence(p._form[1], q._form[1])
-    return Polynomial(g).monic()
+    return Polynomial._trusted(Fraction(1), g).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -334,16 +334,14 @@ def is_self_interlacing(p: Polynomial, kind: SIKind = SIKind.KIND_I) -> bool:
 
     Kind I means λ_1 > -λ_2 > λ_3 > ... > 0 once roots are ordered by
     decreasing modulus; in particular all roots are real, simple, nonzero.
-    ``kind`` is an SIKind or its value. Decision route: reject repeated roots
-    when gcd(p, p'), the end of p's Sturm chain, is not constant, then test
-    Hurwitz stability of the twist of p (kind I) or of p(-z) (kind II); the
-    sign of p is irrelevant, since si_twist(-p) = -si_twist(p).
+    ``kind`` is an SIKind or its value. Decision route: Hurwitz stability of
+    the twist of p (kind I) or of p(-z) (kind II) alone, which by Part I
+    (Self-interlacing polynomials) holds exactly for self-interlacing p, so
+    no squarefree test is needed; si_twist(-p) = -si_twist(p).
     """
     kind = SIKind(kind)
     if p.degree < 1:
         raise DegreeZero("self-interlacing is undefined for constants")
-    if len(_sturm_chain(p)[-1]) > 1:
-        return False
     if kind is SIKind.KIND_II:
         p = p.compose_neg()
     return hurwitz_stable(si_twist(p))
@@ -518,7 +516,7 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:
-        g = Polynomial(chain[-1]).monic()
+        g = Polynomial._trusted(Fraction(1), chain[-1]).monic()
         raise NotSquarefree(f"repeated roots; gcd(p, p') = {g}")
     if p.degree == 0:
         return ()
@@ -615,7 +613,7 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     # grid point j (0 <= j <= 2^K) is u_j / v with u_j = lo 2^K + j (hi - lo)
     v, base, step = scale << levels, lo << levels, hi - lo
     # a_k v^k, so that Horner in u_j gives v^n p(u_j / v)
-    ic = list(map(mul, _sturm_chain(p)[0], accumulate(repeat(v, p.degree), mul, initial=1)))
+    ic = list(map(mul, p._form[1], accumulate(repeat(v, p.degree), mul, initial=1)))
 
     def value(j: int) -> int:
         return _horner(ic, base + j * step)

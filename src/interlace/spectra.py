@@ -1,12 +1,12 @@
 """Certified eigenvalue reports: kind verdicts, root enclosures, sign patterns.
 
 The verdict is ``is_self_interlacing`` (exact, no numerics) on the
-characteristic polynomial p; the enclosures come from Sturm isolation on its
-squarefree part, which is p when p's chain shows it squarefree. For any
-self-interlacing verdict the two routes must agree in every detail (count,
-signs, strict modulus descent), and a mismatch raises
-InternalInvariantViolation rather than producing a report: that error marks
-a bug, never bad input.
+characteristic polynomial p, from the Hurwitz minors of a twist; the
+enclosures come from Sturm isolation on p's squarefree part. The two routes
+share only p. For any self-interlacing verdict they must agree in every
+detail (no tie, count, signs, strict modulus descent), and a mismatch
+raises InternalInvariantViolation rather than producing a report: that
+error marks a bug, never bad input.
 
 The modulus order is certified in one pass over pairs of boxes, refining
 each overlapping pair until it is disjoint. A refined box lies inside the old
@@ -142,10 +142,9 @@ def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     signs = tuple(box.sign for box in boxes)
 
     if verdict is not SpectrumVerdict.NEITHER:
-        chain_ok = (not tie and squarefree
-                    and len(boxes) == p.degree
-                    and signs == _expected_signs(verdict, len(boxes))
-                    and all(box.sign != 0 for box in boxes))
+        # not tie implies squarefree, and expected signs are +-1, never 0
+        chain_ok = (not tie and len(boxes) == p.degree
+                    and signs == _expected_signs(verdict, len(boxes)))
         if not chain_ok:
             raise InternalInvariantViolation(
                 f"twist route says {verdict.value} but enclosures disagree: "

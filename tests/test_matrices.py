@@ -351,6 +351,23 @@ def test_matmul_and_power():
         a ** -1
 
 
+def test_power_makes_only_binary_powering_products(monkeypatch):
+    """m ** e squares bit_length(e) - 1 times and multiplies popcount(e) - 1
+    partial products, starting from the first factor, not the identity."""
+    m = Matrix([[1, F(1, 2), 0], [2, -1, 3], [F(1, 3), 0, 1]])
+    repeated = [identity(3)]
+    for _ in range(8):
+        repeated.append(repeated[-1] * m)
+    products = []
+    product_of = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__",
+                        lambda a, b: products.append(1) or product_of(a, b))
+    for e in range(9):
+        products.clear()
+        assert m ** e == repeated[e], e
+        assert len(products) == max(e.bit_length() + bin(e).count("1") - 2, 0), e
+
+
 def _fraction_power(m: Matrix, e: int) -> Matrix:
     result = identity(m.n)
     for _ in range(e):

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the sign twist, Hurwitz stability, root isolation."""
 
 from fractions import Fraction as F
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -301,11 +302,63 @@ def test_self_interlacing_edge_cases():
         is_self_interlacing(Polynomial([1]))
 
 
-def test_both_kinds_share_one_euclid_walk(euclid_walks):
+def test_both_kinds_make_no_euclid_walk(euclid_walks):
     p = poly_from_roots([-3, 2, -1])
     assert not is_self_interlacing(p, SIKind.KIND_I)
     assert is_self_interlacing(p, SIKind.KIND_II)
-    assert len(euclid_walks) == 1
+    assert euclid_walks == [] and p._chain is None
+
+
+def _twists_stable(p: Polynomial) -> tuple[bool, bool]:
+    """Hurwitz stability of the twists of p and of p(-z)."""
+    return hurwitz_stable(si_twist(p)), hurwitz_stable(si_twist(p.compose_neg()))
+
+
+def _squarefree_and_twist_rule(p: Polynomial) -> tuple[bool, bool]:
+    """Both kinds by the rule that also tested simple roots: p squarefree
+    and the twist of p (kind I) or of p(-z) (kind II) Hurwitz stable."""
+    squarefree = squarefree_part(p) == p
+    return tuple(squarefree and stable for stable in _twists_stable(p))
+
+
+def _both_kinds(p: Polynomial) -> tuple[bool, bool]:
+    return is_self_interlacing(p, SIKind.KIND_I), is_self_interlacing(p, SIKind.KIND_II)
+
+
+def test_no_repeated_root_has_a_stable_twist_exhaustively():
+    """Every integer polynomial of degree 1-4 with coefficients in -2..2: a
+    repeated root leaves both twists unstable (Part I: a twist is stable
+    only for a self-interlacing p, whose roots are simple), so the twist
+    alone decides each kind as the squarefree-and-twist rule does."""
+    repeated = 0
+    for degree in range(1, 5):
+        for coeffs in product((-2, -1, 1, 2), *[range(-2, 3)] * degree):
+            p = Polynomial(coeffs)
+            if squarefree_part(p) != p:
+                repeated += 1
+                assert _twists_stable(p) == (False, False), coeffs
+            assert _both_kinds(p) == _squarefree_and_twist_rule(p), coeffs
+    assert repeated > 100
+
+
+def _int_coefficients(min_degree: int, max_degree: int):
+    """Integer coefficient lists of the given degrees, leads of both signs."""
+    return st.tuples(st.integers(-9, 9).filter(bool),
+                     st.lists(st.integers(-9, 9), min_size=min_degree,
+                              max_size=max_degree)).map(lambda t: [t[0], *t[1]])
+
+
+@settings(deadline=None, max_examples=150)
+@given(_int_coefficients(1, 3), _int_coefficients(0, 3),
+       st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool))
+def test_no_repeated_root_has_a_stable_twist_hypothesis(a, b, scale):
+    """a^2 b, a of degree 1-3 and b of degree 0-3 with integer coefficients,
+    times a rational scale of either sign."""
+    a, b = Polynomial(a), Polynomial(b)
+    p = a * a * b * scale
+    assert squarefree_part(p) != p
+    assert _twists_stable(p) == (False, False)
+    assert _both_kinds(p) == _squarefree_and_twist_rule(p) == (False, False)
 
 
 def test_cached_chain_leaves_equality_hash_and_repr_alone():
@@ -421,6 +474,19 @@ def test_refine_root_shrinks_and_keeps_the_root():
     assert refine_root(poly_from_roots([2, 5]), exact, WIDTH) == exact
     with pytest.raises(PositivityViolated):
         refine_root(p, box, 0)
+
+
+def test_refine_root_reads_p_without_a_euclid_walk(euclid_walks):
+    """Refinement evaluates P from p's form, so a polynomial that was never
+    isolated gets no Sturm chain; the box matches the chain-holding twin's."""
+    twin = Polynomial([3, -1, -7, 2])
+    boxes = isolate_real_roots(twin)
+    euclid_walks.clear()
+    for box in boxes:
+        p = Polynomial([3, -1, -7, 2])
+        assert refine_root(p, box, WIDTH) == refine_root(twin, box, WIDTH)
+        assert p._chain is None
+    assert euclid_walks == [] and len(boxes) == 3
 
 
 def test_refine_root_lands_on_exact_rational_hits():

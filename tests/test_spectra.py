@@ -15,6 +15,7 @@ from interlace import (
     Matrix,
     ModulusTie,
     NotClassNPlus,
+    NotSquarefree,
     Polynomial,
     PositivityViolated,
     PreconditionFailed,
@@ -197,8 +198,8 @@ def test_not_squarefree_char_poly_skips_the_pm_pair_gcd(monkeypatch, euclid_walk
 
 
 def test_squarefree_spectrum_walks_euclid_once_on_p_and_p_prime(euclid_walks):
-    """One chain of p serves the squarefree test, both kinds, isolation and
-    refinement; the other walk is the gcd of (p, p(-z))."""
+    """One chain of p serves the squarefree test and isolation (the kinds
+    and refinement read no chain); the other walk is the gcd of (p, p(-z))."""
     rep = spectrum_report(flip_rows(random_positive_tnn(6, 1)))
     assert rep.squarefree and rep.verdict is SpectrumVerdict.KIND_I
     assert len(euclid_walks) == 2
@@ -254,6 +255,41 @@ def test_spectrum_kernels_never_build_the_coefficient_view(monkeypatch):
     assert {(SpectrumVerdict.KIND_I, True, False), (SpectrumVerdict.NEITHER, False, True),
             (SpectrumVerdict.NEITHER, True, True)} <= verdicts
     assert str(rep.char_poly) and reads  # the view itself still counts
+
+
+def test_spectrum_reports_never_run_the_validating_constructor(monkeypatch):
+    """gcds and the NotSquarefree message build their polynomials from
+    primitive integers by the trusted constructor, so no report, not even
+    one with +-paired, zero or repeated eigenvalues, validates coefficients
+    again through Polynomial(...)."""
+    third = F(1, 3)
+    cases = [Matrix([[2, 0, 0], [0, 2, 0], [0, 0, third]]),       # repeated
+             Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),           # +-1 and 0
+             Matrix([[0, third, 1], [3, 0, 0], [0, 0, 2]]),       # +-1 and 2
+             Matrix([[0, 0, 0], [0, 0, 0], [0, 0, third]]),       # 0 repeated
+             flip_rows(random_positive_tnn(5, 2))]
+    calls = []
+    validating = vars(Polynomial)["__new__"]
+    monkeypatch.setattr(Polynomial, "__new__", staticmethod(
+        lambda cls, coeffs: calls.append(coeffs) or validating(cls, coeffs)))
+    reports = [spectrum_report(m) for m in cases]
+    with pytest.raises(NotSquarefree, match=r"^repeated roots; gcd\(p, p'\) = z - 2$"):
+        isolate_real_roots(reports[0].char_poly)
+    assert calls == []
+    assert [(rep.squarefree, rep.modulus_tie) for rep in reports] == [
+        (False, True), (True, True), (True, True), (False, True), (True, False)]
+    assert Polynomial([1, 2]) and calls == [[1, 2]]  # the patch itself counts
+
+
+def test_a_twist_verdict_on_a_repeated_root_fails_the_cross_check(monkeypatch):
+    """The verdict reads no Sturm chain, so a kind I answer forged for
+    (z - 2)^2 (z - 1/3), which has a repeated root, meets enclosures that
+    found a tie, and the report raises instead of being returned."""
+    m = Matrix([[2, 0, 0], [0, 2, 0], [0, 0, F(1, 3)]])
+    monkeypatch.setattr(spectra, "is_self_interlacing",
+                        lambda p, kind: SIKind(kind) is SIKind.KIND_I)
+    with pytest.raises(InternalInvariantViolation, match="twist route says kind_I"):
+        spectrum_report(m)
 
 
 def test_modulus_sort_matches_restart_loop_on_reports(monkeypatch):
