@@ -43,11 +43,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import NonnegativityViolated
 from .matrices import Matrix, MinorSelector, flip_cols, flip_rows
 from .polynomials import DEFAULT_WIDTH_BOUND, _twist_sign, as_width_bound
+
+if TYPE_CHECKING:
+    from .spectra import SpectrumReport
 
 Signature = tuple[Optional[int], ...]
 
@@ -406,7 +409,7 @@ class JFlipCertificate:
     flipped: Matrix
     stages: tuple[StageResult, ...]
     classification: Optional[SignClassification]
-    spectrum: object  # Optional[SpectrumReport]; typed loosely to avoid an import cycle
+    spectrum: Optional[SpectrumReport]
 
     @property
     def passed(self) -> bool:
@@ -429,7 +432,7 @@ class _FlipRun:
     side: str
     width_bound: Fraction
     classification: Optional[SignClassification] = None
-    spectrum: object = None
+    spectrum: Optional[SpectrumReport] = None
 
 
 def _tnn_stage(run: _FlipRun) -> tuple[bool, str]:

@@ -21,7 +21,7 @@ import hashlib
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -59,7 +59,7 @@ from .errors import (
 )
 from .matrices import Matrix
 from .polynomials import SIKind, hurwitz_minors, is_self_interlacing, si_twist
-from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, spectrum_report
+from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, as_width_bound, spectrum_report
 
 # -- input plumbing ---------------------------------------------------------
 
@@ -81,8 +81,18 @@ def _digest(data: bytes) -> str:
 
 
 def _tolerance(args) -> Fraction:
-    """--tol, parsed; each analysis checks that a width bound is positive."""
-    return DEFAULT_WIDTH_BOUND if args.tol is None else _parse_value(args.tol)
+    """--tol, parsed and checked positive before any analysis runs."""
+    return as_width_bound(DEFAULT_WIDTH_BOUND if args.tol is None
+                          else _parse_value(args.tol))
+
+
+def _plot_file(args):
+    """--plot-data opened for writing before any analysis runs, so a path
+    that cannot be written fails having done no work; a null context that
+    gives None without the flag."""
+    if not args.plot_data:
+        return nullcontext()
+    return open(args.plot_data, "w", encoding="utf-8")
 
 
 def _values(text: str) -> tuple[Fraction, ...]:
@@ -208,14 +218,16 @@ def _spectrum_block(report: SpectrumReport) -> dict:
     }
 
 
-def _write_plot_data(path: str, report: SpectrumReport) -> None:
-    places = places_for_width(report.width_bound) + 3
+def _write_plot_data(fh, report: Optional[SpectrumReport]) -> None:
+    """One 'index lo hi sign' line per enclosure under a header line; the
+    header alone when no spectrum was computed."""
     lines = ["# index lo hi sign"]
-    for idx, box in enumerate(report.boxes, start=1):
-        lines.append(f"{idx} {decimal_string(box.lo, places, 'floor')} "
-                     f"{decimal_string(box.hi, places, 'ceil')} {box.sign}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if report is not None:
+        places = places_for_width(report.width_bound) + 3
+        for idx, box in enumerate(report.boxes, start=1):
+            lines.append(f"{idx} {decimal_string(box.lo, places, 'floor')} "
+                         f"{decimal_string(box.hi, places, 'ceil')} {box.sign}")
+    fh.write("\n".join(lines) + "\n")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -278,13 +290,15 @@ def _certificate_block(cert: JFlipCertificate) -> dict:
 def _cmd_jflip(args, argv: list[str]) -> int:
     text, raw = _read_source(args.input)
     doc = parse_matrix_document(text)
-    cert = jflip_si_certificate(doc.matrix, side=args.side,
-                                width_bound=_tolerance(args))
+    width_bound = _tolerance(args)
+    with _plot_file(args) as plot:
+        cert = jflip_si_certificate(doc.matrix, side=args.side,
+                                    width_bound=width_bound)
+        if plot is not None:
+            _write_plot_data(plot, cert.spectrum)
     report = _envelope("jflip", argv, _digest(raw))
     report["n"] = doc.matrix.n
     report["certificate"] = _certificate_block(cert)
-    if args.plot_data and cert.spectrum is not None:
-        _write_plot_data(args.plot_data, cert.spectrum)
     _emit(report, args.json)
     return 0
 
@@ -292,7 +306,11 @@ def _cmd_jflip(args, argv: list[str]) -> int:
 def _cmd_spectrum(args, argv: list[str]) -> int:
     text, raw = _read_source(args.input)
     doc = parse_matrix_document(text)
-    rep = spectrum_report(doc.matrix, _tolerance(args))
+    width_bound = _tolerance(args)
+    with _plot_file(args) as plot:
+        rep = spectrum_report(doc.matrix, width_bound)
+        if plot is not None:
+            _write_plot_data(plot, rep)
     report = _envelope("spectrum", argv, _digest(raw))
     report["n"] = doc.matrix.n
     report["spectrum"] = _spectrum_block(rep)
@@ -300,8 +318,6 @@ def _cmd_spectrum(args, argv: list[str]) -> int:
         requested = SIKind(args.kind)
         report["requested_kind"] = requested.value
         report["matches_requested_kind"] = (rep.verdict.value == f"kind_{requested.value}")
-    if args.plot_data:
-        _write_plot_data(args.plot_data, rep)
     _emit(report, args.json)
     return 0
 
@@ -343,17 +359,25 @@ def _cmd_poly(args, argv: list[str]) -> int:
     return 0
 
 
+_RANDOM_FAMILIES = ("random-tnn", "random-positive-tnn", "random-oscillatory")
+
+
 def _cmd_construct(args, argv: list[str]) -> int:
     family = args.family
-    if family in ("random-tnn", "random-positive-tnn", "random-oscillatory"):
+    structure = "antibidiagonal" if family == "tridiagonal-equivalent" else family
+    takes = (("n", "seed") if family in _RANDOM_FAMILIES
+             else tuple(key for key, _ in STRUCTURE_PARAMS[structure]))
+    for flag in ("n", "seed", "a", "b", "c", "d", "e"):
+        if getattr(args, flag) is not None and flag not in takes:
+            raise ParseError(f"{family} does not take --{flag}")
+    if family in _RANDOM_FAMILIES:
         if args.n is None:
             raise ParseError(f"{family} needs --n")
         builder = {"random-tnn": random_tnn,
                    "random-positive-tnn": random_positive_tnn,
                    "random-oscillatory": random_oscillatory}[family]
-        doc = MatrixDocument(builder(args.n, args.seed))
+        doc = MatrixDocument(builder(args.n, 0 if args.seed is None else args.seed))
     else:
-        structure = "antibidiagonal" if family == "tridiagonal-equivalent" else family
         keys = STRUCTURE_PARAMS[structure]
         if any(getattr(args, key) is None for key, _ in keys):
             raise ParseError(f"{family} needs "
@@ -435,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "antijacobi", "random-tnn", "random-positive-tnn", "random-oscillatory"])
     construct.add_argument("--n", type=int, default=None,
                            help="size for the random families")
-    construct.add_argument("--seed", type=int, default=0,
+    construct.add_argument("--seed", type=int, default=None,
                            help="64-bit stream seed (default 0)")
     construct.add_argument("--a", default=None, help="diagonal / corner values")
     construct.add_argument("--b", default=None, help="superdiagonal values")

@@ -2,8 +2,9 @@
 
 Builders for the bidiagonal, anti-bidiagonal, tridiagonal (Jacobi) and
 column-reversed tridiagonal families live here with the two tridiagonal
-oscillation criteria. They read the minor scans of ``classification``, which
-imports nothing from this module.
+oscillation criteria. Every family is built by ``jacobi_matrix``,
+column-reversed for the anti families. The criteria read the minor scans of
+``classification``, which imports nothing from this module.
 
 The anti-bidiagonal family lays its parameters along the zigzag path from
 corner (n,1) up to corner (1,n), carrying c_n,...,c_2, a, b_2,...,b_n in that
@@ -90,24 +91,20 @@ def bidiagonal_upper(diag, sup) -> Matrix:
         raise DimensionMismatch(f"superdiagonal must have length {n - 1}")
     if any(x <= 0 for x in d) or any(x <= 0 for x in e):
         raise PositivityViolated("bidiagonal entries must be > 0")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = d[i]
-        if i + 1 < n:
-            rows[i][i + 1] = e[i]
-    return Matrix(rows)
+    return jacobi_matrix(JacobiSpec(d, e, (0,) * (n - 1)))
 
 
 def anti_bidiagonal(spec: AntiBidiagonalSpec) -> Matrix:
-    """Lay c_n..c_2, a, b_2..b_n along the zigzag from (n,1) to (1,n)."""
-    n = spec.n
-    values = list(reversed(spec.sub)) + [spec.a] + list(spec.sup)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for t, v in enumerate(values):
-        i = n - t // 2
-        j = 1 + (t + 1) // 2
-        rows[i - 1][j - 1] = v
-    return Matrix(rows)
+    """Lay c_n..c_2, a, b_2..b_n along the zigzag from (n,1) to (1,n).
+
+    Reversing the columns turns the zigzag into the lower bidiagonal band
+    read from (n,n) upward, alternating diagonal and subdiagonal entries, so
+    the family is a column-reversed tridiagonal matrix with no superdiagonal.
+    """
+    values = spec.sub[::-1] + (spec.a,) + spec.sup
+    zeros = (0,) * (spec.n - 1)
+    return flip_cols(jacobi_matrix(
+        JacobiSpec(values[::2][::-1], zeros, values[1::2][::-1])))
 
 
 def equivalent_tridiagonal(spec: AntiBidiagonalSpec) -> Matrix:

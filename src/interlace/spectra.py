@@ -57,8 +57,8 @@ class SpectrumReport:
     decreasing modulus. The order is certified (pairwise disjoint modulus
     intervals) exactly when ``modulus_tie`` is False; with a tie the order is
     best-effort and no strict-ordering claim is made. ``modulus_tie`` is set
-    when eigenvalues tie in modulus algebraically: a ±λ pair (nontrivial
-    gcd of p(z) and p(-z) after stripping powers of z) or a repeated
+    when eigenvalues tie in modulus algebraically: a ±λ pair (a common
+    root of p's even and odd halves, read in z^2, other than 0) or a repeated
     eigenvalue (p not squarefree). Certified self-interlacing verdicts are
     incompatible with ties, so every accepted spectrum has simple real
     nonzero eigenvalues and multiplicity 1 per box.
@@ -82,9 +82,16 @@ class SpectrumReport:
 
 
 def _has_pm_pair(p: Polynomial) -> bool:
-    """True when p(z) and p(-z) share a factor other than a power of z."""
-    # g = z^k h with h(0) != 0, and h is not constant iff g has two nonzero terms
-    g = poly_gcd(p, p.compose_neg())
+    """True when p(z) and p(-z) share a factor other than a power of z.
+
+    Write p = z^r A(z^2) + z^r' B(z^2), {r, r'} = {0, 1}, with A and B read
+    off p's alternate coefficients. For λ != 0, p(λ) = p(-λ) = 0 exactly
+    when λ^2 is a common root of A and B, so the gcd runs at half the degree.
+    """
+    # g = w^k h with h(0) != 0, and h is not constant iff g has two nonzero terms
+    ints = p._form[1]
+    g = poly_gcd(Polynomial._trusted(Fraction(1), ints[::2]),
+                 Polynomial._trusted(Fraction(1), ints[1::2]))
     return sum(1 for x in g._form[1] if x) > 1
 
 

@@ -42,10 +42,11 @@ from interlace import (
     random_oscillatory,
     random_positive_tnn,
     random_tnn,
+    spectrum_report,
     stp_violation,
     tnn_violation,
 )
-from interlace import classification
+from interlace import classification, spectra
 from interlace.classification import _contiguous_minors, _neville, _neville_blocks, _scan
 from interlace.polynomials import _sturm_chain
 from conftest import (cofactor_det, corner_conditions_by_products, integer_minors,
@@ -920,6 +921,36 @@ def test_jflip_certificate_stage_lists_are_pinned(m, kwargs, stages, has_cls,
     assert [(s.name, s.status, s.detail) for s in cert.stages] == stages
     assert (cert.classification is not None) == has_cls
     assert (cert.spectrum is not None) == has_spectrum
+
+
+def test_jflip_certificate_records_forged_late_failures(monkeypatch):
+    """The last three stages cannot fail once the first three pass, so each
+    failure is forged: the failing stage's detail is recorded, later stages
+    are skipped, and the certificate holds the results of the stages run."""
+    a = Matrix([[1, 1], [0, 1]])
+    mixed = classify_sign_definite(Matrix([[1, -1], [1, 1]]))
+    neither = spectrum_report(Matrix([[1, 0], [0, 2]]))
+    assert not mixed.is_class_n_plus
+    forgeries = [
+        (classification, "is_oscillatory", lambda m: False, 4,
+         "square of the flip fails the oscillation criterion"),
+        (classification, "classify_sign_definite", lambda m: mixed, 5,
+         f"verdict {mixed.verdict.value} (power cap {mixed.power_cap})"),
+        (spectra, "spectrum_report", lambda m, width_bound: neither, 6,
+         "verdict neither"),
+    ]
+    for module, name, forged, k, detail in forgeries:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, forged)
+            cert = jflip_si_certificate(a)
+        assert [(s.name, s.status, s.detail) for s in cert.stages] == _fails_at(k, detail)
+        assert not cert.passed and cert.failed_stage == JFLIP_ALL_PASS[k - 1][0]
+        if k == 4:
+            assert cert.classification is None and cert.spectrum is None
+        elif k == 5:
+            assert cert.classification is mixed and cert.spectrum is None
+        else:
+            assert cert.classification.is_class_n_plus and cert.spectrum is neither
 
 
 def test_jflip_certificate_rejects_unknown_side():

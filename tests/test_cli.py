@@ -194,6 +194,77 @@ def test_spectrum_plot_data(tmp_path):
     assert F(lo) < F("1.618033988749894849") and F(hi) > F("1.618033988749894848")
 
 
+_GOLDEN_PLOT = ("# index lo hi sign\n1 1.618033988401 1.618033989333 1\n"
+                "2 -0.618033989333 -0.618033988401 -1\n")
+
+
+def test_plot_data_files_are_pinned(tmp_path, capsys):
+    """Plot tables byte for byte, for both commands, both flip sides, a
+    repeated eigenvalue and widths from 1e-20 to the default."""
+    positive = tmp_path / "positive.mx"
+    assert interlace.cli.main(["construct", "random-positive-tnn",
+                               "--n", "4", "--seed", "2"]) == 0
+    positive.write_text(capsys.readouterr().out)
+    golden, upper, repeated = (tmp_path / "golden.mx", tmp_path / "upper.mx",
+                               tmp_path / "repeated.mx")
+    golden.write_text(GOLDEN_DOC)
+    upper.write_text("n: 2\nrows:\n1 1\n0 1\n")
+    repeated.write_text("n: 3\nrows:\n2 1 0\n0 2 0\n0 0 1\n")
+    cases = [
+        (["spectrum", str(golden)], _GOLDEN_PLOT),
+        (["jflip", str(upper)], _GOLDEN_PLOT),
+        (["spectrum", str(positive), "--tol", "1/1000"],
+         "# index lo hi sign\n1 1248.893554 1248.894532 1\n"
+         "2 189.593750 189.594727 1\n3 0.509765 0.510743 1\n"
+         "4 0.000000 0.000977 1\n"),
+        (["jflip", str(positive), "--side", "right", "--tol", "1e-20"],
+         "# index lo hi sign\n"
+         "1 711.58633441859478393243004 711.58633441859478393243683 1\n"
+         "2 -30.88357816839152772205621 -30.88357816839152772204942 -1\n"
+         "3 0.30529239101732760607840 0.30529239101732760608519 1\n"
+         "4 -0.00804864122058381646581 -0.00804864122058381645902 -1\n"),
+        (["spectrum", str(repeated)],
+         "# index lo hi sign\n1 2.000000000000 2.000000000000 1\n"
+         "2 0.999999999767 1.000000000466 1\n"),
+    ]
+    plot = tmp_path / "eigs.dat"
+    for argv, expected in cases:
+        assert interlace.cli.main([*argv, "--plot-data", str(plot)]) == 0, argv
+        assert plot.read_text() == expected, argv
+    capsys.readouterr()
+
+
+def test_plot_data_of_a_failed_certificate_is_the_header_alone(tmp_path, capsys):
+    doc, plot = tmp_path / "m.mx", tmp_path / "eigs.dat"
+    doc.write_text("n: 2\nrows:\n1 2\n3 4\n")
+    assert interlace.cli.main(["jflip", str(doc), "--json",
+                               "--plot-data", str(plot)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["spectrum"] is None
+    assert plot.read_text() == "# index lo hi sign\n"
+
+
+def test_plot_data_and_tol_are_checked_before_any_analysis(tmp_path, capsys,
+                                                         monkeypatch):
+    """An unwritable plot path or a bad width bound exits 2 with nothing on
+    stdout, no analysis run and no plot file written."""
+    calls = []
+    for name in ("jflip_si_certificate", "spectrum_report"):
+        original = getattr(interlace.cli, name)
+        monkeypatch.setattr(interlace.cli, name, lambda *a, original=original, **k:
+                            calls.append(original) or original(*a, **k))
+    doc, plot = tmp_path / "m.mx", tmp_path / "eigs.dat"
+    doc.write_text(GOLDEN_DOC)
+    for command in ("jflip", "spectrum"):
+        for extra in (["--plot-data", str(tmp_path / "missing" / "eigs.dat")],
+                      ["--plot-data", str(plot), "--tol", "0"]):
+            assert interlace.cli.main([command, str(doc), *extra]) == 2, extra
+            out, err = capsys.readouterr()
+            assert out == "" and "error:" in err, (command, extra, err)
+    assert calls == [] and not plot.exists()
+    assert interlace.cli.main(["spectrum", str(doc), "--plot-data", str(plot)]) == 0
+    assert len(calls) == 1 and plot.read_text() == _GOLDEN_PLOT
+
+
 # -- poly -------------------------------------------------------------------------
 
 
@@ -331,10 +402,23 @@ def test_construct_exit_code_two_per_family():
         ("antibidiagonal", "--a", "", "--b", "1", "--c", "1"),
         ("jacobi", "--a", "1/0", "--b", "", "--c", ""),
     ]
-    for args in cases:
+    # one flag the family does not take, per family
+    foreign = {
+        ("bidiagonal", "--d", "1 2", "--e", "1", "--a", "1"): "a",
+        ("antibidiagonal", "--a", "1", "--b", "1", "--c", "1", "--seed", "0"): "seed",
+        ("tridiagonal-equivalent", "--a", "1", "--b", "1", "--c", "1", "--d", "1"): "d",
+        ("jacobi", "--a", "1", "--b", "", "--c", "", "--d", "5", "--n", "9"): "n",
+        ("antijacobi", "--a", "1", "--b", "", "--c", "", "--e", "2"): "e",
+        ("random-tnn", "--n", "2", "--a", "1", "--e", "7"): "a",
+        ("random-positive-tnn", "--n", "2", "--seed", "1", "--d", "1"): "d",
+        ("random-oscillatory", "--n", "2", "--c", "1"): "c",
+    }
+    for args in cases + list(foreign):
         code, out, err = run_cli("construct", *args)
         assert (code, out) == (2, ""), (args, err)
         assert err.startswith("error:"), (args, err)
+        if args in foreign:
+            assert err.startswith(f"error: {args[0]} does not take --{foreign[args]}\n"), err
 
 
 def test_construct_one_by_one_structured_documents_classify():

@@ -140,6 +140,31 @@ def test_bidiagonal_upper_frozen_and_validated():
         bidiagonal_upper((1, 2), (1, 2))
 
 
+def test_bidiagonal_families_match_their_entrywise_layout():
+    """Both bidiagonal builders go through the tridiagonal builder; each gives
+    the matrix, integer form included, that its layout spells out entry by
+    entry: d_i at (i,i) and e_i at (i,i+1); zigzag value t = 0..2n-2 at
+    (n - t//2, 1 + (t+1)//2)."""
+    rng = SplitMix64(25)
+    for n in range(1, 10):
+        for _ in range(20):
+            spec = _random_spec(rng, n)
+            zigzag = [[F(0)] * n for _ in range(n)]
+            for t, v in enumerate(spec.sub[::-1] + (spec.a,) + spec.sup):
+                zigzag[n - 1 - t // 2][(t + 1) // 2] = v
+            d, e = spec.sub + (spec.a,), spec.sup
+            upper = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                upper[i][i] = d[i]
+                if i + 1 < n:
+                    upper[i][i + 1] = e[i]
+            for built, rows in ((anti_bidiagonal(spec), zigzag),
+                                (bidiagonal_upper(d, e), upper)):
+                expected = Matrix(rows)
+                assert built == expected, (spec, rows)
+                assert built._form == expected._form, (spec, rows)
+
+
 # -- the 64-bit stream ------------------------------------------------------------
 
 

@@ -65,6 +65,7 @@ def test_normalization_and_degree():
     assert Polynomial([]).degree == -1
     assert Polynomial([3]).degree == 0
     assert Polynomial([1, 0, -2]).degree == 2
+    assert str(Polynomial([0, 0])) == "0" and str(Polynomial([-1, 0, F(1, 2)])) == "-z^2 + 1/2"
 
 
 def test_evaluation_and_coefficient_access():
@@ -577,9 +578,9 @@ def _stripped(values) -> tuple:
 @given(_coefficient_lists, _coefficient_lists)
 def test_form_is_canonical_and_transforms_match_fraction_definitions_hypothesis(a, b):
     """(c, P) has gcd(P) = 1, c > 0 and a nonzero head, or is (1, ()); each
-    transform on the form is its Fraction definition on the coefficients;
-    the Sturm chain starts with P, and the Hurwitz matrix is the layout over
-    the lcm of the coefficient denominators."""
+    transform on the form, and p - q, is its Fraction definition on the
+    coefficients; the Sturm chain starts with P, and the Hurwitz matrix is
+    the layout over the lcm of the coefficient denominators."""
     p, q = Polynomial(a), Polynomial(b)
     for r, source in ((p, a), (q, b)):
         c, ints = r._form
@@ -590,6 +591,9 @@ def test_form_is_canonical_and_transforms_match_fraction_definitions_hypothesis(
     assert (-p).coeffs == tuple(-x for x in a)
     assert p.derivative().coeffs == _stripped(x * (n - k) for k, x in enumerate(a[:-1]))
     assert p.compose_neg().coeffs == tuple(-x if (n - k) % 2 else x for k, x in enumerate(a))
+    width = max(len(a), len(b))
+    padded_a, padded_b = ((F(0),) * (width - len(v)) + v for v in (a, b))
+    assert (p - q).coeffs == _stripped(x - y for x, y in zip(padded_a, padded_b))
     product = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):

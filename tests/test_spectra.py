@@ -3,9 +3,12 @@
 import ast
 import inspect
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import (
     DEFAULT_WIDTH_BOUND,
@@ -35,6 +38,7 @@ from interlace import (
     jflip_si_certificate,
     kind_two_report,
     poly_from_roots,
+    poly_gcd,
     random_positive_tnn,
     refine_root,
     spectrum_report,
@@ -199,10 +203,52 @@ def test_not_squarefree_char_poly_skips_the_pm_pair_gcd(monkeypatch, euclid_walk
 
 def test_squarefree_spectrum_walks_euclid_once_on_p_and_p_prime(euclid_walks):
     """One chain of p serves the squarefree test and isolation (the kinds
-    and refinement read no chain); the other walk is the gcd of (p, p(-z))."""
+    and refinement read no chain); the other walk is the gcd of p's even and
+    odd halves."""
     rep = spectrum_report(flip_rows(random_positive_tnn(6, 1)))
     assert rep.squarefree and rep.verdict is SpectrumVerdict.KIND_I
     assert len(euclid_walks) == 2
+
+
+def _pm_pair_by_reflection(p: Polynomial) -> bool:
+    """The definition: p(z) and p(-z) share a factor other than a power of z."""
+    g = poly_gcd(p, p.compose_neg())
+    return sum(1 for x in g.coeffs if x) > 1
+
+
+def test_pm_pair_test_matches_the_reflection_gcd_exhaustively():
+    """Every integer polynomial of degree 1..4 with coefficients in -2..2."""
+    ties = 0
+    for degree in range(1, 5):
+        for coeffs in product(range(-2, 3), repeat=degree + 1):
+            if coeffs[0]:
+                p = Polynomial(coeffs)
+                tie = spectra._has_pm_pair(p)
+                assert tie is _pm_pair_by_reflection(p), coeffs
+                ties += tie
+    assert 0 < ties < 3120
+
+
+_FACTORS = st.one_of(
+    st.fractions(-4, 4, max_denominator=5).map(lambda r: [1, -r]),        # a real root
+    st.fractions(0, 4, max_denominator=5).map(lambda r: [1, 0, -r * r]),  # a +-pair
+    st.fractions(0, 4, max_denominator=5).map(lambda r: [1, 0, r * r]),   # an imaginary pair
+    st.just([1, 0]),                                                      # a root at 0
+    st.tuples(st.fractions(-3, 3, max_denominator=3),
+              st.fractions(-3, 3, max_denominator=3)).map(lambda t: [1, *t]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=st.lists(_FACTORS, min_size=1, max_size=5), repeat=st.booleans(),
+       lead=st.fractions(-3, 3, max_denominator=4).filter(bool))
+def test_pm_pair_test_matches_the_reflection_gcd_on_products(factors, repeat, lead):
+    """Products with planted +-pairs, imaginary pairs, roots at 0 and
+    repeated roots (the first factor drawn twice)."""
+    p = Polynomial([lead])
+    for coeffs in factors + factors[:repeat]:
+        p = p * Polynomial(coeffs)
+    assert spectra._has_pm_pair(p) is _pm_pair_by_reflection(p)
 
 
 # -- certified modulus sort ---------------------------------------------------------
