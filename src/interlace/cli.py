@@ -89,8 +89,8 @@ def _tolerance(args) -> Fraction:
 def _plot_file(args):
     """--plot-data opened for writing before any analysis runs, so a path
     that cannot be written fails having done no work; a null context that
-    gives None without the flag."""
-    if not args.plot_data:
+    gives None without the flag. An empty path is a path, and fails to open."""
+    if args.plot_data is None:
         return nullcontext()
     return open(args.plot_data, "w", encoding="utf-8")
 

@@ -3,8 +3,10 @@
 Builders for the bidiagonal, anti-bidiagonal, tridiagonal (Jacobi) and
 column-reversed tridiagonal families live here with the two tridiagonal
 oscillation criteria. Every family is built by ``jacobi_matrix``,
-column-reversed for the anti families. The criteria read the minor scans of
-``classification``, which imports nothing from this module.
+column-reversed for the anti families. The criteria read
+``Matrix.leading_principal_minors``, or the determinants of the column-reversed
+leading blocks with signs from ``jflip_signature`` of ``classification``,
+which imports nothing from this module.
 
 The anti-bidiagonal family lays its parameters along the zigzag path from
 corner (n,1) up to corner (1,n), carrying c_n,...,c_2, a, b_2,...,b_n in that
@@ -239,7 +241,9 @@ def _random_ladder(n: int, seed: int, first_lo: int, later_lo: int,
 
 def random_tnn(n: int, seed: int) -> Matrix:
     """Seeded totally nonnegative matrix; zero parameters (and hence singular
-    outputs) allowed. Certified by a full post-hoc minor scan."""
+    outputs) allowed. Certified by ``is_totally_nonnegative``: Neville
+    elimination passes a nonsingular draw, and only a singular draw pays the
+    full minor scan."""
     m = _random_ladder(n, seed, 0, 0, 0)
     if not is_totally_nonnegative(m):
         raise InternalInvariantViolation("ladder product with nonnegative "

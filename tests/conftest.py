@@ -13,8 +13,15 @@ isolation and refinement. The modulus sort that rescans from the first pair
 of boxes after every refinement checks the one-pass certified modulus sort.
 The class n+ power search that scans every minor of each power checks the
 search that reads each power's contiguous minors alone.
+
+``run_cli`` is the one in-process command-line harness: every test of the
+command line runs ``cli.main`` through it, except the few that test the
+process boundary itself.
 """
 
+import contextlib
+import io
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -29,9 +36,29 @@ from interlace import (
     Polynomial,
     RootBox,
     SplitMix64,
+    cli,
     identity,
     polynomials,
 )
+
+
+def run_cli(*argv: str, stdin: str = "") -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run of ``cli.main`` on
+    ``argv`` with ``stdin`` on standard input, as ``python -m interlace.cli``
+    would give them: argparse's SystemExit becomes its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    # cli reads stdin's binary buffer, which a StringIO does not have
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture

@@ -1,9 +1,15 @@
-"""End-to-end command line checks through subprocess."""
+"""End-to-end command line checks.
 
-import contextlib
-import io
+Every check runs ``cli.main`` in process through ``conftest.run_cli``. Only
+the tests of the process boundary (two runs of the same process, a real
+stdin pipe, argparse exiting the process, and the cross-check of the
+in-process harness against the process) start ``python -m interlace.cli``
+through ``run_process``.
+"""
+
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,23 +22,27 @@ from hypothesis import strategies as st
 
 import interlace
 import interlace.cli
+from conftest import run_cli
 from interlace.documents import MatrixDocument, format_matrix_document
 
 GOLDEN_DOC = "n: 2\nrows:\n0 1\n1 1\n"
+_WALL_TIME = re.compile(r"^elapsed_seconds: \d+\.\d{6}\n", re.MULTILINE)
 # The child process imports the same package as the tests, whether it came
 # from PYTHONPATH or from pytest's pythonpath setting.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
     str(Path(interlace.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
 
 
-def run_cli(*args, stdin=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "interlace.cli", *args],
-        input=stdin, capture_output=True, text=True, env=CHILD_ENV)
-    return proc.returncode, proc.stdout, proc.stderr
+def run_process(*args, stdin=""):
+    """Exit code, stdout and stderr of ``python -m interlace.cli`` in a child
+    process, the output decoded strictly with no newline translation."""
+    proc = subprocess.run([sys.executable, "-m", "interlace.cli", *args],
+                          input=stdin.encode("utf-8"), capture_output=True,
+                          env=CHILD_ENV)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
 
 
-def run_json(*args, stdin=None):
+def run_json(*args, stdin=""):
     code, out, err = run_cli(*args, "--json", stdin=stdin)
     assert code == 0, (code, err)
     return json.loads(out)
@@ -59,7 +69,7 @@ def test_spectrum_json_envelope(tmp_path):
 def test_output_is_byte_identical_across_runs(tmp_path):
     doc = tmp_path / "m.mx"
     doc.write_text(GOLDEN_DOC)
-    runs = [run_cli("spectrum", str(doc), "--json") for _ in range(2)]
+    runs = [run_process("spectrum", str(doc), "--json") for _ in range(2)]
     assert runs[0][0] == runs[1][0] == 0
     assert runs[0][1] == runs[1][1]
     # wall time goes to stderr only
@@ -68,7 +78,9 @@ def test_output_is_byte_identical_across_runs(tmp_path):
 
 
 def test_stdin_dash_input():
-    rep = run_json("spectrum", "-", stdin=GOLDEN_DOC)
+    code, out, err = run_process("spectrum", "-", "--json", stdin=GOLDEN_DOC)
+    assert code == 0, (code, err)
+    rep = json.loads(out)
     assert rep["spectrum"]["verdict"] == "kind_I"
 
 
@@ -256,7 +268,8 @@ def test_plot_data_and_tol_are_checked_before_any_analysis(tmp_path, capsys,
     doc.write_text(GOLDEN_DOC)
     for command in ("jflip", "spectrum"):
         for extra in (["--plot-data", str(tmp_path / "missing" / "eigs.dat")],
-                      ["--plot-data", str(plot), "--tol", "0"]):
+                      ["--plot-data", str(plot), "--tol", "0"],
+                      ["--plot-data", ""]):
             assert interlace.cli.main([command, str(doc), *extra]) == 2, extra
             out, err = capsys.readouterr()
             assert out == "" and "error:" in err, (command, extra, err)
@@ -507,7 +520,7 @@ def test_oversized_literal_fails_before_any_analysis(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert "exceeds 4096 bits" in err, argv
         assert elapsed < 1, (argv, elapsed)
-    code, out, err = run_cli("spectrum", str(doc))
+    code, out, err = run_process("spectrum", str(doc))
     assert (code, out) == (2, "") and "exceeds" in err
 
 
@@ -566,9 +579,9 @@ def test_long_numbers_fail_fast_with_the_digit_limit_lifted(tmp_path, capsys):
 
 
 def test_exit_code_two_on_usage_errors():
-    assert run_cli("no-such-command")[0] == 2
-    assert run_cli("spectrum")[0] == 2           # missing input operand
-    assert run_cli("jflip", "-", "--side", "up", stdin=GOLDEN_DOC)[0] == 2
+    assert run_process("no-such-command")[0] == 2
+    assert run_process("spectrum")[0] == 2           # missing input operand
+    assert run_process("jflip", "-", "--side", "up", stdin=GOLDEN_DOC)[0] == 2
 
 
 def test_structured_mismatch_is_input_error():
@@ -624,9 +637,34 @@ def test_exit_code_contract_on_any_document(fuzz_dir, data):
     for argv in (["classify", str(doc)], ["jflip", str(doc)],
                  ["jflip", str(doc), "--side", "right"], ["spectrum", str(doc)],
                  ["poly", f"--coeffs={coeffs}"]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = interlace.cli.main(argv)
-        assert code in (0, 2), (argv, data, err.getvalue())
+        code, out, err = run_cli(*argv)
+        assert code in (0, 2), (argv, data, err)
         if code == 2:
-            assert out.getvalue() == "" and "error:" in err.getvalue(), (argv, data)
+            assert out == "" and "error:" in err, (argv, data)
+
+
+# -- the process boundary -------------------------------------------------------------
+
+
+def test_in_process_runs_match_the_process(tmp_path):
+    """``run_cli`` gives what ``python -m interlace.cli`` gives: the same exit
+    code, the same stdout bytes, and the same stderr once the wall-time line
+    is dropped."""
+    doc = tmp_path / "m.mx"
+    doc.write_text(GOLDEN_DOC)
+    cases = [
+        (("spectrum", str(doc), "--json"), ""),
+        (("spectrum", "-"), GOLDEN_DOC),
+        (("classify", "-"), "n: 2\nrows:\n1 2\nx 4\n"),
+        (("no-such-command",), ""),
+        (("construct", "random-positive-tnn", "--n", "3", "--seed", "7"), ""),
+    ]
+    codes, usage = set(), False
+    for argv, stdin in cases:
+        runs = [run(*argv, stdin=stdin) for run in (run_cli, run_process)]
+        (code, out, err), (pcode, pout, perr) = runs
+        assert (code, out) == (pcode, pout), argv
+        assert _WALL_TIME.sub("", err) == _WALL_TIME.sub("", perr), (argv, err, perr)
+        codes.add(code)
+        usage |= err.startswith("usage:")
+    assert codes == {0, 2} and usage

@@ -1,9 +1,11 @@
 """Byte-for-byte pins of the command line's output.
 
-A fixed corpus of invocations runs in process through ``cli.main``: stdout is
-captured, stderr (which carries the wall time) is discarded, and every
-document goes in on stdin, so ``command_line`` holds no path. Each exit code
-and SHA-256 of stdout must equal its entry in ``cli_outputs.json``.
+A fixed corpus of invocations runs in process through ``conftest.run_cli``,
+and every document goes in on stdin, so ``command_line`` holds no path. Each
+exit code and SHA-256 of stdout must equal its entry in ``cli_outputs.json``.
+Stderr, which carries the wall time and so is not pinned, must be the
+``elapsed_seconds`` line alone on exit 0, and one ``error:`` line before it on
+exit 2.
 
 The corpus is every ``construct`` family (n = 1, rational and decimal
 literals, comma-separated values, and some bad parameters), the analyses
@@ -16,17 +18,18 @@ alters output on purpose regenerates the pins with
 and says which entries changed and why.
 """
 
-import contextlib
 import hashlib
-import io
 import json
+import re
 import shlex
-import sys
 from pathlib import Path
 
-from interlace import cli
+from conftest import run_cli
 
 PINS = Path(__file__).with_name("cli_outputs.json")
+# stderr by exit code: the wall-time line, after one error line on exit 2
+STDERR = {0: re.compile(r"elapsed_seconds: \d+\.\d{6}\n"),
+          2: re.compile(r"error: [^\n]*\nelapsed_seconds: \d+\.\d{6}\n")}
 
 CONSTRUCT = [
     ("bidiagonal", "--d", "1 2 3", "--e", "4 5"),
@@ -111,26 +114,15 @@ POLYS = [
 ]
 
 
-def _invoke(argv, stdin: str = "") -> tuple[int, str]:
-    """Exit code and stdout of one in-process run with stdin fed ``stdin``."""
-    out = io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8")
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(list(argv))
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue()
-
-
 def run_corpus() -> dict[str, list]:
-    """Case label -> [exit code, SHA-256 of stdout], for the whole corpus."""
+    """Case label -> [exit code, SHA-256 of stdout], for the whole corpus,
+    each run's stderr checked against the pattern of its exit code."""
     results: dict[str, list] = {}
 
     def record(label, argv, stdin=""):
-        code, out = _invoke(argv, stdin)
+        code, out, err = run_cli(*argv, stdin=stdin)
         assert label not in results, label
+        assert code in STDERR and STDERR[code].fullmatch(err), (label, code, err)
         results[label] = [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
         return code, out
 
