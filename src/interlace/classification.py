@@ -302,19 +302,12 @@ def is_oscillatory(m: Matrix) -> bool:
 
 def is_oscillatory_by_definition(m: Matrix) -> bool:
     """Definitional route: totally nonnegative with some power strictly
-    totally positive. Powers 1..n-1 (at least 1) decide it: when any power
-    works, the (n-1)-th already does (Gantmacher-Krein). A singular M has no
-    such power, so the nonsingular TNN test of Neville elimination
-    suffices; each power's strictness is read off its contiguous minors."""
-    if not _neville(m):
-        return False
-    power = m
-    for exponent in range(1, max(1, m.n - 1) + 1):
-        if exponent > 1:
-            power = power * m
-        if is_strictly_totally_positive(power):
-            return True
-    return False
+    totally positive. By Gantmacher-Krein a TNN matrix has such a power
+    exactly when M^(n-1) (M itself for n = 1) is one, so that power alone is
+    tested. A singular M has no such power, so the nonsingular TNN test of
+    Neville elimination suffices; the power's strictness is read off its
+    contiguous minors."""
+    return _neville(m) and is_strictly_totally_positive(m ** max(1, m.n - 1))
 
 
 # -- corner conditions ----------------------------------------------------------

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .classification import check_corner_conditions, classify_sign_definite, tnn_violation
+from .classification import _JFLIP_STAGES, _FlipRun, classify_sign_definite
 from .errors import (
     InternalInvariantViolation,
     ModulusTie,
@@ -186,27 +186,20 @@ def kind_two_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     """Certify a kind-II spectrum for the row flip JA of a matrix whose
     negation is totally nonnegative.
 
-    Preconditions (each raising PreconditionFailed with the failing check):
-    -A totally nonnegative; A nonsingular; corner conditions hold for -A.
-    A nonpositive width bound fails first. The returned
-    report is for JA and must come back kind II.
+    JA = -J(-A), so the hypotheses are the flip theorem's for -A: the first
+    three ``jflip_si_certificate`` stages run on -A, and the first failing
+    one raises PreconditionFailed with its detail. A nonpositive width bound
+    fails first. The returned report is for JA and must come back kind II.
     """
     width_bound = as_width_bound(width_bound)
-    neg = -m
-    viol = tnn_violation(neg)
-    if viol is not None:
-        sel, val = viol
-        raise PreconditionFailed(
-            "negated_totally_nonnegative",
-            f"minor rows={sel.rows} cols={sel.cols} of -A is {val}")
-    if m.det() == 0:
-        raise PreconditionFailed("nonsingular", "determinant = 0")
-    corners = check_corner_conditions(neg)
-    if not corners.holds:
-        raise PreconditionFailed(
-            "corner_conditions",
-            f"no witness for i in {corners.failing_indices('left')}")
-    report = spectrum_report(flip_rows(m), width_bound)
+    flipped = flip_rows(m)
+    run = _FlipRun(-m, -flipped, "left", width_bound)
+    for check, (_, stage) in zip(("negated_totally_nonnegative", "nonsingular",
+                                  "corner_conditions"), _JFLIP_STAGES):
+        passed, detail = stage(run)
+        if not passed:
+            raise PreconditionFailed(check, detail)
+    report = spectrum_report(flipped, width_bound)
     if report.verdict is not SpectrumVerdict.KIND_II:
         raise InternalInvariantViolation(
             f"flip of a negated-totally-nonnegative matrix reported "

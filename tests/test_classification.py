@@ -39,6 +39,7 @@ from interlace import (
     jflip_signature,
     jflip_si_certificate,
     JacobiSpec,
+    jacobi_matrix,
     random_oscillatory,
     random_positive_tnn,
     random_tnn,
@@ -162,13 +163,15 @@ def test_power_search_skips_a_singular_input(monkeypatch):
 
 def test_power_searches_stop_at_the_deciding_exponent(monkeypatch):
     """No power past 2(n-1) (sign classes) or n-1 (oscillation) can change
-    an answer, so a search that finds none forms exactly those powers."""
-    exponents = _counted(monkeypatch, "__pow__", 3)
+    an answer, so a search that finds none forms exactly those powers; the
+    definition forms M^(n-1) alone, by one product."""
+    exponents = _counted(monkeypatch, "__pow__", 4)
     cls = classify_sign_definite(identity(3))
     assert cls.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N and cls.power_cap == 4
     assert exponents == [2, 3, 4]
     products = _counted(monkeypatch, "__mul__", 1)
     assert is_oscillatory_by_definition(identity(3)) is False
+    assert exponents == [2, 3, 4, 2]
     assert len(products) == 1
 
 
@@ -767,6 +770,54 @@ def test_oscillatory_criterion_agrees_with_definition():
         assert is_oscillatory(m) == is_oscillatory_by_definition(m), m
 
 
+def _least_strict_power_by_loop(m):
+    """The definition's former exponent loop: the least e in 1..n-1 (at
+    least 1) with M^e strictly totally positive, for a nonsingular TNN M;
+    None when there is none or M is not nonsingular TNN."""
+    if not _neville(m):
+        return None
+    power = m
+    for exponent in range(1, max(1, m.n - 1) + 1):
+        if exponent > 1:
+            power = power * m
+        if is_strictly_totally_positive(power):
+            return exponent
+    return None
+
+
+def _small_nonnegative_matrices():
+    """Every 1x1 and 2x2 matrix over {0, 1, 2} and every 3x3 0/1 matrix."""
+    for n, values in ((1, range(3)), (2, range(3)), (3, range(2))):
+        for entries in product(values, repeat=n * n):
+            yield Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _definition_corpus():
+    """The small nonnegative matrices, and the generators' and positive
+    Jacobi matrices for n = 1..7, seeds 0..14."""
+    yield from _small_nonnegative_matrices()
+    for n in range(1, 8):
+        for seed in range(15):
+            yield from (random_oscillatory(n, seed), random_tnn(n, seed),
+                        random_positive_tnn(n, seed))
+            rng = SplitMix64(seed)
+            yield jacobi_matrix(JacobiSpec(
+                [2 + rng.below(5) for _ in range(n)],
+                [1 + rng.below(2) for _ in range(n - 1)],
+                [1 + rng.below(2) for _ in range(n - 1)]))
+
+
+def test_definition_matches_the_exponent_loop():
+    """Testing M^(n-1) alone answers as the loop over powers 1..n-1 does,
+    on a corpus whose least strictly totally positive powers reach 2..n-1."""
+    least = set()
+    for m in _definition_corpus():
+        exponent = _least_strict_power_by_loop(m)
+        assert is_oscillatory_by_definition(m) == (exponent is not None), m
+        least.add(exponent)
+    assert set(range(1, 7)) <= least and None in least, least
+
+
 def test_definitional_route_certifies_within_size_cap():
     assert is_oscillatory_by_definition(random_oscillatory(4, 2))
 
@@ -797,11 +848,9 @@ def test_corner_conditions_all_positive_matrix():
 
 
 def _corner_corpus():
-    """Every 1x1 and 2x2 matrix over {0, 1, 2}, every 3x3 0/1 matrix, and
-    seeded nonnegative n <= 7 matrices with zeros and 1/3 entries."""
-    for n, values in ((1, range(3)), (2, range(3)), (3, range(2))):
-        for entries in product(values, repeat=n * n):
-            yield Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+    """The small nonnegative matrices, and seeded nonnegative n <= 7
+    matrices with zeros and 1/3 entries."""
+    yield from _small_nonnegative_matrices()
     for n in range(1, 8):
         for seed in range(40):
             m = random_rational_matrix(n, seed, span=3, denominators=(1, 1, 3))
@@ -929,13 +978,17 @@ def test_jflip_certificate_records_forged_late_failures(monkeypatch):
     are skipped, and the certificate holds the results of the stages run."""
     a = Matrix([[1, 1], [0, 1]])
     mixed = classify_sign_definite(Matrix([[1, -1], [1, 1]]))
+    positive = classify_sign_definite(Matrix([[2, 1], [1, 1]]))
     neither = spectrum_report(Matrix([[1, 0], [0, 2]]))
     assert not mixed.is_class_n_plus
+    assert positive.is_class_n_plus and positive.signature == (1, 1)
     forgeries = [
         (classification, "is_oscillatory", lambda m: False, 4,
          "square of the flip fails the oscillation criterion"),
         (classification, "classify_sign_definite", lambda m: mixed, 5,
          f"verdict {mixed.verdict.value} (power cap {mixed.power_cap})"),
+        (classification, "classify_sign_definite", lambda m: positive, 5,
+         "signature (1, 1) != expected (1, -1)"),
         (spectra, "spectrum_report", lambda m, width_bound: neither, 6,
          "verdict neither"),
     ]
@@ -948,7 +1001,7 @@ def test_jflip_certificate_records_forged_late_failures(monkeypatch):
         if k == 4:
             assert cert.classification is None and cert.spectrum is None
         elif k == 5:
-            assert cert.classification is mixed and cert.spectrum is None
+            assert cert.classification is forged(a) and cert.spectrum is None
         else:
             assert cert.classification.is_class_n_plus and cert.spectrum is neither
 

@@ -82,6 +82,7 @@ DOCUMENTS = {
     "golden": "n: 2\nrows:\n0 1\n1 1\n",
     "unit_upper": "n: 2\nrows:\n1 1\n0 1\n",
     "params_only": "n: 3\nstructure: jacobi\na: 3 3 3\nb: 1 1\nc: 1 1\n",
+    "mixed_corners": "n: 3\nrows:\n0 0 0\n1 0 0\n1 1 0\n",
 }
 
 ANALYSES = [

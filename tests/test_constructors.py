@@ -233,11 +233,13 @@ def test_random_positive_tnn_contract():
 
 def test_random_positive_tnn_rejects_a_positive_matrix_that_is_not_tnn(monkeypatch):
     """Positive entries and a nonzero determinant are not enough: the
-    generator re-certifies total nonnegativity too."""
+    generator re-certifies total nonnegativity too, as random_tnn and
+    random_oscillatory (by the oscillation criterion) do."""
     monkeypatch.setattr(constructors, "_random_ladder",
                         lambda *args: Matrix([[1, 2], [2, 1]]))
-    with pytest.raises(InternalInvariantViolation):
-        random_positive_tnn(2, 0)
+    for gen in (random_positive_tnn, random_tnn, random_oscillatory):
+        with pytest.raises(InternalInvariantViolation, match="must"):
+            gen(2, 0)
 
 
 def test_random_oscillatory_contract():

@@ -1,4 +1,5 @@
-"""Exact matrix core: determinants, minors, flips, characteristic polynomials."""
+"""Exact matrix core: determinants, minors, flips, characteristic polynomials;
+the input checks of the value types and the document builder."""
 
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -9,21 +10,27 @@ from hypothesis import strategies as st
 
 from interlace import (
     AntiBidiagonalSpec,
+    DegreeZero,
     DimensionMismatch,
     InvalidSelector,
     JacobiSpec,
     Matrix,
     MinorSelector,
+    ParseError,
     Polynomial,
     SplitMix64,
+    ZeroPolynomial,
     anti_bidiagonal,
     anti_identity,
     anti_jacobi,
     flip_cols,
     flip_rows,
+    hurwitz_matrix,
     identity,
     random_positive_tnn,
+    si_twist,
 )
+from interlace.documents import build_structured
 from interlace.matrices import _bareiss, as_fraction
 from conftest import (
     cofactor_det,
@@ -49,8 +56,32 @@ def test_entries_are_exact_and_floats_rejected():
     m = Matrix([["0.25", "3/7"], [2, F(1, 3)]])
     assert m[1, 1] == F(1, 4)
     assert m[1, 2] == F(3, 7)
+    assert repr(m) == "Matrix(2x2: 1/4 3/7; 2 1/3)"
     with pytest.raises(TypeError):
         Matrix([[0.5, 1], [1, 1]])
+
+
+def _set_degree(p):
+    p.degree = 0
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: as_fraction(None), TypeError, "cannot interpret None as an exact rational"),
+    (lambda: identity(2).submatrix(MinorSelector((1, 3), (1, 2))), InvalidSelector,
+     "exceeds size 2"),
+    (lambda: identity(0), DimensionMismatch, "size must be >= 1"),
+    (lambda: _set_degree(Polynomial([1, 2])), AttributeError, "Polynomial is immutable"),
+    (lambda: divmod(Polynomial([1, 2]), Polynomial([0])), ZeroPolynomial,
+     "division by the zero polynomial"),
+    (lambda: Polynomial([0]).monic(), ZeroPolynomial, "cannot be made monic"),
+    (lambda: si_twist(Polynomial([0])), ZeroPolynomial, "cannot twist the zero polynomial"),
+    (lambda: hurwitz_matrix(Polynomial([5])), DegreeZero, "needs degree >= 1"),
+    (lambda: build_structured("general", {}), ParseError,
+     "'general' cannot be built from parameters"),
+])
+def test_input_checks_raise_before_any_work(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_as_fraction_returns_a_fraction_unchanged():

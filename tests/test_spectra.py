@@ -450,6 +450,22 @@ def test_verify_sign_pattern_requires_class_n_plus():
         verify_sign_pattern(Matrix([[1, -1], [1, 1]]))
 
 
+def test_verify_sign_pattern_rejects_forged_reports(monkeypatch):
+    """A class n+ matrix has n real eigenvalues of strictly separated moduli,
+    so both failures are forged: the report of the identity, whose
+    eigenvalue 1 is repeated, and that of a matrix with eigenvalues 1 +- i."""
+    tied = spectrum_report(identity(2))
+    complex_pair = spectrum_report(Matrix([[1, -1], [1, 1]]))
+    assert tied.modulus_tie
+    assert not complex_pair.modulus_tie and complex_pair.boxes == ()
+    for report, error, match in (
+            (tied, ModulusTie, "not strictly separated"),
+            (complex_pair, InternalInvariantViolation, "without a determined signature")):
+        monkeypatch.setattr(spectra, "spectrum_report", lambda m, forged=report: forged)
+        with pytest.raises(error, match=match):
+            verify_sign_pattern(Matrix([[2, 1], [1, 1]]))
+
+
 def test_verify_sign_pattern_predicts_sign_ratios():
     """Sign of the k-th eigenvalue equals the product of adjacent signature terms."""
     m = Matrix([[0, 1], [1, 1]])
@@ -484,6 +500,31 @@ def test_kind_two_report_checks_corner_conditions():
     with pytest.raises(PreconditionFailed) as info:
         kind_two_report(identity(2) * F(-1))
     assert info.value.check == "corner_conditions"
+
+
+@pytest.mark.parametrize("m, check", [
+    (Matrix([[1, 1], [0, 1]]), "negated_totally_nonnegative"),
+    (Matrix([[-1, -1], [-1, -1]]), "nonsingular"),
+    (identity(2) * F(-1), "corner_conditions"),
+    (Matrix([[-1, -2, 0], [0, -1, -3], [-2, 0, -1]]), "negated_totally_nonnegative"),
+])
+def test_kind_two_report_reads_the_flip_stages_of_the_negation(m, check):
+    """Each hypothesis is the flip theorem's for -A: the failure carries the
+    detail that the failing stage of jflip_si_certificate(-A) records."""
+    with pytest.raises(PreconditionFailed) as info:
+        kind_two_report(m)
+    failed = [s for s in jflip_si_certificate(-m).stages if s.status == "fail"]
+    assert len(failed) == 1 and failed[0].detail
+    assert info.value.check == check
+    assert info.value.detail == failed[0].detail
+
+
+def test_kind_two_report_raises_when_the_flip_is_not_kind_two(monkeypatch):
+    """The hypotheses force kind II, so the other verdict is forged."""
+    neither = spectrum_report(Matrix([[1, 0], [0, 2]]))
+    monkeypatch.setattr(spectra, "spectrum_report", lambda m, width_bound: neither)
+    with pytest.raises(InternalInvariantViolation, match="reported neither, expected kind II"):
+        kind_two_report(Matrix([[-1, -1], [0, -1]]))
 
 
 def test_kind_two_report_matches_negated_flip_route():
