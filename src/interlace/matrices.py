@@ -3,8 +3,11 @@
 Everything here is exact. A matrix stores one integer form (D, D*M), D a
 positive common multiple of the entry denominators, and its Fraction entries
 are a view built on first read. Every kernel reads the form: closed forms
-(orders 1-4) or Bareiss elimination on a copy give det(M) * D^n, Berkowitz
-gives c_k * D^k division-free, a sum is the integer sum over lcm(D1, D2), a
+(orders 1-4) or Bareiss elimination on a copy give det(M) * D^n; the
+characteristic polynomial's c_k * D^k comes from a continuant in O(n^2)
+when the form is tridiagonal or anti-bidiagonal, and from division-free
+Berkowitz otherwise, which with Faddeev-LeVerrier over Fractions is the
+continuants' test oracle; a sum is the integer sum over lcm(D1, D2), a
 product is the integer product over D1*D2, a submatrix (so every minor) is a
 slice keeping the parent's D, and negation, scaling, transposes and flips act
 on the form alone.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import lcm
 from operator import lt, mul
 from typing import Iterable, Iterator, Sequence
@@ -294,31 +297,76 @@ class Matrix:
     def charpoly(self):
         """Monic characteristic polynomial det(zI - M), exact.
 
-        Division-free Berkowitz (Berkowitz, IPL 18, 1984) on the integer form
-        B = D*M that ``det`` also reads, so only integer + and * run, each
-        inner product as one ``sum(map(mul, ...))``. As c_k(M) = c_k(B) / D^k,
-        the polynomial is the integers c_k(B) D^(n-k) over D^n.
+        It reads the zero pattern of the integer form B = D*M, never a
+        family label, and takes one of three routes to det(zI - B):
+
+        - B tridiagonal (zero wherever |i - j| > 1): the continuant
+          q_k = (z - b_kk) q_(k-1) - b_(k-1,k) b_(k,k-1) q_(k-2), O(n^2).
+        - B anti-bidiagonal (nonzero only where i + j is n - 1 or n,
+          0-based): the same continuant for diagonal (z_0, 0, ..., 0) and
+          products z_(-t) z_t, t = 1..n-1, where z_0 is the middle entry of
+          the zigzag (n-1, 0), (n-1, 1), (n-2, 1), ..., (0, n-1) and z_(-t),
+          z_t are the entries t steps before and after it: the form of
+          ``constructors.equivalent_tridiagonal``.
+        - Any other B: division-free Berkowitz (``_berkowitz``), O(n^4).
+
+        Both continuant routes are polynomial identities in the entries,
+        so zero and negative entries are covered; Berkowitz and, in the
+        tests, Faddeev-LeVerrier over Fractions are their oracles. As
+        c_k(M) = c_k(B) / D^k, the polynomial is the integers c_k(B) D^(n-k)
+        over D^n.
         """
         from .polynomials import Polynomial
 
         d, b = self._form
-        # coeffs of det(zI - B_r) for the leading r x r block, leading first
-        coeffs = [1, -b[0][0]]
-        for r in range(1, self.n):
-            # B_{r+1} = [[B_r, col], [row, b_rr]]; the Toeplitz column is
-            # 1, -b_rr, -row.col, -row.B_r.col, ..., -row.B_r^(r-1).col
-            top = [b_i[:r] for b_i in b[:r]]
-            row, col = b[r][:r], [b_i[r] for b_i in b[:r]]
-            toeplitz = [1, -b[r][r]]
-            for k in range(r):
-                if k:
-                    col = [sum(map(mul, t_i, col)) for t_i in top]
-                toeplitz.append(-sum(map(mul, row, col)))
-            # coefficient i of the product is sum_j toeplitz[i - j] coeffs[j]
-            rev = toeplitz[::-1]
-            coeffs = [sum(map(mul, rev[r + 1 - i:], coeffs)) for i in range(r + 2)]
-        return Polynomial._trusted(Fraction(1, d ** self.n),
-                                   [c * d ** (self.n - k) for k, c in enumerate(coeffs)])
+        n = self.n
+        if all(not any(row[:max(i - 1, 0)]) and not any(row[i + 2:])
+               for i, row in enumerate(b)):
+            coeffs = _continuant([b[i][i] for i in range(n)],
+                                 [b[i - 1][i] * b[i][i - 1] for i in range(1, n)])
+        elif all(not any(row[:n - 1 - i]) and not any(row[n + 1 - i:])
+                 for i, row in enumerate(b)):
+            zigzag = [x for t in range(n) for x in b[n - 1 - t][t:t + 2]]
+            coeffs = _continuant([zigzag[n - 1]] + [0] * (n - 1),
+                                 [zigzag[n - 1 - t] * zigzag[n - 1 + t] for t in range(1, n)])
+        else:
+            coeffs = _berkowitz(b)
+        powers = list(accumulate(repeat(d, n), mul, initial=1))  # D^0..D^n
+        return Polynomial._trusted(Fraction(1, powers[-1]),
+                                   list(map(mul, coeffs, reversed(powers))))
+
+
+def _continuant(diag: Sequence[int], products: Sequence[int]) -> list[int]:
+    """det(zI - T), leading first, for the tridiagonal T with diagonal
+    ``diag`` and products t_(k-1,k) t_(k,k-1) = ``products[k - 1]``."""
+    prev, cur = [1], [1, -diag[0]]
+    for a, p in zip(diag[1:], products):
+        # q_k = z q_(k-1) - a q_(k-1) - p q_(k-2), each aligned at its tail
+        prev, cur = cur, [x - a * y - p * w for x, y, w in
+                          zip(cur + [0], [0] + cur, [0, 0] + prev)]
+    return cur
+
+
+def _berkowitz(b: tuple[tuple[int, ...], ...]) -> list[int]:
+    """det(zI - B), leading first, for a square integer B by division-free
+    Berkowitz (Berkowitz, IPL 18, 1984): only integer + and * run, each
+    inner product as one ``sum(map(mul, ...))``."""
+    # coeffs of det(zI - B_r) for the leading r x r block, leading first
+    coeffs = [1, -b[0][0]]
+    for r in range(1, len(b)):
+        # B_{r+1} = [[B_r, col], [row, b_rr]]; the Toeplitz column is
+        # 1, -b_rr, -row.col, -row.B_r.col, ..., -row.B_r^(r-1).col
+        top = [b_i[:r] for b_i in b[:r]]
+        row, col = b[r][:r], [b_i[r] for b_i in b[:r]]
+        toeplitz = [1, -b[r][r]]
+        for k in range(r):
+            if k:
+                col = [sum(map(mul, t_i, col)) for t_i in top]
+            toeplitz.append(-sum(map(mul, row, col)))
+        # coefficient i of the product is sum_j toeplitz[i - j] coeffs[j]
+        rev = toeplitz[::-1]
+        coeffs = [sum(map(mul, rev[r + 1 - i:], coeffs)) for i in range(r + 2)]
+    return coeffs
 
 
 def _bareiss(rows: list[list[int]], exchange: bool = True) -> int:

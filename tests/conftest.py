@@ -5,14 +5,16 @@ path. The cofactor determinant checks the Bareiss determinant, and cofactor
 minors on plain integer rows check the minor stream on integer inputs. The
 four corner products over Fraction entries check the corner walk over the
 integer form and its transpose. The entrywise Fraction product and entrywise
-maps check the integer-form product and the other integer-form arithmetic,
-Faddeev-LeVerrier over Fractions checks the integer Berkowitz
-characteristic polynomial, and Euclid, Sturm isolation and bisection over
-Fractions check the integer remainder sequence and the integer-coordinate
-isolation and refinement. The modulus sort that rescans from the first pair
-of boxes after every refinement checks the one-pass certified modulus sort.
-The class n+ power search that scans every minor of each power checks the
-search that reads each power's contiguous minors alone.
+maps check the integer-form product and the other integer-form arithmetic.
+Faddeev-LeVerrier over Fractions checks every route of ``Matrix.charpoly``,
+and plain division-free Berkowitz on the integer form, with no zero-pattern
+test, checks its continuant routes where Fractions would be slow. Euclid,
+Sturm isolation and bisection over Fractions check the integer remainder
+sequence and the integer-coordinate isolation and refinement. The modulus
+sort that rescans from the first pair of boxes after every refinement checks
+the one-pass certified modulus sort. The class n+ power search that scans
+every minor of each power checks the search that reads each power's
+contiguous minors alone.
 
 ``run_cli`` is the one in-process command-line harness: every test of the
 command line runs ``cli.main`` through it, except the few that test the
@@ -40,6 +42,7 @@ from interlace import (
     identity,
     polynomials,
 )
+from interlace.matrices import _berkowitz
 
 
 def run_cli(*argv: str, stdin: str = "") -> tuple[int, str, str]:
@@ -204,6 +207,13 @@ def faddeev_leverrier_charpoly(m: Matrix) -> Polynomial:
         coeffs.append(c)
         aux = aux + identity(m.n).scale(c)
     return Polynomial(coeffs)
+
+
+def berkowitz_charpoly(m: Matrix) -> Polynomial:
+    """det(zI - M) from Berkowitz on the integer form B = D*M, whatever its
+    zero pattern: c_k(M) = c_k(B) / D^k."""
+    d, b = m._form
+    return Polynomial([Fraction(c, d ** k) for k, c in enumerate(_berkowitz(b))])
 
 
 def random_rational_matrix(n: int, seed: int, span: int = 4,

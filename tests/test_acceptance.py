@@ -42,7 +42,7 @@ from interlace import (
     spectrum_report,
     verify_sign_pattern,
 )
-from conftest import random_int_matrix
+from conftest import berkowitz_charpoly, random_int_matrix
 
 ANCHOR_TOL = F(1, 10**9)
 
@@ -174,6 +174,9 @@ def test_acceptance_3_anti_bidiagonal_spectra():
             failures.append((seed, "verdict"))
         if b.charpoly() != equivalent_tridiagonal(spec).charpoly():
             failures.append((seed, "charpoly"))
+        # both sides above take the continuant route; Berkowitz is independent
+        if b.charpoly() != berkowitz_charpoly(b):
+            failures.append((seed, "charpoly oracle"))
     _report(3, "200 positive anti-bidiagonal matrices: kind I and exact "
                "tridiagonal charpoly match", failures)
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import faddeev_leverrier_charpoly
 from interlace import constructors
 from interlace import (
     AntiBidiagonalSpec,
@@ -87,6 +88,8 @@ def test_equivalent_tridiagonal_has_same_char_poly():
         a = anti_bidiagonal(spec)
         t = equivalent_tridiagonal(spec)
         assert a.charpoly() == t.charpoly(), (trial, spec)
+        # both take the continuant route; Faddeev-LeVerrier is independent
+        assert a.charpoly() == faddeev_leverrier_charpoly(a), (trial, spec)
 
 
 def test_char_poly_depends_only_on_offdiagonal_products():
@@ -102,6 +105,9 @@ def test_char_poly_depends_only_on_offdiagonal_products():
             tuple(c / t for c in spec.sub))
         assert anti_bidiagonal(spec).charpoly() == \
             anti_bidiagonal(scaled).charpoly(), (trial, spec, t)
+        # both take the continuant route; Faddeev-LeVerrier is independent
+        assert anti_bidiagonal(scaled).charpoly() == \
+            faddeev_leverrier_charpoly(anti_bidiagonal(scaled)), (trial, spec, t)
 
 
 # -- tridiagonal and column-reversed tridiagonal ----------------------------------------

@@ -23,16 +23,20 @@ from interlace import (
     anti_bidiagonal,
     anti_identity,
     anti_jacobi,
+    equivalent_tridiagonal,
     flip_cols,
     flip_rows,
     hurwitz_matrix,
     identity,
+    jacobi_matrix,
+    matrices,
     random_positive_tnn,
     si_twist,
 )
 from interlace.documents import build_structured
 from interlace.matrices import _bareiss, as_fraction
 from conftest import (
+    berkowitz_charpoly,
     cofactor_det,
     entrywise,
     faddeev_leverrier_charpoly,
@@ -578,3 +582,91 @@ def test_charpoly_matches_sympy():
 def test_charpoly_matches_faddeev_leverrier_property(rows):
     m = Matrix(rows)
     assert m.charpoly() == faddeev_leverrier_charpoly(m)
+
+
+# -- charpoly routes: continuants for the banded forms, Berkowitz for the rest ---------
+
+
+def _cells(n: int, pattern: str) -> list[tuple[int, int]]:
+    """The 0-based cells that a tridiagonal or an anti-bidiagonal n x n form may fill."""
+    keep = ((lambda i, j: abs(i - j) <= 1) if pattern == "tridiagonal"
+            else (lambda i, j: i + j in (n - 1, n)))
+    return [(i, j) for i in range(n) for j in range(n) if keep(i, j)]
+
+
+def _filled(n: int, cells, values) -> Matrix:
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(cells, values):
+        rows[i][j] = x
+    return Matrix(rows)
+
+
+@pytest.fixture
+def berkowitz_calls(monkeypatch) -> list:
+    """The size of every matrix whose charpoly took the Berkowitz route."""
+    calls = []
+
+    def counting(b, berkowitz=matrices._berkowitz):
+        calls.append(len(b))
+        return berkowitz(b)
+
+    monkeypatch.setattr(matrices, "_berkowitz", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pattern", ["tridiagonal", "anti_bidiagonal"])
+def test_banded_charpoly_against_berkowitz_exhaustively(pattern, berkowitz_calls):
+    """Every matrix of the pattern with n <= 3 and entries in {-1, 0, 1, 2}
+    takes a continuant route and gives Berkowitz's polynomial."""
+    count = 0
+    for n in (1, 2, 3):
+        cells = _cells(n, pattern)
+        for values in product((-1, 0, 1, 2), repeat=len(cells)):
+            m = _filled(n, cells, values)
+            assert m.charpoly() == berkowitz_charpoly(m), (pattern, values)
+            count += 1
+    assert berkowitz_calls == []
+    assert count == {"tridiagonal": 4 + 4 ** 4 + 4 ** 7,
+                     "anti_bidiagonal": 4 + 4 ** 3 + 4 ** 5}[pattern]
+
+
+def test_banded_charpoly_against_faddeev_leverrier_with_denominators(berkowitz_calls):
+    """Entries in {-1/2, 0, 1/3, 3/2}, so D > 1: every anti-bidiagonal
+    matrix with n <= 3, and every 32nd tridiagonal one, against
+    Faddeev-LeVerrier over Fractions."""
+    values = (F(-1, 2), 0, F(1, 3), F(3, 2))
+    for pattern, stride in (("anti_bidiagonal", 1), ("tridiagonal", 32)):
+        for n in (1, 2, 3):
+            cells = _cells(n, pattern)
+            for entries in list(product(values, repeat=len(cells)))[::stride]:
+                m = _filled(n, cells, entries)
+                assert m.charpoly() == faddeev_leverrier_charpoly(m), (pattern, entries)
+    assert berkowitz_calls == []
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(["tridiagonal", "anti_bidiagonal"]),
+    st.lists(st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=7)),
+             min_size=3 * n, max_size=3 * n))))
+def test_banded_charpoly_against_berkowitz_property(case):
+    """Rational entries with planted zeros, up to n = 12."""
+    n, pattern, values = case
+    m = _filled(n, _cells(n, pattern), values)
+    assert m.charpoly() == berkowitz_charpoly(m)
+
+
+def test_charpoly_routes_by_zero_pattern(berkowitz_calls):
+    """Only a tridiagonal or anti-bidiagonal form takes a continuant; the
+    row reversal of an anti-bidiagonal matrix is upper bidiagonal, so it is
+    tridiagonal, while its mirror pattern (nonzero where i + j is n - 2 or
+    n - 1), an anti-Jacobi matrix and a dense matrix reach Berkowitz."""
+    spec = AntiBidiagonalSpec(2, (3, 5, F(1, 2)), (7, 11, F(2, 3)))
+    jacobi = JacobiSpec((1, 2, 3, 4), (5, 6, 7), (8, 9, 10))
+    continuant = [anti_bidiagonal(spec), flip_rows(anti_bidiagonal(spec)),
+                  equivalent_tridiagonal(spec), jacobi_matrix(jacobi)]
+    berkowitz = [flip_cols(jacobi_matrix(JacobiSpec((1, 2, 3, 4), (5, 6, 7), (0, 0, 0)))),
+                 anti_jacobi(jacobi), random_rational_matrix(4, 9)]
+    for m in continuant + berkowitz:
+        assert m.charpoly() == faddeev_leverrier_charpoly(m), m
+    assert berkowitz_calls == [4] * len(berkowitz)
