@@ -1,4 +1,5 @@
-"""Scale sweep of the spectrum front end: each layer timed over n.
+"""Scale sweep of the spectrum front end and the minor scan: each layer
+timed over n.
 
     PYTHONPATH=src python bench/sweep.py --label after
     PYTHONPATH=/path/to/other/src python bench/sweep.py --label before
@@ -13,6 +14,12 @@ Three layers are swept over ``--sizes``:
 - ``hurwitz_minors``: ``hurwitz_minors`` of the twist of that characteristic
   polynomial, the kind I verdict's whole work;
 - ``spectrum_report``: the full report, charpoly to certified enclosures.
+
+and one over ``--scan-sizes`` (n = 4..10 by default), where the budget ends
+each series at the exponential wall:
+
+- ``sign_scan``: ``classify_sign_definite`` of the input, a full minor scan
+  for every sign definite input and the class n+ power search after it.
 
 The inputs are the anti-bidiagonal matrix with a = 1, b_(k+2) = 1/(k+2) and
 c_(k+2) = 1/(k+3), the Jacobi matrix with diagonal 2 and the same ladders,
@@ -29,8 +36,8 @@ and stops repeating once a further run would not fit the budget of 10 s at
 reference speed. A run that exceeds the budget is interrupted and marks its
 row "over_budget", which ends that layer's sweep on that input: the larger
 sizes are not run, so an exponential wall shows up as data, not as a hang.
-A charpoly over budget also ends the later layers' sweeps on that input at
-that size, since both start from the charpoly.
+A charpoly over budget also ends the sweeps of the two layers that start
+from it on that input at that size.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from interlace import (  # noqa: E402
     JacobiSpec,
     anti_bidiagonal,
     anti_jacobi,
+    classify_sign_definite,
     flip_rows,
     hurwitz_minors,
     jacobi_matrix,
@@ -66,7 +74,8 @@ from interlace import (  # noqa: E402
 )
 
 SCHEMA = "interlace-sweep/1"
-LAYERS = ("charpoly", "hurwitz_minors", "spectrum_report")
+LAYERS = ("charpoly", "hurwitz_minors", "spectrum_report", "sign_scan")
+FROM_CHARPOLY = ("hurwitz_minors", "spectrum_report")
 TNN_MAX = 32
 REPEATS = 5
 BUDGET_S = 10.0  # per row, at reference speed
@@ -107,6 +116,9 @@ def _layer(name: str, m):
         return (lambda: hurwitz_minors(twist)), lambda minors: {
             "minors": len(minors), "zero_minors": minors.count(0),
             "peak_bits": max(map(_bits, minors))}
+    if name == "sign_scan":
+        return (lambda: classify_sign_definite(m)), lambda cls: {
+            "verdict": cls.verdict.value, "power_exponent": cls.power_exponent}
     return (lambda: spectrum_report(m)), lambda rep: {
         "roots": len(rep.boxes), "verdict": rep.verdict.value}
 
@@ -150,20 +162,22 @@ def source_sha(package_dir: Path) -> str:
     return h.hexdigest()
 
 
-def sweep(sizes) -> list[dict]:
+def sweep(sizes, scan_sizes) -> list[dict]:
     rows = []
-    wall = {kind: TNN_MAX + 1 if kind == "tnn_flip" else float("inf") for kind in INPUTS}
+    inputs_end = {kind: TNN_MAX + 1 if kind == "tnn_flip" else float("inf") for kind in INPUTS}
+    charpoly_end = dict(inputs_end)
     for layer in LAYERS:
+        end = charpoly_end if layer in FROM_CHARPOLY else inputs_end
         for kind, build in INPUTS.items():
-            for n in sizes:
-                if n >= wall[kind]:
+            for n in scan_sizes if layer == "sign_scan" else sizes:
+                if n >= end[kind]:
                     break
                 row = {"layer": layer, "input": kind, "n": n}
                 row.update(measure(*_layer(layer, build(n))))
                 rows.append(row)
                 if row["status"] == "over_budget":
-                    if layer == "charpoly":  # the later layers start from it
-                        wall[kind] = n
+                    if layer == "charpoly":
+                        charpoly_end[kind] = n
                     break
     return rows
 
@@ -176,14 +190,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 32, 64, 128])
+    parser.add_argument("--scan-sizes", type=int, nargs="+", default=list(range(4, 11)))
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
-    if min(args.sizes) < 2:
+    if min(args.sizes + args.scan_sizes) < 2:
         parser.error("sizes must be >= 2")
 
     previous = signal.signal(signal.SIGALRM, _interrupt)
     try:
-        rows = sweep(args.sizes)
+        rows = sweep(args.sizes, args.scan_sizes)
     finally:
         signal.signal(signal.SIGALRM, previous)
     report = {

@@ -1,9 +1,10 @@
 """Minor-based sign classification and oscillation criteria.
 
 Witnesses come from scanning exact minors in one fixed order: orders 1..n,
-and within an order lexicographically (rows outer, columns inner). ``_scan``
-is the single place that decides this order, and with it the first witness
-reported for any failure and the minor where each check stops.
+and within an order lexicographically (rows outer, columns inner).
+``_scan_orders`` is the single place that decides this order (``_scan``
+reads it as one stream), and with it the first witness reported for any
+failure and the minor where each check stops.
 
 Exact Neville elimination of M and M^T decides in O(n^3) whether M is
 nonsingular totally nonnegative (Gasca & Peña, "Total positivity and
@@ -106,16 +107,25 @@ class SignClassification:
                                 SignVerdict.STRICTLY_SIGN_DEFINITE)
 
 
-def _scan(m: Matrix, start: int = 1) -> Iterator[tuple[MinorSelector, Fraction]]:
-    """Every minor of ``m`` of order ``start``..n, each order in
-    ``Matrix.minors`` order.
+def _scan_orders(m: Matrix, start: int = 1
+                 ) -> Iterator[tuple[int, Iterator[tuple[MinorSelector, Fraction]]]]:
+    """(k, the ``Matrix.minors`` stream of order k) for k = ``start``..n.
 
-    The one place that fixes scan order; each check below reports the first
-    minor of this stream that breaks it and stops reading there. Checks read
-    a minor's sign off its numerator: a Fraction's denominator is positive.
+    The one place that fixes scan order. A check that keeps state per order
+    (``classify_sign_definite``) reads each order's stream in turn, with k
+    from the loop; the others read ``_scan``. Each check reports the first
+    minor of the scan that breaks it and stops reading there. Checks read a
+    minor's sign off its numerator: a Fraction's denominator is positive.
     """
     for order in range(start, m.n + 1):
-        yield from m.minors(order)
+        yield order, m.minors(order)
+
+
+def _scan(m: Matrix, start: int = 1) -> Iterator[tuple[MinorSelector, Fraction]]:
+    """Every minor of ``m`` of order ``start``..n, as one stream in the
+    order of ``_scan_orders``."""
+    for _, minors in _scan_orders(m, start):
+        yield from minors
 
 
 def _contiguous_minors(b) -> Iterator[list[list[int]]]:
@@ -166,10 +176,12 @@ def default_power_cap(n: int) -> int:
 def classify_sign_definite(m: Matrix) -> SignClassification:
     """Classify minor sign consistency and search powers for strictness.
 
-    Scans orders k = 1..n; a strict sign conflict at any order yields
-    NOT_SIGN_DEFINITE with the first conflicting pair as witness. If no
-    order conflicts and no minor vanishes the matrix is strictly sign
-    definite (power exponent 1). Otherwise, if M is nonsingular, powers M^m
+    Scans orders k = 1..n, each order's minors as its own stream: the
+    first nonzero k-minor is kept as the order's sign, and every later
+    k-minor costs a zero test and one sign compare against it. A strict
+    sign conflict at any order yields NOT_SIGN_DEFINITE with the first
+    conflicting pair as witness. If no order conflicts and no minor
+    vanishes the matrix is strictly sign definite (power exponent 1). Otherwise, if M is nonsingular, powers M^m
     for m = 2..2(n-1) are tried. By Cauchy-Binet every k-minor of M^m is
     0 or of sign σ_k^m, so M^m is strict exactly when none vanishes, and by
     Karlin's criterion exactly when every contiguous k-minor has sign σ_k^m;
@@ -184,17 +196,24 @@ def classify_sign_definite(m: Matrix) -> SignClassification:
 
     first: dict[int, tuple[MinorSelector, Fraction]] = {}  # order -> first nonzero minor
     saw_zero = False
-    for sel, val in _scan(m):
-        num = val.numerator
-        if not num:
+    for order, minors in _scan_orders(m):
+        for sel, val in minors:  # up to the first nonzero minor of this order
+            if val.numerator:
+                first[order] = earlier = (sel, val)
+                positive = val.numerator > 0
+                break
             saw_zero = True
+        else:
             continue
-        earlier = first.setdefault(sel.order, (sel, val))
-        if (earlier[1].numerator > 0) != (num > 0):
-            pos, neg = (earlier, (sel, val)) if num < 0 else ((sel, val), earlier)
-            sig = _signature(first, sel.order - 1) + (None,) * (n - sel.order + 1)
-            return SignClassification(SignVerdict.NOT_SIGN_DEFINITE, sig,
-                                      SignConflict(sel.order, pos, neg), None)
+        for sel, val in minors:  # a zero test and one sign compare per minor
+            num = val.numerator
+            if not num:
+                saw_zero = True
+            elif (num > 0) is not positive:
+                pos, neg = (earlier, (sel, val)) if positive else ((sel, val), earlier)
+                sig = _signature(first, order - 1) + (None,) * (n - order + 1)
+                return SignClassification(SignVerdict.NOT_SIGN_DEFINITE, sig,
+                                          SignConflict(order, pos, neg), None)
 
     sig = _signature(first, n)
     if not saw_zero:

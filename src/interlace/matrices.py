@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from math import lcm
-from operator import lt, mul
+from operator import itemgetter, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InvalidSelector
@@ -74,7 +74,9 @@ class MinorSelector:
         of equal nonzero length (as ``combinations`` yields them), with no
         check."""
         sel = object.__new__(cls)
-        sel.__dict__.update(rows=rows, cols=cols)
+        fields = sel.__dict__
+        fields["rows"] = rows
+        fields["cols"] = cols
         return sel
 
     @property
@@ -102,17 +104,17 @@ class Matrix:
         if any(len(r) != n for r in data):
             raise DimensionMismatch(f"rows of a {n}x{n} matrix must have length {n}")
         d, flat = _common_denominator([x for row in data for x in row])
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_form", (d, tuple(zip(*[iter(flat)] * n))))  # rows of n
-        object.__setattr__(self, "_rows", data)
+        _set_n(self, n)
+        _set_form(self, (d, tuple(zip(*[iter(flat)] * n))))  # rows of n
+        _set_rows(self, data)
 
     @classmethod
     def _trusted(cls, d: int, b: tuple[tuple[int, ...], ...]) -> "Matrix":
         """Wrap a form (D, D*M): D > 0, ``b`` a square tuple of int tuples; no check."""
         m = object.__new__(cls)
-        object.__setattr__(m, "n", len(b))
-        object.__setattr__(m, "_form", (d, b))
-        object.__setattr__(m, "_rows", None)
+        _set_n(m, len(b))
+        _set_form(m, (d, b))
+        _set_rows(m, None)
         return m
 
     def __setattr__(self, *_):
@@ -128,8 +130,7 @@ class Matrix:
         """The entries as Fractions, built from the form on first read."""
         if self._rows is None:
             d, b = self._form
-            object.__setattr__(self, "_rows", tuple(
-                tuple(Fraction(x, d) for x in row) for row in b))
+            _set_rows(self, tuple(tuple(Fraction(x, d) for x in row) for row in b))
         return self._rows
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
@@ -259,18 +260,25 @@ class Matrix:
         every first-witness choice downstream) is deterministic. Minors are
         computed on demand; short-circuiting consumers never pay for the
         full stream.
+
+        Each minor is its own ``Matrix`` on a slice of this matrix's form,
+        keeping its D, and its own ``det`` call. The slicing is built once
+        per call: one ``itemgetter`` per column selection (a one-entry
+        slice at order 1, so it too returns a tuple), applied by one ``map``
+        to the rows of each row selection.
         """
         if not (1 <= order <= self.n):
             raise InvalidSelector(f"minor order {order} outside 1..{self.n}")
         d, b = self._form
         picks = list(combinations(range(self.n), order))
         selectors = [tuple(i + 1 for i in pick) for pick in picks]
+        getters = [itemgetter(*pick) if order > 1 else itemgetter(slice(pick[0], pick[0] + 1))
+                   for pick in picks]
+        trusted, selector = Matrix._trusted, MinorSelector._trusted
         for row_sel, rows in zip(selectors, picks):
-            # columns of the selected rows; a minor's rows are its columns' zip
-            column = list(zip(*(b[i] for i in rows))).__getitem__
-            for col_sel, cols in zip(selectors, picks):
-                sub = Matrix._trusted(d, tuple(zip(*map(column, cols))))
-                yield MinorSelector._trusted(row_sel, col_sel), sub.det()
+            chosen = [b[i] for i in rows]
+            for col_sel, take in zip(selectors, getters):
+                yield selector(row_sel, col_sel), trusted(d, tuple(map(take, chosen))).det()
 
     def leading_principal_minor(self, k: int) -> Fraction:
         sel = MinorSelector(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
@@ -334,6 +342,11 @@ class Matrix:
         powers = list(accumulate(repeat(d, n), mul, initial=1))  # D^0..D^n
         return Polynomial._trusted(Fraction(1, powers[-1]),
                                    list(map(mul, coeffs, reversed(powers))))
+
+
+# The slot descriptors' setters, bound once: how a Matrix fills its slots
+# past its own __setattr__, which refuses every assignment.
+_set_n, _set_form, _set_rows = (Matrix.__dict__[slot].__set__ for slot in Matrix.__slots__)
 
 
 def _continuant(diag: Sequence[int], products: Sequence[int]) -> list[int]:

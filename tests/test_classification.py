@@ -7,7 +7,7 @@ from itertools import combinations, product
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlace import (
@@ -106,6 +106,18 @@ def test_classify_identity_and_zero():
     zero = classify_sign_definite(Matrix([[0, 0], [0, 0]]))
     assert zero.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N
     assert zero.signature == (None, None)
+
+
+def test_classify_zero_minor_after_a_negative_one():
+    """A zero after the first nonzero minor of a negative order still rules
+    out strictness: -I stays class n, and the square of -[[1, 1], [1, 0]]
+    is the least strict power."""
+    cls = classify_sign_definite(-identity(2))
+    assert cls.verdict is SignVerdict.SIGN_DEFINITE_CLASS_N
+    assert cls.signature == (-1, 1) and cls.power_exponent is None
+    cls = classify_sign_definite(Matrix([[-1, -1], [-1, 0]]))
+    assert cls.verdict is SignVerdict.CLASS_N_PLUS
+    assert cls.signature == (-1, -1) and cls.power_exponent == 2
 
 
 def test_classify_one_by_one():
@@ -292,6 +304,7 @@ def _scan_minors(m):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 5), seed=st.integers(0, 10 ** 6), span=st.integers(1, 4),
        denominators=st.sampled_from([(2,), (3, 6), (1, 2, 5), (4, 7, 9)]))
+@example(n=4, seed=28110, span=1, denominators=(2,))  # a zero in a negative order
 def test_numerator_sign_tests_match_fraction_comparisons_property(n, seed, span,
                                                                   denominators):
     """The scans read signs off numerators; an oracle walking the same
@@ -1021,15 +1034,31 @@ def test_jflip_certificate_checks_arguments_before_any_stage():
 def test_matrices_polynomials_and_reports_copy_and_pickle():
     """Each round trip rebuilds from the stored state: a matrix and a
     polynomial from their integer forms; the Fraction view and the Sturm
-    chain, both caches, stay behind, and the chain rebuilds equal."""
+    chain, both caches, stay behind, and the chain rebuilds equal. A minor's
+    submatrix and selector, as the trusted constructors of the minor stream
+    build them, cannot be told from the checked constructors' objects."""
     cert = jflip_si_certificate(random_positive_tnn(4, 5))
     m, p = cert.flipped * cert.flipped, cert.spectrum.char_poly
     assert m.rows and p._chain is not None
-    for obj in (m, p, cert.spectrum, cert):
+    d, b = m._form
+    sel = MinorSelector._trusted((1, 3), (2, 4))
+    checked = MinorSelector((1, 3), (2, 4))
+    assert sel == checked and hash(sel) == hash(checked)
+    sub = Matrix._trusted(d, tuple(tuple(b[i - 1][j - 1] for j in sel.cols) for i in sel.rows))
+    built = Matrix([[m[i, j] for j in sel.cols] for i in sel.rows])
+    assert sub._rows is None  # the view is built on first read
+    assert sub == built and hash(sub) == hash(built) and repr(sub) == repr(built)
+    assert sub._rows == built.rows and sub.det() == m.minor(checked)
+    for obj, name, value in ((sub, "n", 3), (sub, "_rows", None), (sub, "_form", (1, ())),
+                             (sel, "rows", (1,)), (sel, "cols", (1,))):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    for obj in (m, p, cert.spectrum, cert, sub, sel):
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj
-    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert twin._form == m._form and twin._rows is None
+    for mat in (m, sub):
+        for twin in (copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
+            assert twin._form == mat._form and twin._rows is None
     for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert twin._form == p._form and twin._chain is None
         assert _sturm_chain(twin) == p._chain and twin._chain is not None

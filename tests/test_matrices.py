@@ -2,7 +2,9 @@
 the input checks of the value types and the document builder."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations, product
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +330,58 @@ def test_minor_values_match_cofactor_oracle():
         if all(x.denominator == 1 for row in m.rows for x in row):
             fresh = [pair for k in range(1, m.n + 1) for pair in _fresh_minors(m, k)]
             assert integer_minors([[int(x) for x in row] for row in m.rows]) == fresh, m
+
+
+def test_minor_values_match_cofactor_oracle_on_every_3x3_over_signs():
+    """Every 3x3 matrix over {-1, 0, 1}, every order: the selectors come in
+    ``combinations`` order, and each value is ``cofactor_det`` of the same
+    selection (memoized on its entries, which repeat across matrices)."""
+    picks = [list(combinations(range(3), k)) for k in (1, 2, 3)]
+    # per order: (selector, row-major flat indices of the selected entries)
+    selections = [[(MinorSelector(tuple(i + 1 for i in r), tuple(j + 1 for j in c)),
+                    [3 * i + j for i in r for j in c]) for r in p for c in p] for p in picks]
+
+    @lru_cache(maxsize=None)
+    def oracle(entries):
+        k = isqrt(len(entries))
+        return cofactor_det(Matrix([entries[i:i + k] for i in range(0, k * k, k)]))
+
+    for flat in product((-1, 0, 1), repeat=9):
+        m = Matrix([flat[:3], flat[3:6], flat[6:]])
+        for k, sels in zip((1, 2, 3), selections):
+            expected = [(sel, oracle(tuple(map(flat.__getitem__, idx)))) for sel, idx in sels]
+            assert list(m.minors(k)) == expected, (flat, k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.integers(1, n))))
+def test_minor_values_match_cofactor_oracle_property(case):
+    """Integer and rational entries, zeros and negative ones included."""
+    rows, k = case
+    m = Matrix(rows)
+    assert list(m.minors(k)) == _fresh_minors(m, k), (m, k)
+
+
+def test_each_minor_is_its_own_det_call(monkeypatch):
+    """``minors(k)`` of an n x n matrix makes exactly C(n,k)^2 ``det``
+    calls, each on a k x k matrix, and yields as many pairs."""
+    calls, det = [], Matrix.det
+
+    def counted(self):
+        calls.append(self.n)
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counted)
+    for n in range(1, 6):
+        m = random_rational_matrix(n, 1000 + n)
+        for k in range(1, n + 1):
+            calls.clear()
+            pairs = list(m.minors(k))
+            assert len(pairs) == len(calls) == comb(n, k) ** 2, (n, k)
+            assert set(calls) == {k}, (n, k)
 
 
 def test_submatrix_matches_a_fresh_matrix_despite_the_parent_denominator():

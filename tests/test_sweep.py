@@ -18,7 +18,8 @@ def _load_sweep():
 def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     sweep = _load_sweep()
     start = time.perf_counter()
-    assert sweep.main(["--label", "smoke", "--sizes", "2", "3", "--out", str(tmp_path)]) == 0
+    assert sweep.main(["--label", "smoke", "--sizes", "2", "3", "--scan-sizes", "2", "3",
+                       "--out", str(tmp_path)]) == 0
     assert time.perf_counter() - start < 2
     path = tmp_path / "BENCH_smoke.json"
     assert capsys.readouterr().out == f"{path}\n"
@@ -38,3 +39,5 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     assert counts["charpoly", "jacobi", 3]["degree"] == 3
     assert counts["hurwitz_minors", "tnn_flip", 3]["minors"] == 3
     assert counts["spectrum_report", "anti_bidiagonal", 3] == {"roots": 3, "verdict": "kind_I"}
+    assert counts["sign_scan", "tnn_flip", 3] == {"verdict": "strictly_sign_definite",
+                                                  "power_exponent": 1}
