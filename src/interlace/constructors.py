@@ -3,10 +3,11 @@
 Builders for the bidiagonal, anti-bidiagonal, tridiagonal (Jacobi) and
 column-reversed tridiagonal families live here with the two tridiagonal
 oscillation criteria. Every family is built by ``jacobi_matrix``,
-column-reversed for the anti families. The criteria read
-``Matrix.leading_principal_minors``, or the determinants of the column-reversed
-leading blocks with signs from ``jflip_signature`` of ``classification``,
-which imports nothing from this module.
+column-reversed for the anti families. The criteria read the leading
+principal minors off the continuant recurrence of the integer form, or the
+determinants of the column-reversed leading blocks with signs from
+``jflip_signature`` of ``classification``, which imports nothing from this
+module.
 
 The anti-bidiagonal family lays its parameters along the zigzag path from
 corner (n,1) up to corner (1,n), carrying c_n,...,c_2, a, b_2,...,b_n in that
@@ -146,11 +147,18 @@ def jacobi_oscillatory_criterion(spec: JacobiSpec) -> bool:
     """Positive off-diagonals given, decide oscillation by leading minors.
 
     Requires every b_k > 0 and c_k > 0 (raises otherwise); returns True
-    exactly when all leading principal minors of the tridiagonal matrix, the
-    pivots of one elimination, are strictly positive.
+    exactly when all leading principal minors of the tridiagonal matrix are
+    strictly positive. On the integer form B = D*M they are the continuants
+    Δ_k = b_kk Δ_(k-1) - b_(k-1,k) b_(k,k-1) Δ_(k-2), Δ_0 = 1 and Δ_(-1) = 0,
+    in O(n), and D > 0 keeps their signs; the first Δ_k <= 0 decides.
     """
-    m = _positive_jacobi(spec)
-    return all(d > 0 for d in m.leading_principal_minors())
+    b = _positive_jacobi(spec)._form[1]
+    before, minor = 0, 1  # Δ_(k-2), Δ_(k-1); Δ_(-1) = 0 voids the k = 0 term
+    for k, row in enumerate(b):
+        before, minor = minor, row[k] * minor - row[k - 1] * b[k - 1][k] * before
+        if minor <= 0:
+            return False
+    return True
 
 
 def anti_tridiagonal_criterion(spec: JacobiSpec) -> bool:

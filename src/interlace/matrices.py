@@ -284,22 +284,6 @@ class Matrix:
         sel = MinorSelector(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
         return self.minor(sel)
 
-    def leading_principal_minors(self) -> tuple[Fraction, ...]:
-        """Δ_1..Δ_n from one Bareiss pass with no row exchanges on a copy of
-        the integer form: pivot k is Δ_k(D*M), so Δ_k(M) = pivot / D^k. At
-        the first zero pivot the pass stops, and each later Δ_k is its own
-        ``leading_principal_minor``."""
-        d, b = self._form
-        rows = [list(row) for row in b]
-        _bareiss(rows, exchange=False)
-        out = []
-        for k, row in enumerate(rows, start=1):
-            out.append(Fraction(row[k - 1], d ** k))
-            if row[k - 1] == 0:
-                out += [self.leading_principal_minor(j) for j in range(k + 1, self.n + 1)]
-                break
-        return tuple(out)
-
     # -- characteristic polynomial ------------------------------------------
 
     def charpoly(self):
@@ -382,18 +366,13 @@ def _berkowitz(b: tuple[tuple[int, ...], ...]) -> list[int]:
     return coeffs
 
 
-def _bareiss(rows: list[list[int]], exchange: bool = True) -> int:
-    """Integer Bareiss determinant; mutates ``rows``, leaving pivot k at
-    rows[k-1][k-1]. With ``exchange`` off, a zero pivot ends the pass (and 0
-    is returned) instead of a row exchange, so every pivot up to that one is
-    a leading principal minor."""
+def _bareiss(rows: list[list[int]]) -> int:
+    """Integer Bareiss determinant; mutates ``rows``."""
     n = len(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if rows[k][k] == 0:
-            if not exchange:
-                return 0
             for i in range(k + 1, n):
                 if rows[i][k] != 0:
                     rows[k], rows[i] = rows[i], rows[k]

@@ -19,9 +19,9 @@ a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
 real roots alternate in sign with strictly decreasing moduli, largest
 positive" into plain Hurwitz stability of the twisted polynomial, which is
 decided by the leading principal minors of the Hurwitz matrix. A
-fraction-free Routh walk on P reads them in O(n^2); at a zero minor before
-the last, and in the tests as its oracle, the pivots of one fraction-free
-elimination of the Hurwitz matrix give them.
+fraction-free Routh walk on P reads them in O(n^2); it stops at a zero minor
+before the last, and each later minor is its own determinant of the Hurwitz
+matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, dropwhile, repeat, zip_longest
 from math import gcd
 from operator import mul, ne, not_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegreeZero,
@@ -305,26 +305,28 @@ def hurwitz_minors(p: Polynomial) -> tuple[Fraction, ...]:
     s_(k-1)[j+1] - s_(k-1)[0] s_k[j+1]) / d, exactly, with d = 1 for s_2
     and s_3 and d = s_(k-2)[0] after. It is Bareiss elimination on the
     shift structure of the Hurwitz matrix, so s_k[0] = Δ_k(P) and Δ_k(p) =
-    c^k s_k[0]. At a zero Δ_k before Δ_n the walk stops, and the minors
-    come from ``Matrix.leading_principal_minors`` of ``hurwitz_matrix(p)``,
-    its oracle, which gives each later Δ_k as its own determinant.
+    c^k s_k[0]. At a zero Δ_k before Δ_n the walk stops, and each later
+    Δ_j is its own ``leading_principal_minor`` of ``hurwitz_matrix(p)``.
     """
     c, ints = p._form
-    pivots = _routh_pivots(ints) if len(ints) > 1 else None
-    if pivots is None:  # also for degree < 1, which hurwitz_matrix rejects
-        return hurwitz_matrix(p).leading_principal_minors()
+    pivots = _routh_pivots(ints) if len(ints) > 1 else []
     num_k, den_k = (accumulate(repeat(x, len(pivots)), mul) for x in (c.numerator, c.denominator))
-    return tuple(Fraction(x * a, b) for x, a, b in zip(pivots, num_k, den_k))
+    out = [Fraction(x * a, b) for x, a, b in zip(pivots, num_k, den_k)]
+    if len(out) < max(p.degree, 1):  # degree < 1 raises in hurwitz_matrix
+        h = hurwitz_matrix(p)
+        out += [h.leading_principal_minor(j) for j in range(len(out) + 1, h.n + 1)]
+    return tuple(out)
 
 
-def _routh_pivots(ints: Sequence[int]) -> Optional[list[int]]:
-    """Δ_1..Δ_n of the Hurwitz matrix of the integers ``ints`` (degree
-    n >= 1) by the walk in ``hurwitz_minors``, or None at a zero Δ_k, k < n."""
+def _routh_pivots(ints: Sequence[int]) -> list[int]:
+    """Δ_1..Δ_k of the Hurwitz matrix of the integers ``ints`` (degree
+    n >= 1) by the walk in ``hurwitz_minors``: k = n, or the first k < n
+    with Δ_k = 0."""
     older, old = list(ints[0::2]), list(ints[1::2])
     leads = [older[0], old[0]]  # s_0[0], s_1[0], ...
     for k in range(1, len(ints) - 1):
         if old[0] == 0:
-            return None
+            break
         d = leads[k - 2] if k >= 3 else 1
         older, old = old, [(old[0] * x - older[0] * y) // d
                            for x, y in zip(older[1:], old[1:] + [0])]

@@ -30,6 +30,7 @@ from interlace import (
     flip_cols,
     flip_rows,
     hurwitz_matrix,
+    hurwitz_minors,
     identity,
     is_oscillatory,
     is_oscillatory_by_definition,
@@ -47,7 +48,7 @@ from interlace import (
     stp_violation,
     tnn_violation,
 )
-from interlace import classification, spectra
+from interlace import classification, matrices, polynomials, spectra
 from interlace.classification import _contiguous_minors, _neville, _neville_blocks, _scan
 from interlace.polynomials import _sturm_chain
 from conftest import (cofactor_det, corner_conditions_by_products, integer_minors,
@@ -729,7 +730,7 @@ def test_neville_rows_stay_within_minor_size():
         assert _neville_peak_bits(tnn) <= _hadamard_bits(tnn)
 
 
-def test_kernels_never_build_the_fraction_view():
+def test_kernels_never_build_the_fraction_view(monkeypatch):
     """Products and flips store only their integer form, and every kernel
     and decider reads that form, so the Fraction view is never built."""
     cases = [random_positive_tnn(4, 3).scale(F(2, 3)), random_tnn(4, 0).scale(F(1, 6)),
@@ -744,7 +745,8 @@ def test_kernels_never_build_the_fraction_view():
             is_oscillatory_by_definition(m)
             assert m._rows is None, a
     # corner conditions, both flip certificates of a product, the Hurwitz
-    # matrix of a rational polynomial and a sum read and build forms alone
+    # minors of a rational polynomial past a zero pivot and a sum read and
+    # build forms alone
     a = random_positive_tnn(4, 3).scale(F(2, 3))
     m = a * a
     check_corner_conditions(m)
@@ -752,9 +754,11 @@ def test_kernels_never_build_the_fraction_view():
         cert = jflip_si_certificate(m, side)
         assert cert.passed and cert.flipped._rows is None, side
     assert m._rows is None
-    h = hurwitz_matrix(Polynomial([1, F(3, 2), F(5, 7), F(1, 3), 2]))
-    h.leading_principal_minors()
-    assert h._rows is None
+    built = []
+    monkeypatch.setattr(polynomials, "hurwitz_matrix",
+                        lambda p, build=hurwitz_matrix: built.append(build(p)) or built[-1])
+    assert hurwitz_minors(Polynomial([F(2, 3), 1, F(3, 2), F(9, 4), 1, 4]))[1] == 0
+    assert len(built) == 1 and built[0]._rows is None
     b = random_tnn(4, 0).scale(F(1, 6))
     total = m + b
     assert total._rows is m._rows is b._rows is None
@@ -1078,6 +1082,35 @@ def test_jacobi_criteria_frozen():
         jacobi_oscillatory_criterion(JacobiSpec((1, 1), (0,), (1,)))
     with pytest.raises(PositivityViolated):
         anti_tridiagonal_criterion(JacobiSpec((1, 1), (1,), (-1,)))
+
+
+def test_jacobi_criterion_matches_leading_minors_exhaustively():
+    """Every spec of size 1..4 with diagonal entries in {-1, 0, 1/2, 1, 3}
+    and each (b_k, c_k) in {(1, 1/2), (2, 1)}: the continuants against one
+    determinant per order, on 1,450 specs with a zero Δ_k before the last."""
+    diagonal = (F(-1), F(0), F(1, 2), F(1), F(3))
+    ladders = ((F(1), F(1, 2)), (F(2), F(1)))
+    specs = zeros = oscillatory = 0
+    for n in range(1, 5):
+        for diag in product(diagonal, repeat=n):
+            for pairs in product(ladders, repeat=n - 1):
+                spec = JacobiSpec(diag, tuple(b for b, _ in pairs), tuple(c for _, c in pairs))
+                m = jacobi_matrix(spec)
+                minors = [m.leading_principal_minor(k) for k in range(1, n + 1)]
+                want = all(d > 0 for d in minors)
+                assert jacobi_oscillatory_criterion(spec) is want, spec
+                specs, zeros, oscillatory = specs + 1, zeros + (0 in minors[:-1]), oscillatory + want
+    assert (specs, zeros, oscillatory) == (5555, 1450, 126)
+
+
+def test_jacobi_criterion_takes_no_determinant(monkeypatch):
+    def eliminating(*args):
+        raise AssertionError("the continuants need no elimination")
+
+    monkeypatch.setattr(Matrix, "det", eliminating)
+    monkeypatch.setattr(matrices, "_bareiss", eliminating)
+    assert jacobi_oscillatory_criterion(JacobiSpec((3,) * 200, (1,) * 199, (1,) * 199))
+    assert not jacobi_oscillatory_criterion(JacobiSpec((1, 1, 5), (1, 2), (1, 1)))
 
 
 def test_jacobi_criteria_agree_on_random_specs():

@@ -34,6 +34,7 @@ from interlace import (
     hurwitz_stable,
     is_self_interlacing,
     isolate_real_roots,
+    matrices,
     poly_from_roots,
     poly_gcd,
     polynomials,
@@ -206,18 +207,24 @@ def test_hurwitz_minors_frozen():
     assert hurwitz_minors(Polynomial([1, 1, 1, 1])) == (F(1), F(0), F(0))
 
 
+def _hurwitz_by_det(p: Polynomial) -> tuple[F, ...]:
+    """The oracle: each leading principal minor of the Hurwitz matrix as its
+    own determinant."""
+    h = hurwitz_matrix(p)
+    return tuple(h.leading_principal_minor(k) for k in range(1, h.n + 1))
+
+
 def test_hurwitz_minors_match_one_determinant_each():
-    """The elimination's pivots against one determinant per order, on
-    polynomials with rational coefficients, zero coefficients and both
-    leading signs, and on their twists."""
+    """The walk against one determinant per order, on polynomials with
+    rational coefficients, zero coefficients and both leading signs, and on
+    their twists."""
     polys = _remainder_corpus() + [Polynomial([1, 1, 1, 1]), Polynomial([1, 0, 2, 0, 1])]
     zero = 0
     for p in polys:
         if p.degree < 1:
             continue
         for q in (p, si_twist(p)):
-            h = hurwitz_matrix(q)
-            by_det = tuple(h.leading_principal_minor(k) for k in range(1, h.n + 1))
+            by_det = _hurwitz_by_det(q)
             assert hurwitz_minors(q) == by_det, q
             zero += 0 in by_det
     assert zero >= 3
@@ -225,8 +232,8 @@ def test_hurwitz_minors_match_one_determinant_each():
 
 @pytest.fixture
 def hurwitz_fallbacks(monkeypatch) -> list:
-    """Every polynomial whose Hurwitz minors left the Routh walk for the
-    elimination of its Hurwitz matrix."""
+    """Every polynomial whose Hurwitz minors left the Routh walk for
+    determinants of its Hurwitz matrix."""
     calls = []
 
     def counting(p, build=polynomials.hurwitz_matrix):
@@ -245,15 +252,22 @@ def test_routh_walk_against_elimination_exhaustively(hurwitz_fallbacks):
             if coeffs[0]:
                 p = Polynomial(coeffs)
                 before = len(hurwitz_fallbacks)
-                assert hurwitz_minors(p) == hurwitz_matrix(p).leading_principal_minors(), p
+                assert hurwitz_minors(p) == _hurwitz_by_det(p), p
                 walked += len(hurwitz_fallbacks) == before
     # 3,120 polynomials, 1,164 of them with a zero minor before the last
     assert (walked, len(hurwitz_fallbacks)) == (1956, 1164)
 
 
-def test_routh_walk_falls_back_at_a_zero_pivot(hurwitz_fallbacks):
-    """A zero Δ_k before Δ_n hands the minors to the elimination, whose later
-    minors are each their own determinant; a zero Δ_n alone does not."""
+def test_routh_walk_falls_back_at_a_zero_pivot(hurwitz_fallbacks, monkeypatch):
+    """A zero Δ_k before Δ_n leaves the walk's Δ_1..Δ_k, and each later minor
+    is its own determinant of the Hurwitz matrix, so only an order above 4
+    eliminates anything; a zero Δ_n alone does not leave the walk."""
+    blocks = []
+
+    def counting(rows, eliminate=matrices._bareiss):
+        blocks.append(len(rows))
+        return eliminate(rows)
+
     planted = [Polynomial([1, 0, 1, 1]),                  # P_1 = 0
                Polynomial([1, 1, 1, 1, 1]),               # Δ_2 = 0, Δ_3 = -1
                Polynomial([F(2, 3), 1, F(3, 2), F(9, 4), 1, 4]),  # rational c, Δ_2 = 0
@@ -261,9 +275,12 @@ def test_routh_walk_falls_back_at_a_zero_pivot(hurwitz_fallbacks):
     expect = [(0, -1, -1), (1, 0, -1, -1), (1, 0, F(5, 3), F(-25, 9), F(-100, 9)),
               (1, 0, 0)]
     for p, want in zip(planted, expect):
-        h = hurwitz_matrix(p)
-        by_det = tuple(h.leading_principal_minor(k) for k in range(1, h.n + 1))
-        assert hurwitz_minors(p) == by_det == want, p
+        by_det = _hurwitz_by_det(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "_bareiss", counting)
+            assert hurwitz_minors(p) == by_det == want, p
+        assert blocks == ([5] if p.degree == 5 else []), p
+        blocks.clear()
     assert hurwitz_fallbacks == planted
     last_only = Polynomial([1, 2, 3, 0])  # Δ_3 = 0 * Δ_2
     assert hurwitz_minors(last_only) == (2, 6, 0)
@@ -276,7 +293,7 @@ def test_routh_walk_falls_back_at_a_zero_pivot(hurwitz_fallbacks):
 def test_routh_walk_against_elimination_property(coeffs):
     """Degree up to 12, rational c."""
     p = Polynomial(coeffs)
-    assert hurwitz_minors(p) == hurwitz_matrix(p).leading_principal_minors()
+    assert hurwitz_minors(p) == _hurwitz_by_det(p)
 
 
 def test_hurwitz_stable_frozen():
