@@ -7,10 +7,9 @@ are a view built on first read. Every kernel reads the form: closed forms
 characteristic polynomial's c_k * D^k comes from a continuant in O(n^2)
 when the form is tridiagonal or anti-bidiagonal, and from division-free
 Berkowitz otherwise, which with Faddeev-LeVerrier over Fractions is the
-continuants' test oracle; a sum is the integer sum over lcm(D1, D2), a
-product is the integer product over D1*D2, a submatrix (so every minor) is a
-slice keeping the parent's D, and negation, scaling, transposes and flips act
-on the form alone.
+continuants' test oracle; a product is the integer product over D1*D2, a
+submatrix (so every minor) is a slice keeping the parent's D, and negation
+and flips act on the form alone.
 Public row/column indices are 1-based, as is conventional for minor
 bookkeeping; slicing internals are 0-based.
 """
@@ -90,8 +89,9 @@ class Matrix:
     Stored as ``_form`` = (D, D*M as int rows) alone. D is a positive common
     multiple of the entry denominators, not canonical (a slice keeps its
     parent's D, a product's is D1*D2), so ==, hash, repr and ``m[i, j]``
-    (1-based) read ``rows``, the Fraction view. Arithmetic (+, -, unary -, *
-    for matrix and scalar products, ** for nonnegative powers) stays exact.
+    (1-based) read ``rows``, the Fraction view. Unary -, the matrix product *
+    and ** for nonnegative powers stay exact; * with any other operand type
+    raises TypeError.
     """
 
     __slots__ = ("n", "_form", "_rows")
@@ -149,48 +149,21 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix({self.n}x{self.n}: {body})"
 
-    def entries(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Yield (i, j, value) over all entries, row-major, 1-based."""
-        for i, row in enumerate(self.rows, start=1):
-            for j, x in enumerate(row, start=1):
-                yield i, j, x
-
     # -- arithmetic --------------------------------------------------------
-
-    def _same_size(self, other: "Matrix"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n}x{self.n} vs {other.n}x{other.n}")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_size(other)
-        (d1, a), (d2, b) = self._form, other._form
-        d = lcm(d1, d2)
-        s, t = d // d1, d // d2
-        return Matrix._trusted(d, tuple(tuple(s * x + t * y for x, y in zip(ra, rb))
-                                        for ra, rb in zip(a, b)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
 
     def __neg__(self) -> "Matrix":
         d, b = self._form
         return Matrix._trusted(d, tuple(tuple(-x for x in row) for row in b))
 
-    def scale(self, c) -> "Matrix":
-        c = as_fraction(c)
-        (d, b), p = self._form, c.numerator
-        return Matrix._trusted(d * c.denominator, tuple(tuple(p * x for x in row) for row in b))
-
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._same_size(other)
-            (d1, a), (d2, b) = self._form, other._form
-            cols = tuple(zip(*b))
-            return Matrix._trusted(d1 * d2, tuple(
-                tuple(sum(map(mul, row, col)) for col in cols) for row in a))
-        return self.scale(other)
-
-    __rmul__ = scale
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.n != other.n:
+            raise DimensionMismatch(f"{self.n}x{self.n} vs {other.n}x{other.n}")
+        (d1, a), (d2, b) = self._form, other._form
+        cols = tuple(zip(*b))
+        return Matrix._trusted(d1 * d2, tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in a))
 
     def __pow__(self, m: int) -> "Matrix":
         if not isinstance(m, int) or m < 0:
@@ -204,10 +177,6 @@ class Matrix:
             base = base * base if m > 1 else base
             m >>= 1
         return result
-
-    def transpose(self) -> "Matrix":
-        d, b = self._form
-        return Matrix._trusted(d, tuple(zip(*b)))
 
     # -- determinants and minors ------------------------------------------
 

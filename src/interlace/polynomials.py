@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, dropwhile, repeat, zip_longest
+from itertools import accumulate, dropwhile, repeat
 from math import gcd
 from operator import mul, ne, not_
 from typing import Iterable, Sequence
@@ -48,7 +48,9 @@ class Polynomial:
 
     Stored as ``_form`` = (c, P) alone, p = c*P: P integers with gcd 1 and a
     nonzero head (so p's signs), c > 0 a Fraction; zero is (1, ()), degree
-    -1. The form is canonical, so ==, hash and pickling read it.
+    -1. The form is canonical, so ==, hash and pickling read it. Unary - and
+    the product of two polynomials act on P; * with any other operand type
+    raises TypeError. The Fraction ``coeffs`` are for printing.
     """
 
     __slots__ = ("_form", "_chain")
@@ -88,18 +90,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._form[1]
 
-    def coefficient(self, k: int) -> Fraction:
-        """a_k in p(z) = a_0 z^n + a_1 z^(n-1) + ... + a_n; 0 outside 0..n."""
-        return self.coeffs[k] if 0 <= k <= self.degree else Fraction(0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._form == other._form
 
     def __hash__(self) -> int:
         return hash(self._form)
-
-    def __call__(self, x) -> Fraction:
-        return self._form[0] * _horner(self._form[1], as_fraction(x))
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -130,41 +125,15 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial._trusted(self._form[0], [-x for x in self._form[1]])
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs[::-1], other.coeffs[::-1]
-        return Polynomial([x + y for x, y in zip_longest(a, b, fillvalue=0)][::-1])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = as_fraction(other)
-            return Polynomial(c * x for x in self.coeffs)
+            return NotImplemented
         (c1, a), (c2, b) = self._form, other._form
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
         return Polynomial._trusted(c1 * c2, out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroPolynomial("division by the zero polynomial")
-        if self.degree < other.degree:
-            return Polynomial(()), self
-        rem = list(self.coeffs)
-        q: list[Fraction] = []
-        divisor = other.coeffs
-        steps = self.degree - other.degree + 1
-        for i in range(steps):
-            f = rem[i] / divisor[0]
-            q.append(f)
-            for j, c in enumerate(divisor):
-                rem[i + j] -= f * c
-        return Polynomial(q), Polynomial(rem[steps:])
 
     def derivative(self) -> "Polynomial":
         c, ints = self._form

@@ -4,15 +4,18 @@ The slow routes here are naive on purpose; each validates one shipped fast
 path. The cofactor determinant checks the Bareiss determinant, and cofactor
 minors on plain integer rows check the minor stream on integer inputs. The
 four corner products over Fraction entries check the corner walk over the
-integer form and its transpose. The entrywise Fraction product and entrywise
-maps check the integer-form product and the other integer-form arithmetic.
-Faddeev-LeVerrier over Fractions checks every route of ``Matrix.charpoly``,
-and plain division-free Berkowitz on the integer form, with no zero-pattern
-test, checks its continuant routes where Fractions would be slow. Euclid,
-Sturm isolation and bisection over Fractions check the integer remainder
-sequence and the integer-coordinate isolation and refinement. The modulus
-sort that rescans from the first pair of boxes after every refinement checks
-the one-pass certified modulus sort. The class n+ power search that scans
+integer form and its transpose. The entrywise Fraction product and negation
+check the integer-form product and negation; entrywise Fraction sums and
+scalings build test inputs, as the package has neither. Faddeev-LeVerrier
+over Fraction rows checks every route of ``Matrix.charpoly``, and plain
+division-free Berkowitz on the integer form, with no zero-pattern test,
+checks its continuant routes where Fractions would be slow. Euclid, Sturm
+isolation and bisection over Fraction coefficient lists, with their own
+Horner evaluation, long division and derivative, check the integer remainder
+sequence and the integer-coordinate isolation and refinement; they call no
+polynomial kernel of the package. The modulus sort that rescans from the
+first pair of boxes after every refinement checks the one-pass certified
+modulus sort. The class n+ power search that scans
 every minor of each power checks the search that reads each power's
 contiguous minors alone.
 
@@ -27,6 +30,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 from typing import Optional
 
 import pytest
@@ -39,7 +43,6 @@ from interlace import (
     RootBox,
     SplitMix64,
     cli,
-    identity,
     polynomials,
 )
 from interlace.matrices import _berkowitz
@@ -184,11 +187,15 @@ def least_strict_power_by_scan(m: Matrix) -> Optional[int]:
     return None
 
 
+def fraction_rows_product(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """Row-by-column sums of Fraction products of the rows ``a`` and ``b``."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 def fraction_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Row-by-column sums of Fraction products, entry by entry."""
-    cols = tuple(zip(*b.rows))
-    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
-                   for row in a.rows])
+    """A*B over the Fraction entries, row by column."""
+    return Matrix(fraction_rows_product(a.rows, b.rows))
 
 
 def entrywise(f, *ms: Matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -196,16 +203,28 @@ def entrywise(f, *ms: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(map(f, *rows)) for rows in zip(*(m.rows for m in ms)))
 
 
+def scaled(m: Matrix, c) -> Matrix:
+    """c*M from the Fraction entries of ``m``."""
+    return Matrix(entrywise(lambda x: c * x, m))
+
+
+def summed(a: Matrix, b: Matrix) -> Matrix:
+    """A + B from the Fraction entries of ``a`` and ``b``."""
+    return Matrix(entrywise(add, a, b))
+
+
 def faddeev_leverrier_charpoly(m: Matrix) -> Polynomial:
     """det(zI - M) by the trace recursion M_k = M (M_(k-1) + c_(k-1) I),
-    c_k = -tr(M_k) / k; n full matrix products over Fractions."""
+    c_k = -tr(M_k) / k; n full products of Fraction rows."""
+    n, rows = m.n, m.rows
     coeffs = [Fraction(1)]
-    aux = identity(m.n)
-    for k in range(1, m.n + 1):
-        aux = fraction_matmul(m, aux)
-        c = -sum(aux.rows[i][i] for i in range(m.n)) / k
+    aux = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for k in range(1, n + 1):
+        aux = fraction_rows_product(rows, aux)
+        c = -sum(aux[i][i] for i in range(n)) / k
         coeffs.append(c)
-        aux = aux + identity(m.n).scale(c)
+        aux = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                    for i, row in enumerate(aux))
     return Polynomial(coeffs)
 
 
@@ -237,20 +256,52 @@ def random_int_matrix(n: int, seed: int, lo: int = -4, hi: int = 4) -> Matrix:
                    for _ in range(n)])
 
 
-def remainder_sequence(a: Polynomial, b: Polynomial) -> list[Polynomial]:
+def fraction_horner(coeffs, x) -> Fraction:
+    """p(x) over Fractions for the coefficients ``coeffs``, leading first."""
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def fraction_remainder(a, b) -> tuple[Fraction, ...]:
+    """a mod b by long division over Fractions, for coefficient sequences
+    leading first, b's leading one nonzero; the remainder has no leading
+    zero."""
+    rem = [Fraction(c) for c in a]
+    steps = len(a) - len(b) + 1
+    for i in range(steps):
+        f = rem[i] / b[0]
+        for j, c in enumerate(b):
+            rem[i + j] -= f * c
+    tail = rem[max(steps, 0):]
+    while tail and tail[0] == 0:
+        tail.pop(0)
+    return tuple(tail)
+
+
+def fraction_derivative(coeffs) -> tuple[Fraction, ...]:
+    """The coefficients of p' for the coefficients ``coeffs`` of p."""
+    n = len(coeffs) - 1
+    return tuple(c * (n - k) for k, c in enumerate(coeffs[:-1]))
+
+
+def remainder_sequence(a, b) -> list[tuple[Fraction, ...]]:
     """Euclid's signed remainder sequence a, b, -(a mod b), ... over
-    Fractions, up to its last nonzero member."""
-    seq = [a]
-    while not b.is_zero:
-        seq.append(b)
-        a, b = b, -divmod(a, b)[1]
+    Fraction coefficient sequences (leading first, no leading zero), up to
+    its last nonzero member."""
+    seq = [tuple(a)]
+    while b:
+        seq.append(tuple(b))
+        a, b = b, tuple(-c for c in fraction_remainder(a, b))
     return seq
 
 
-def primitive_ints(p: Polynomial) -> tuple[int, ...]:
-    """p times the positive rational that makes its coefficients coprime ints."""
-    m = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * m) for c in p.coeffs]
+def primitive_ints(coeffs) -> tuple[int, ...]:
+    """The coefficients ``coeffs`` times the positive rational that makes
+    them coprime ints."""
+    m = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * m) for c in coeffs]
     g = gcd(*ints)
     return tuple(c // g for c in ints)
 
@@ -264,14 +315,18 @@ def sturm_isolation(p: Polynomial) -> tuple[RootBox, ...]:
     degree >= 1: the power-of-two Cauchy box, midpoint splits, an exact hit
     isolated by a symmetric gap halved from a quarter of its box, and boxes
     straddling zero split there."""
-    chain = remainder_sequence(p, p.derivative())
+    coeffs = p.coeffs
+    chain = remainder_sequence(coeffs, fraction_derivative(coeffs))
+
+    def value(x):
+        return fraction_horner(coeffs, x)
 
     def var(x):
-        signs = [s for s in (_sign(q(x)) for q in chain) if s]
+        signs = [s for s in (_sign(fraction_horner(q, x)) for q in chain) if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    lead = abs(p.coeffs[0])
-    bound = 1 + max((abs(c) for c in p.coeffs[1:]), default=0) / lead
+    lead = abs(coeffs[0])
+    bound = 1 + max((abs(c) for c in coeffs[1:]), default=0) / lead
     top = Fraction(1)
     while top <= bound:
         top *= 2
@@ -284,13 +339,13 @@ def sturm_isolation(p: Polynomial) -> tuple[RootBox, ...]:
             raw.append((a, b))
             return
         mid = (a + b) / 2
-        if p(mid) != 0:
+        if value(mid) != 0:
             vm = var(mid)
             split(a, mid, va, vm)
             split(mid, b, vm, vb)
             return
         delta = (b - a) / 4
-        while not (p(mid - delta) != 0 and p(mid + delta) != 0
+        while not (value(mid - delta) != 0 and value(mid + delta) != 0
                    and var(mid - delta) - var(mid + delta) == 1):
             delta /= 2
         raw.append((mid, mid))
@@ -301,9 +356,9 @@ def sturm_isolation(p: Polynomial) -> tuple[RootBox, ...]:
     out = []
     for lo, hi in sorted(raw):
         if lo < 0 < hi:
-            if p(0) == 0:
+            if value(0) == 0:
                 lo = hi = Fraction(0)
-            elif _sign(p(lo)) != _sign(p(0)):
+            elif _sign(value(lo)) != _sign(value(0)):
                 hi = Fraction(0)
             else:
                 lo = Fraction(0)
@@ -316,12 +371,13 @@ def fraction_bisection(p: Polynomial, box: RootBox, width) -> RootBox:
     most ``width``; a midpoint root collapses the box to that point."""
     if box.is_exact:
         return box
-    lo, hi = box.lo, box.hi
+    coeffs, lo, hi = p.coeffs, box.lo, box.hi
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if p(mid) == 0:
+        at_mid = fraction_horner(coeffs, mid)
+        if at_mid == 0:
             return RootBox(mid, mid, _sign(mid))
-        if _sign(p(mid)) == _sign(p(lo)):
+        if _sign(at_mid) == _sign(fraction_horner(coeffs, lo)):
             lo = mid
         else:
             hi = mid

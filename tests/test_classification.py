@@ -52,7 +52,8 @@ from interlace import classification, matrices, polynomials, spectra
 from interlace.classification import _contiguous_minors, _neville, _neville_blocks, _scan
 from interlace.polynomials import _sturm_chain
 from conftest import (cofactor_det, corner_conditions_by_products, integer_minors,
-                      least_strict_power_by_scan, random_int_matrix, random_rational_matrix)
+                      least_strict_power_by_scan, random_int_matrix, random_rational_matrix,
+                      scaled, summed)
 
 
 # -- signature target ---------------------------------------------------------
@@ -255,7 +256,7 @@ def _oracle_corpus():
             yield random_rational_matrix(n, seed)
             yield random_rational_matrix(n, seed, span=1)
             # a perturbed positive TNN matrix puts first witnesses past order 2
-            yield random_positive_tnn(n, seed) + random_int_matrix(n, seed, -1, 1)
+            yield summed(random_positive_tnn(n, seed), random_int_matrix(n, seed, -1, 1))
     # sign definite inputs whose powers keep a zero minor: singular flips of
     # TNN matrices and their negations, and the identity and anti-identity
     for n in range(1, 5):
@@ -312,7 +313,7 @@ def test_numerator_sign_tests_match_fraction_comparisons_property(n, seed, span,
     ``_scan`` stream compares Fractions with 0. Inputs have non-unit
     denominators; the scaled TNN flip reaches the sign definite verdicts."""
     m = random_rational_matrix(n, seed, span, denominators)
-    flipped = flip_rows(random_tnn(n, seed)).scale(F(1, denominators[-1]))
+    flipped = scaled(flip_rows(random_tnn(n, seed)), F(1, denominators[-1]))
     for x in (m, flipped):
         minors = _scan_minors(x)
         assert tnn_violation(x) == _first(minors, lambda v: v < 0), x
@@ -333,7 +334,7 @@ def _contiguous_corpus():
         for seed in range(6):
             yield random_int_matrix(n, seed, -9, 9)
             yield random_rational_matrix(n, seed, span=9, denominators=(1, 2, 3, 5))
-            a = random_positive_tnn(n, seed).scale(F(2, 3))
+            a = scaled(random_positive_tnn(n, seed), F(2, 3))
             yield from (a, flip_rows(a), -flip_cols(a), a * flip_rows(a))
 
 
@@ -377,7 +378,7 @@ def test_contiguous_minor_tables_stay_within_minor_size():
     size, out of every table."""
     for seed in range(3):
         a = random_positive_tnn(12, seed)
-        for m in (a, flip_rows(a).scale(F(5, 7)), random_rational_matrix(9, seed, 9),
+        for m in (a, scaled(flip_rows(a), F(5, 7)), random_rational_matrix(9, seed, 9),
                   random_int_matrix(10, seed, -50, 50)):
             assert _contiguous_peak_bits(m) <= _hadamard_bits(m), m
 
@@ -392,7 +393,7 @@ def _bidiagonals(n, seed):
 def _tridiagonal(n, seed):
     """An oscillatory tridiagonal L*U: its least strict power is the (n-1)-th."""
     upper, lower = _bidiagonals(n, seed)
-    return lower.transpose() * upper
+    return Matrix(zip(*lower.rows)) * upper
 
 
 _TNN_FACTORS = {
@@ -526,7 +527,7 @@ def _neville_corpus():
             for m in (pos, random_tnn(n, seed), osc, osc ** max(1, n - 1)):
                 yield m
                 yield -m
-                yield m + random_int_matrix(n, seed, -1, 1)
+                yield summed(m, random_int_matrix(n, seed, -1, 1))
                 yield _with_zero_line(m, seed % n, column=bool(seed % 2))
             yield random_int_matrix(n, seed, 0, 2)
             # a nonsingular TNN matrix with one entry raised or lowered
@@ -615,7 +616,7 @@ def test_predicates_decide_without_the_minor_scan(monkeypatch):
     alone on a nonsingular input; the exponential scan is left to the
     witness reports and singular inputs."""
     hard = _hard_input()
-    assert all(v > 0 for _, _, v in hard.entries()) and hard.det() < 0
+    assert all(v > 0 for row in hard.rows for v in row) and hard.det() < 0
     corpus = list(_neville_corpus())  # random_tnn certifies itself by the scan
 
     def no_scan(m):
@@ -676,7 +677,7 @@ def test_fekete_criterion_exhaustively_on_small_matrices():
        positive=st.booleans())
 def test_neville_decider_matches_minor_oracle_property(n, seed, bump, positive):
     base = random_positive_tnn(n, seed) if positive else random_tnn(n, seed)
-    m = base + Matrix([bump[i * n:(i + 1) * n] for i in range(n)])
+    m = summed(base, Matrix([bump[i * n:(i + 1) * n] for i in range(n)]))
     _assert_decider_matches_oracle(m, set())
     _assert_decider_matches_oracle(base, set())
 
@@ -733,7 +734,7 @@ def test_neville_rows_stay_within_minor_size():
 def test_kernels_never_build_the_fraction_view(monkeypatch):
     """Products and flips store only their integer form, and every kernel
     and decider reads that form, so the Fraction view is never built."""
-    cases = [random_positive_tnn(4, 3).scale(F(2, 3)), random_tnn(4, 0).scale(F(1, 6)),
+    cases = [scaled(random_positive_tnn(4, 3), F(2, 3)), scaled(random_tnn(4, 0), F(1, 6)),
              random_rational_matrix(4, 17)]
     for a in cases:
         for m in (a * a, flip_rows(a)):
@@ -744,10 +745,10 @@ def test_kernels_never_build_the_fraction_view(monkeypatch):
             is_strictly_totally_positive(m), stp_violation(m)
             is_oscillatory_by_definition(m)
             assert m._rows is None, a
-    # corner conditions, both flip certificates of a product, the Hurwitz
-    # minors of a rational polynomial past a zero pivot and a sum read and
-    # build forms alone
-    a = random_positive_tnn(4, 3).scale(F(2, 3))
+    # corner conditions, both flip certificates of a product and the Hurwitz
+    # minors of a rational polynomial past a zero pivot read and build forms
+    # alone
+    a = scaled(random_positive_tnn(4, 3), F(2, 3))
     m = a * a
     check_corner_conditions(m)
     for side in ("left", "right"):
@@ -759,9 +760,6 @@ def test_kernels_never_build_the_fraction_view(monkeypatch):
                         lambda p, build=hurwitz_matrix: built.append(build(p)) or built[-1])
     assert hurwitz_minors(Polynomial([F(2, 3), 1, F(3, 2), F(9, 4), 1, 4]))[1] == 0
     assert len(built) == 1 and built[0]._rows is None
-    b = random_tnn(4, 0).scale(F(1, 6))
-    total = m + b
-    assert total._rows is m._rows is b._rows is None
 
 
 # -- oscillation -----------------------------------------------------------------

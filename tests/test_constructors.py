@@ -62,7 +62,7 @@ def test_anti_bidiagonal_zero_pattern():
         else:                   # one step below it: step up
             i -= 1
         expected.add((i, j))
-    nonzero = {(i, j) for i, j, v in m.entries() if v != 0}
+    nonzero = {(i, j) for i, row in enumerate(m.rows, 1) for j, v in enumerate(row, 1) if v != 0}
     assert nonzero == expected and len(expected) == 2 * n - 1
 
 
@@ -232,7 +232,7 @@ def test_random_positive_tnn_contract():
     for seed in range(12):
         n = 1 + seed % 5
         m = random_positive_tnn(n, seed)
-        assert all(v > 0 for _, _, v in m.entries()), seed
+        assert all(v > 0 for row in m.rows for v in row), seed
         assert m.det() != 0, seed
         assert is_totally_nonnegative(m), seed
 

@@ -6,8 +6,8 @@ view of a matrix; outside ``matrices`` itself, only the presentation layers
 (``cli``, ``documents``) may do so. Subscripts of builtin and ``typing``
 generics (``tuple[int, ...]``, ``Optional[...]``) are type expressions, not
 reads. A ``.coeffs`` read builds the Fraction view of a polynomial; only the
-presentation layers and ``class Polynomial`` itself, whose Fraction
-arithmetic and printing read it, may do so.
+presentation layers and ``class Polynomial`` itself, whose printing reads
+it, may do so.
 """
 
 import ast

@@ -58,3 +58,55 @@ def test_function_level_imports_only_break_cycles():
     found = _function_level_imports()
     assert found - set(ALLOWED) == set(), "move these imports to module top"
     assert set(ALLOWED) - found == set(), "allowlist names imports that are gone"
+
+
+def _unread_imports(tree: ast.AST) -> list[str]:
+    """Every name an import binds that the module never reads. A read is a
+    loaded name anywhere, under ``TYPE_CHECKING`` and in annotations
+    included, or a name in a string annotation such as ``-> "Polynomial"``;
+    ``from __future__`` imports bind no name."""
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    read |= {name.id for name in ast.walk(ast.parse(part.value, mode="eval"))
+                             if isinstance(name, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+def test_every_import_is_read():
+    """``__init__`` is exempt: its imports are the package's re-exports."""
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert paths, f"no modules under {PACKAGE}"
+    unread = {path.stem: _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in paths}
+    assert {module: names for module, names in unread.items() if names} == {}
+
+
+def test_the_check_sees_an_unread_import():
+    unread = _unread_imports(ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from itertools import accumulate, zip_longest\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "if TYPE_CHECKING:\n    from .spectra import SpectrumReport\n"
+        "def f(xs: Sequence[int]) -> 'SpectrumReport':\n"
+        "    return list(accumulate(xs))\n"))
+    assert unread == ["line 2: os", "line 3: zip_longest"]

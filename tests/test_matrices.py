@@ -42,6 +42,7 @@ from conftest import (
     cofactor_det,
     entrywise,
     faddeev_leverrier_charpoly,
+    fraction_horner,
     fraction_matmul,
     integer_minors,
     random_int_matrix,
@@ -77,8 +78,6 @@ def _set_degree(p):
      "exceeds size 2"),
     (lambda: identity(0), DimensionMismatch, "size must be >= 1"),
     (lambda: _set_degree(Polynomial([1, 2])), AttributeError, "Polynomial is immutable"),
-    (lambda: divmod(Polynomial([1, 2]), Polynomial([0])), ZeroPolynomial,
-     "division by the zero polynomial"),
     (lambda: Polynomial([0]).monic(), ZeroPolynomial, "cannot be made monic"),
     (lambda: si_twist(Polynomial([0])), ZeroPolynomial, "cannot twist the zero polynomial"),
     (lambda: hurwitz_matrix(Polynomial([5])), DegreeZero, "needs degree >= 1"),
@@ -98,6 +97,21 @@ def test_as_fraction_returns_a_fraction_unchanged():
     for bad in (0.5, float("nan")):
         with pytest.raises(TypeError):
             as_fraction(bad)
+
+
+@pytest.mark.parametrize("product", [
+    lambda: 2 * identity(2),
+    lambda: identity(2) * F(1, 2),
+    lambda: identity(2) * Polynomial([1]),
+    lambda: Polynomial([1, 2]) * 3,
+    lambda: F(1, 2) * Polynomial([1, 2]),
+    lambda: Polynomial([1]) * identity(2),
+])
+def test_products_with_another_operand_type_raise_type_error(product):
+    """Matrices multiply matrices and polynomials multiply polynomials; any
+    other operand is refused by both sides of *, not scaled."""
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        product()
 
 
 def test_indexing_is_one_based_and_checked():
@@ -487,18 +501,9 @@ def test_products_and_powers_match_fraction_oracle_property(rows, e):
     assert a ** e == _fraction_power(a, e)
 
 
-def test_scalar_arithmetic():
-    a = Matrix([[1, 2], [3, 4]])
-    assert (-a).rows == Matrix([[-1, -2], [-3, -4]]).rows
-    assert (a - a) == Matrix([[0, 0], [0, 0]])
-    assert (2 * a) == Matrix([[2, 4], [6, 8]])
-    assert a.transpose() == Matrix([[1, 3], [2, 4]])
-
-
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 5), st.integers(0, 2 ** 32), st.fractions(-4, 4, max_denominator=7),
-       st.integers(0, 3), st.data())
-def test_integer_form_and_fraction_view_agree(n, seed, c, e, data):
+@given(st.integers(1, 5), st.integers(0, 2 ** 32), st.integers(0, 3), st.data())
+def test_integer_form_and_fraction_view_agree(n, seed, e, data):
     """A derived matrix stores only its integer form (D, D*M); its Fraction
     view, and the form read entry by entry over D, equal the oracle."""
     a = random_rational_matrix(n, seed)
@@ -508,17 +513,12 @@ def test_integer_form_and_fraction_view_agree(n, seed, c, e, data):
                           for _ in range(2)))
     ra = a.rows
     cases = [(-a, entrywise(lambda x: -x, a)),
-             (a.scale(c), entrywise(lambda x: c * x, a)),
-             (c * a, entrywise(lambda x: c * x, a)),
              (a * b, fraction_matmul(a, b).rows),
              (a ** e, _fraction_power(a, e).rows),
-             (a.transpose(), tuple(zip(*ra))),
              (flip_rows(a), ra[::-1]),
              (flip_cols(a), tuple(row[::-1] for row in ra)),
              (a.submatrix(sel), tuple(tuple(ra[i - 1][j - 1] for j in sel.cols)
-                                      for i in sel.rows)),
-             (a + b, entrywise(lambda x, y: x + y, a, b)),
-             (a - b, entrywise(lambda x, y: x - y, a, b))]
+                                      for i in sel.rows))]
     for m, oracle in cases:
         d, form = m._form
         assert d > 0 and tuple(tuple(F(x, d) for x in row) for row in form) == oracle
@@ -552,7 +552,7 @@ def test_charpoly_matches_determinant_evaluation():
         for t in (F(0), F(1), F(-2), F(3, 2)):
             shifted = Matrix([[t * int(i == j) - m.rows[i][j] for j in range(n)]
                               for i in range(n)])
-            assert p(t) == shifted.det(), (seed, t)
+            assert fraction_horner(p.coeffs, t) == shifted.det(), (seed, t)
 
 
 def test_charpoly_invariant_under_double_flip():

@@ -160,7 +160,7 @@ def test_spectrum_verdict_matches_is_self_interlacing():
         spec = AntiBidiagonalSpec(F(n, 2), tuple(F(k + 1, 3) for k in range(n - 1)),
                                   tuple(F(2, k + 1) for k in range(n - 1)))
         cases.append(anti_bidiagonal(spec))
-        cases.append(flip_rows(random_positive_tnn(n, 300 + n) * F(-1)))
+        cases.append(flip_rows(-random_positive_tnn(n, 300 + n)))
     cases += [
         identity(3),                                        # repeated eigenvalue
         Matrix([[2, 0, 0], [0, 2, 0], [0, 0, -1]]),
@@ -498,14 +498,14 @@ def test_kind_two_report_checks_nonsingularity():
 
 def test_kind_two_report_checks_corner_conditions():
     with pytest.raises(PreconditionFailed) as info:
-        kind_two_report(identity(2) * F(-1))
+        kind_two_report(-identity(2))
     assert info.value.check == "corner_conditions"
 
 
 @pytest.mark.parametrize("m, check", [
     (Matrix([[1, 1], [0, 1]]), "negated_totally_nonnegative"),
     (Matrix([[-1, -1], [-1, -1]]), "nonsingular"),
-    (identity(2) * F(-1), "corner_conditions"),
+    (-identity(2), "corner_conditions"),
     (Matrix([[-1, -2, 0], [0, -1, -3], [-2, 0, -1]]), "negated_totally_nonnegative"),
 ])
 def test_kind_two_report_reads_the_flip_stages_of_the_negation(m, check):
@@ -532,7 +532,7 @@ def test_kind_two_report_matches_negated_flip_route():
     for seed in range(6):
         n = 2 + seed % 3
         a = random_positive_tnn(n, seed + 90)
-        rep = kind_two_report(a * F(-1))
+        rep = kind_two_report(-a)
         assert rep.verdict is SpectrumVerdict.KIND_II, seed
         mirror = spectrum_report(flip_rows(a))
         assert mirror.verdict is SpectrumVerdict.KIND_I
