@@ -8,11 +8,15 @@ Writes ``BENCH_<label>.json`` (into the repository root unless ``--out`` says
 otherwise). It imports ``interlace`` from the import path, so one sweep can
 time two source trees, and records the SHA-256 of the source it imported.
 
-Three layers are swept over ``--sizes``:
+Four layers are swept over ``--sizes``:
 
 - ``charpoly``: ``Matrix.charpoly`` of the input;
 - ``hurwitz_minors``: ``hurwitz_minors`` of the twist of that characteristic
   polynomial, the kind I verdict's whole work;
+- ``isolate_real_roots``: isolation of that characteristic polynomial as
+  ``spectrum_report`` runs it: by the continuants of the input's band when
+  the report takes them (``spectra._simple_band``), else by the Sturm chain,
+  built afresh on every run, since a polynomial keeps its chain;
 - ``spectrum_report``: the full report, charpoly to certified enclosures.
 
 and one over ``--scan-sizes`` (n = 4..10 by default), where the budget ends
@@ -36,13 +40,15 @@ and stops repeating once a further run would not fit the budget of 10 s at
 reference speed. A run that exceeds the budget is interrupted and marks its
 row "over_budget", which ends that layer's sweep on that input: the larger
 sizes are not run, so an exponential wall shows up as data, not as a hang.
-A charpoly over budget also ends the sweeps of the two layers that start
-from it on that input at that size.
+A charpoly over budget also ends the sweeps of the layers that start from
+it on that input at that size. A source tree without the band route
+isolates every input by the chain.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import platform
@@ -67,15 +73,17 @@ from interlace import (  # noqa: E402
     classify_sign_definite,
     flip_rows,
     hurwitz_minors,
+    isolate_real_roots,
     jacobi_matrix,
     random_positive_tnn,
     si_twist,
+    spectra,
     spectrum_report,
 )
 
 SCHEMA = "interlace-sweep/1"
-LAYERS = ("charpoly", "hurwitz_minors", "spectrum_report", "sign_scan")
-FROM_CHARPOLY = ("hurwitz_minors", "spectrum_report")
+LAYERS = ("charpoly", "hurwitz_minors", "isolate_real_roots", "spectrum_report", "sign_scan")
+FROM_CHARPOLY = ("hurwitz_minors", "isolate_real_roots", "spectrum_report")
 TNN_MAX = 32
 REPEATS = 5
 BUDGET_S = 10.0  # per row, at reference speed
@@ -116,6 +124,12 @@ def _layer(name: str, m):
         return (lambda: hurwitz_minors(twist)), lambda minors: {
             "minors": len(minors), "zero_minors": minors.count(0),
             "peak_bits": max(map(_bits, minors))}
+    if name == "isolate_real_roots":
+        p = m.charpoly()
+        band = getattr(spectra, "_simple_band", lambda _: None)(m)
+        route = {"band": band} if band else {}
+        return (lambda: isolate_real_roots(copy.copy(p), **route)), lambda boxes: {
+            "roots": len(boxes)}
     if name == "sign_scan":
         return (lambda: classify_sign_definite(m)), lambda cls: {
             "verdict": cls.verdict.value, "power_exponent": cls.power_exponent}

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from math import lcm
 from operator import itemgetter, lt, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidSelector
 
@@ -259,40 +259,20 @@ class Matrix:
         """Monic characteristic polynomial det(zI - M), exact.
 
         It reads the zero pattern of the integer form B = D*M, never a
-        family label, and takes one of three routes to det(zI - B):
-
-        - B tridiagonal (zero wherever |i - j| > 1): the continuant
-          q_k = (z - b_kk) q_(k-1) - b_(k-1,k) b_(k,k-1) q_(k-2), O(n^2).
-        - B anti-bidiagonal (nonzero only where i + j is n - 1 or n,
-          0-based): the same continuant for diagonal (z_0, 0, ..., 0) and
-          products z_(-t) z_t, t = 1..n-1, where z_0 is the middle entry of
-          the zigzag (n-1, 0), (n-1, 1), (n-2, 1), ..., (0, n-1) and z_(-t),
-          z_t are the entries t steps before and after it: the form of
-          ``constructors.equivalent_tridiagonal``.
-        - Any other B: division-free Berkowitz (``_berkowitz``), O(n^4).
-
-        Both continuant routes are polynomial identities in the entries,
-        so zero and negative entries are covered; Berkowitz and, in the
-        tests, Faddeev-LeVerrier over Fractions are their oracles. As
-        c_k(M) = c_k(B) / D^k, the polynomial is the integers c_k(B) D^(n-k)
-        over D^n.
+        family label: when ``_band`` finds B tridiagonal or anti-bidiagonal,
+        det(zI - B) is the continuant of its band, O(n^2); any other B runs
+        division-free Berkowitz (``_berkowitz``), O(n^4). The continuants
+        are polynomial identities in the entries, so zero and negative
+        entries are covered; Berkowitz and, in the tests, Faddeev-LeVerrier
+        over Fractions are their oracles. As c_k(M) = c_k(B) / D^k, the
+        polynomial is the integers c_k(B) D^(n-k) over D^n.
         """
         from .polynomials import Polynomial
 
         d, b = self._form
-        n = self.n
-        if all(not any(row[:max(i - 1, 0)]) and not any(row[i + 2:])
-               for i, row in enumerate(b)):
-            coeffs = _continuant([b[i][i] for i in range(n)],
-                                 [b[i - 1][i] * b[i][i - 1] for i in range(1, n)])
-        elif all(not any(row[:n - 1 - i]) and not any(row[n + 1 - i:])
-                 for i, row in enumerate(b)):
-            zigzag = [x for t in range(n) for x in b[n - 1 - t][t:t + 2]]
-            coeffs = _continuant([zigzag[n - 1]] + [0] * (n - 1),
-                                 [zigzag[n - 1 - t] * zigzag[n - 1 + t] for t in range(1, n)])
-        else:
-            coeffs = _berkowitz(b)
-        powers = list(accumulate(repeat(d, n), mul, initial=1))  # D^0..D^n
+        band = _band(b)
+        coeffs = _continuant(*band) if band else _berkowitz(b)
+        powers = list(accumulate(repeat(d, self.n), mul, initial=1))  # D^0..D^n
         return Polynomial._trusted(Fraction(1, powers[-1]),
                                    list(map(mul, coeffs, reversed(powers))))
 
@@ -300,6 +280,31 @@ class Matrix:
 # The slot descriptors' setters, bound once: how a Matrix fills its slots
 # past its own __setattr__, which refuses every assignment.
 _set_n, _set_form, _set_rows = (Matrix.__dict__[slot].__set__ for slot in Matrix.__slots__)
+
+
+def _band(b: tuple[tuple[int, ...], ...]) -> Optional[tuple[list[int], list[int]]]:
+    """(diagonal, products) of a tridiagonal T with det(zI - T) = det(zI - B)
+    for the square integer B, read off B's zero pattern, or None:
+
+    - B tridiagonal (zero wherever |i - j| > 1): B's own diagonal and
+      products b_(k-1,k) b_(k,k-1).
+    - B anti-bidiagonal (nonzero only where i + j is n - 1 or n, 0-based):
+      diagonal (z_0, 0, ..., 0) and products z_(-t) z_t, t = 1..n-1, where
+      z_0 is the middle entry of the zigzag (n-1, 0), (n-1, 1), (n-2, 1),
+      ..., (0, n-1) and z_(-t), z_t are the entries t steps before and
+      after it: the form of ``constructors.equivalent_tridiagonal``.
+
+    T's continuants q_k = det(zI - T_k), T_k its leading k x k block, end
+    in q_n = det(zI - B).
+    """
+    n = len(b)
+    if all(not any(row[:max(i - 1, 0)]) and not any(row[i + 2:]) for i, row in enumerate(b)):
+        return [b[i][i] for i in range(n)], [b[i - 1][i] * b[i][i - 1] for i in range(1, n)]
+    if all(not any(row[:n - 1 - i]) and not any(row[n + 1 - i:]) for i, row in enumerate(b)):
+        zigzag = [x for t in range(n) for x in b[n - 1 - t][t:t + 2]]
+        return ([zigzag[n - 1]] + [0] * (n - 1),
+                [zigzag[n - 1 - t] * zigzag[n - 1 + t] for t in range(1, n)])
+    return None
 
 
 def _continuant(diag: Sequence[int], products: Sequence[int]) -> list[int]:

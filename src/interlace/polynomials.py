@@ -5,14 +5,17 @@ z^3 - z^2 - 2z + 1. A polynomial stores only its integer form (c, P), P
 primitive integers and c > 0 rational, and every kernel reads P: gcds read
 primitive integer remainder sequences, and a polynomial keeps that of
 (P, P'), its Sturm chain, for its squarefree part and root isolation alone.
-Boxes are integer numerators over a common scale, evaluated with
-homogenized integer Horner steps. Isolation only ever evaluates at dyadic
-points u/2^s, so there each power of the denominator is a left shift, and a
-point is taken in lowest terms first; counts beyond Fujiwara's root bound
-are read off leading coefficients. Refinement returns exactly the box
-bisection would, but reaches bisection's final cell by quadratic interval
-refinement. Fractions are built only for results, and no binary floating
-point enters any certified statement.
+Isolation counts roots with that chain, or, for the characteristic
+polynomial of a tridiagonal band whose off-diagonal products are all
+positive, with the band's continuants, which are a Sturm sequence of their
+own and need no chain. Boxes are integer numerators over a common scale,
+evaluated with homogenized integer steps. Isolation only ever evaluates at
+dyadic points u/2^s, so there each power of the denominator is a left
+shift, and a point is taken in lowest terms first; counts beyond
+Fujiwara's root bound are read off leading coefficients. Refinement
+returns exactly the box bisection would, but reaches bisection's final cell
+by quadratic interval refinement. Fractions are built only for results, and
+no binary floating point enters any certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
@@ -32,7 +35,7 @@ from fractions import Fraction
 from itertools import accumulate, dropwhile, repeat
 from math import gcd
 from operator import mul, ne, not_
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DegreeZero,
@@ -489,7 +492,32 @@ def _dyadic_root_bound(ic: Sequence[int]) -> int:
     return 1 << ((lead + tail) // lead).bit_length()
 
 
-def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
+def _continuant_variations(d: int, steps: Sequence[tuple[int, int]],
+                           u: int, s: int) -> Optional[int]:
+    """Sign changes of Q_0..Q_n at u / 2^s, zeros skipped, or None when
+    Q_n = 0, for a tridiagonal T given as ``steps`` = (t_kk, p_(k-1)),
+    k = 1..n, p_0 = 0 and p_(k-1) = t_(k-1,k) t_(k,k-1).
+
+    Q_k = 2^(s k) q_k(D u / 2^s), q_k = det(zI - T_k) the continuant of
+    T's leading k x k block, comes from Q_(-1) = 0, Q_0 = 1 and
+    Q_k = (D u - t_kk 2^s) Q_(k-1) - p_(k-1) 4^s Q_(k-2) in one integer
+    pass, each power of two a left shift. With every p_k > 0 this is a
+    Sturm sequence that counts the roots of q_n above D u / 2^s (Givens;
+    Wilkinson, The Algebraic Eigenvalue Problem, 1965, ch. 5): a zero Q_k
+    with k < n has neighbours of opposite signs, so skipping it loses no
+    change.
+    """
+    x, s2 = d * u, 2 * s
+    prev, cur, changes, negative = 0, 1, 0, False
+    for a, p in steps:
+        prev, cur = cur, (x - (a << s)) * cur - (p * prev << s2)
+        if cur and (cur < 0) is not negative:
+            changes += 1
+            negative = not negative
+    return changes if cur else None
+
+
+def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
     """Disjoint enclosures of every real root, ascending by root value.
 
     Requires p squarefree (raises NotSquarefree otherwise, naming the gcd).
@@ -513,20 +541,43 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     needs no exact-root test. The Cauchy box is kept, so the tree, the boxes
     and the gap loop around an exact midpoint root are those of evaluating
     every count; only evaluations are saved.
+
+    ``band`` = (D, diag, products) replaces the chain by the continuants of
+    a tridiagonal T with diagonal ``diag`` and off-diagonal products
+    ``products``. The contract: det(zI - T) is a positive multiple of
+    D^n p(z / D), D > 0, and every product is > 0. Then T is similar to an
+    irreducible symmetric matrix, so p's roots are real and simple, and the
+    continuants are a Sturm sequence with the chain's orientation: V(-inf)
+    = n, V(+inf) = 0, and each count is ``_continuant_variations``, whose
+    last member Q_n = 0 is the exact-root test. No chain is built and p is
+    not checked; the tree and the boxes are the chain's.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    chain = _sturm_chain(p)
-    if len(chain[-1]) > 1:
-        g = Polynomial._trusted(Fraction(1), chain[-1]).monic()
-        raise NotSquarefree(f"repeated roots; gcd(p, p') = {g}")
+    # variations(u, s) is the Sturm count at u / 2^s, or None where p is 0
+    if band is None:
+        chain = _sturm_chain(p)
+        if len(chain[-1]) > 1:
+            g = Polynomial._trusted(Fraction(1), chain[-1]).monic()
+            raise NotSquarefree(f"repeated roots; gcd(p, p') = {g}")
+        ic = chain[0]  # p itself as primitive integers
+        v_minus, v_plus = _variations_at_infinity(chain)
+
+        def variations(u: int, s: int) -> Optional[int]:
+            u, s = _lowest_terms(u, s)
+            return _variations(chain, u, s) if _dyadic_value(ic, u, s) else None
+    else:
+        d, diag, products = band
+        ic, v_minus, v_plus = p._form[1], p.degree, 0
+        steps = list(zip(diag, [0, *products]))
+
+        def variations(u: int, s: int) -> Optional[int]:
+            return _continuant_variations(d, steps, *_lowest_terms(u, s))
     if p.degree == 0:
         return ()
 
-    ic = chain[0]  # p itself as primitive integers
     bound = _dyadic_root_bound(ic)
     e = _fujiwara_exponent(ic)
-    v_minus, v_plus = _variations_at_infinity(chain)
 
     # (lo, hi, s, variations at lo/2^s, variations at hi/2^s) for the box
     # [lo/2^s, hi/2^s]
@@ -543,20 +594,16 @@ def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
         mid, a, b, s = a + b, 2 * a, 2 * b, s + 1
         if abs(mid).bit_length() > e + s:  # |mid / 2^s| >= 2^e
             vm = v_plus if mid > 0 else v_minus
-        elif _dyadic_value(ic, *_lowest_terms(mid, s)):
-            vm = _variations(chain, mid, s)
-        else:
+        elif (vm := variations(mid, s)) is None:
             # exact root at mid; shrink a symmetric gap, starting at a quarter
             # of the box, until it isolates mid
             gap = b - a
             mid, a, b, s = 4 * mid, 4 * a, 4 * b, s + 2
             while True:
                 lo, hi = mid - gap, mid + gap
-                if (_dyadic_value(ic, *_lowest_terms(lo, s))
-                        and _dyadic_value(ic, *_lowest_terms(hi, s))):
-                    v_lo, v_hi = _variations(chain, lo, s), _variations(chain, hi, s)
-                    if v_lo - v_hi == 1:
-                        break
+                if ((v_lo := variations(lo, s)) is not None
+                        and (v_hi := variations(hi, s)) is not None and v_lo - v_hi == 1):
+                    break
                 mid, a, b, s = 2 * mid, 2 * a, 2 * b, s + 1
             raw.append((mid, mid, s))
             work.append((a, lo, s, va, v_lo))

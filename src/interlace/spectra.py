@@ -2,15 +2,20 @@
 
 The verdict is ``is_self_interlacing`` (exact, no numerics) on the
 characteristic polynomial p, from the Hurwitz minors of a twist; the
-enclosures come from Sturm isolation on p's squarefree part. The two routes
-share only p. For any self-interlacing verdict they must agree in every
-detail (no tie, count, signs, strict modulus descent), and a mismatch
-raises InternalInvariantViolation rather than producing a report: that
-error marks a bug, never bad input.
+enclosures come from Sturm isolation on p's squarefree part. When the
+matrix's integer form is tridiagonal or anti-bidiagonal with every
+off-diagonal product positive (``_simple_band``), p's roots are simple, so
+p is its own squarefree part, and the Sturm counts are the band's
+continuants; every other matrix is isolated by p's Sturm chain. The
+verdict and the enclosures share only p. For any self-interlacing verdict
+they must agree in every detail (no tie, count, signs, strict modulus
+descent), and a mismatch raises InternalInvariantViolation rather than
+producing a report: that error marks a bug, never bad input.
 
 The modulus order is certified in one pass over pairs of boxes, refining
 each overlapping pair until it is disjoint. A refined box lies inside the old
-one and no box straddles zero, so a pair once disjoint stays disjoint.
+one and no box straddles zero, so a pair once disjoint stays disjoint. Boxes
+whose moduli are already disjoint skip the pass.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from .classification import _JFLIP_STAGES, _FlipRun, classify_sign_definite
 from .errors import (
@@ -27,7 +33,7 @@ from .errors import (
     NotClassNPlus,
     PreconditionFailed,
 )
-from .matrices import Matrix, flip_rows
+from .matrices import Matrix, _band, flip_rows
 from .polynomials import (
     DEFAULT_WIDTH_BOUND,
     Polynomial,
@@ -101,9 +107,16 @@ def _certified_modulus_sort(sf: Polynomial, boxes: list[RootBox]) -> list[RootBo
     One lexicographic pass over pairs is enough: a refined box lies inside the
     old one and none straddles zero, so a passed pair stays disjoint. Each
     box's modulus interval is kept beside it and rebuilt only when that box
-    is refined."""
+    is refined.
+
+    The pass is skipped when it would refine nothing: in the order of
+    decreasing lower ends, intervals whose neighbours are disjoint are
+    pairwise disjoint, so that order is the answer."""
     boxes = list(boxes)
     moduli = [box.modulus_interval for box in boxes]
+    order = sorted(range(len(boxes)), key=lambda k: moduli[k][0], reverse=True)
+    if all(moduli[i][0] > moduli[j][1] for i, j in zip(order, order[1:])):
+        return [boxes[k] for k in order]
     for i, j in combinations(range(len(boxes)), 2):
         while moduli[i][0] <= moduli[j][1] and moduli[j][0] <= moduli[i][1]:
             if boxes[i].is_exact and boxes[j].is_exact:  # equal moduli: a true tie
@@ -116,6 +129,19 @@ def _certified_modulus_sort(sf: Polynomial, boxes: list[RootBox]) -> list[RootBo
                     moduli[k] = box.modulus_interval
     order = sorted(range(len(boxes)), key=lambda k: moduli[k][0], reverse=True)
     return [boxes[k] for k in order]
+
+
+def _simple_band(m: Matrix) -> Optional[tuple[int, list[int], list[int]]]:
+    """(D, diagonal, products) of the band of m's integer form D*M
+    (``matrices._band``) when every product is positive, else None. Such a
+    band is similar to an irreducible symmetric tridiagonal matrix, so m's
+    eigenvalues are real and simple, and its continuants count them in
+    ``isolate_real_roots``."""
+    d, b = m._form
+    band = _band(b)
+    if band is None or not all(x > 0 for x in band[1]):
+        return None
+    return (d, *band)
 
 
 def _expected_signs(verdict: SpectrumVerdict, count: int) -> tuple[int, ...]:
@@ -134,14 +160,15 @@ def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     """
     width_bound = as_width_bound(width_bound)
     p = m.charpoly()
-    sf = squarefree_part(p)
+    band = _simple_band(m)
+    sf = p if band else squarefree_part(p)  # a simple band's roots are simple
     squarefree = sf == p
     tie = not squarefree or _has_pm_pair(p)
 
     verdict = next((SpectrumVerdict[kind.name] for kind in SIKind
                     if is_self_interlacing(p, kind)), SpectrumVerdict.NEITHER)
 
-    boxes = [refine_root(sf, box, width_bound) for box in isolate_real_roots(sf)]
+    boxes = [refine_root(sf, box, width_bound) for box in isolate_real_roots(sf, band=band)]
     if not tie:
         boxes = _certified_modulus_sort(sf, boxes)
     else:

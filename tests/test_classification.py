@@ -22,7 +22,6 @@ from interlace import (
     SpectrumVerdict,
     anti_bidiagonal,
     anti_identity,
-    anti_jacobi,
     anti_tridiagonal_criterion,
     bidiagonal_upper,
     check_corner_conditions,

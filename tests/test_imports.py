@@ -1,9 +1,11 @@
-"""Package modules import each other at module top, except to break a cycle."""
+"""Package modules import each other at module top, except to break a cycle,
+and no module of the package or of the tests binds an import it never reads."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "interlace"
+TESTS = Path(__file__).resolve().parent
 
 # (module, function, imported module) -> the import cycle it breaks, and the
 # benchmark binding that keeps the import where it is.
@@ -92,11 +94,13 @@ def _unread_imports(tree: ast.AST) -> list[str]:
 
 
 def test_every_import_is_read():
-    """``__init__`` is exempt: its imports are the package's re-exports."""
+    """The package's modules and the test modules. ``__init__`` is exempt:
+    its imports are the package's re-exports."""
     paths = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
-    assert paths, f"no modules under {PACKAGE}"
-    unread = {path.stem: _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
-              for path in paths}
+    tests = sorted(TESTS.glob("*.py"))
+    assert paths and tests, f"no modules under {PACKAGE} or {TESTS}"
+    unread = {f"{path.parent.name}/{path.stem}": _unread_imports(
+        ast.parse(path.read_text(encoding="utf-8"))) for path in paths + tests}
     assert {module: names for module, names in unread.items() if names} == {}
 
 

@@ -37,6 +37,7 @@ from interlace import (
     hurwitz_stable,
     is_self_interlacing,
     isolate_real_roots,
+    jacobi_matrix,
     matrices,
     poly_from_roots,
     poly_gcd,
@@ -44,9 +45,11 @@ from interlace import (
     random_positive_tnn,
     refine_root,
     si_twist,
+    spectra,
     squarefree_part,
 )
 from interlace.polynomials import (
+    _continuant_variations,
     _dyadic_root_bound,
     _dyadic_value,
     _fujiwara_exponent,
@@ -993,3 +996,107 @@ def test_isolation_of_roots_far_apart_needs_no_recursion():
             assert _at(p, box.lo) * _at(p, box.hi) < 0
     tight = refine_root(p, boxes[2], WIDTH)
     assert tight.lo <= roots[2] <= tight.hi and tight.width <= WIDTH
+
+
+# -- continuant Sturm counts on a positive band ----------------------------------
+
+_POSITIVE_PAIRS = [(x, y) for x in range(-1, 3) for y in range(-1, 3) if x * y > 0]
+
+
+def _zigzag_matrix(zigzag) -> Matrix:
+    """The anti-bidiagonal matrix whose entries (n-1, 0), (n-1, 1),
+    (n-2, 1), ..., (0, n-1) (0-based) are ``zigzag``, of length 2n - 1."""
+    n = (len(zigzag) + 1) // 2
+    rows = [[0] * n for _ in range(n)]
+    for k, x in enumerate(zigzag):
+        t = k // 2
+        rows[n - 1 - t][t + k % 2] = x
+    return Matrix(rows)
+
+
+def _positive_band_corpus():
+    """Every tridiagonal and anti-bidiagonal matrix with n <= 4, entries in
+    -1..2 and every off-diagonal product positive."""
+    for n in range(1, 5):
+        for offs in product(_POSITIVE_PAIRS, repeat=n - 1):
+            upper, lower = [x for x, _ in offs], [y for _, y in offs]
+            for diag in product(range(-1, 3), repeat=n):
+                yield jacobi_matrix(JacobiSpec(diag, upper, lower))
+            for middle in range(-1, 3):
+                yield _zigzag_matrix(upper[::-1] + [middle] + lower)
+
+
+def test_band_counts_give_the_chain_boxes_exhaustively():
+    """The band route's boxes equal the chain route's, and the chain proves
+    every such characteristic polynomial squarefree, on all 34,308 matrices
+    of the corpus: each matrix's band gives its characteristic polynomial,
+    and each distinct band is isolated once."""
+    seen, matrices_seen = set(), 0
+    for m in _positive_band_corpus():
+        band = spectra._simple_band(m)
+        assert band is not None, m
+        p = m.charpoly()
+        assert band[0] == 1 and p._form[1] == tuple(matrices._continuant(*band[1:])), m
+        key = (tuple(band[1]), tuple(band[2]))
+        if key not in seen:
+            boxes = isolate_real_roots(p, band=band)
+            assert p._chain is None
+            assert boxes == isolate_real_roots(p), m
+            assert squarefree_part(p) == p and len(boxes) == p.degree, m
+            seen.add(key)
+        matrices_seen += 1
+    assert (matrices_seen, len(seen)) == (34308, 7540)
+
+
+_positive_fractions = st.fractions(F(1, 6), 4, max_denominator=6)
+
+
+@st.composite
+def _positive_bands(draw):
+    """(m, planted): a tridiagonal m with constant diagonal c, or an
+    anti-bidiagonal one with middle entry c, with rational off-diagonal
+    pairs of equal sign. Such an m is c I plus, in the anti-bidiagonal case
+    only when c = 0, a matrix similar to a symmetric tridiagonal one with
+    zero diagonal, whose spectrum is symmetric about 0; so odd n plants the
+    eigenvalue c there, and ``planted`` is c, else None. c = 0 is the
+    isolation tree's first split point, so its gap loop runs."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.sampled_from([F(0), F(1, 2), F(-3, 4), F(5, 8), F(-2)]))
+    pairs = draw(st.lists(st.tuples(_positive_fractions, _positive_fractions, st.booleans()),
+                          min_size=n - 1, max_size=n - 1))
+    upper = [x if positive else -x for x, _, positive in pairs]
+    lower = [y if positive else -y for _, y, positive in pairs]
+    if draw(st.booleans()):
+        m = jacobi_matrix(JacobiSpec([c] * n, upper, lower))
+    else:
+        m = _zigzag_matrix(upper[::-1] + [c] + lower)
+        c = c if c == 0 else None
+    return m, c if n % 2 else None
+
+
+@settings(deadline=None, max_examples=60)
+@given(_positive_bands(), st.lists(st.tuples(_dyadic_numerators, st.integers(0, 40)),
+                                   min_size=5, max_size=5))
+def test_band_counts_match_the_chain_and_fraction_isolation_hypothesis(case, points):
+    """Up to n = 12: the band route's boxes are the chain route's and those
+    of Fraction Sturm bisection, the planted eigenvalue c is enclosed, and
+    at random dyadic points each continuant count is the chain's count, or
+    None exactly where p vanishes."""
+    m, c = case
+    band = spectra._simple_band(m)
+    assert band is not None
+    p = m.charpoly()
+    boxes = isolate_real_roots(p, band=band)
+    assert p._chain is None and len(boxes) == p.degree
+    assert boxes == isolate_real_roots(p) == sturm_isolation(p)
+    if c is not None:
+        assert any(box.lo <= c <= box.hi for box in boxes)
+        if c == 0:
+            assert RootBox(F(0), F(0), 0) in boxes
+        points = points + [(c.numerator << 5, 5 + c.denominator.bit_length() - 1)]
+    d, diag, products = band
+    steps = list(zip(diag, [0, *products]))
+    for u, s in points:
+        u, s = _lowest_terms(u, s)
+        want = _variations(_sturm_chain(p), u, s) if _dyadic_value(p._form[1], u, s) else None
+        assert _continuant_variations(d, steps, u, s) == want, (u, s)

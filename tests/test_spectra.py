@@ -35,6 +35,7 @@ from interlace import (
     identity,
     is_self_interlacing,
     isolate_real_roots,
+    jacobi_matrix,
     jflip_si_certificate,
     kind_two_report,
     poly_from_roots,
@@ -208,6 +209,32 @@ def test_squarefree_spectrum_walks_euclid_once_on_p_and_p_prime(euclid_walks):
     rep = spectrum_report(flip_rows(random_positive_tnn(6, 1)))
     assert rep.squarefree and rep.verdict is SpectrumVerdict.KIND_I
     assert len(euclid_walks) == 2
+
+
+def test_a_positive_band_builds_no_sturm_chain(euclid_walks):
+    """Tridiagonal and anti-bidiagonal inputs with every off-diagonal product
+    positive are isolated by their continuants: the report builds no Sturm
+    chain and walks Euclid once, for the +-pair gcd. A dense input, an
+    anti-Jacobi one, and a band with one zero or one negative product build
+    the chain."""
+    third = F(1, 3)
+    banded = [anti_bidiagonal(AntiBidiagonalSpec(F(3, 2), (1, third, 2, F(5, 7)),
+                                                 (third, 1, F(2, 3), 4))),
+              jacobi_matrix(JacobiSpec((2, third, -1, 0, 1), (1, -third, 2, F(1, 2)),
+                                       (F(1, 2), -1, 3, 1))),
+              Matrix([[F(5, 4)]])]
+    for m in banded:
+        euclid_walks.clear()
+        rep = spectrum_report(m)
+        assert rep.char_poly._chain is None and len(euclid_walks) == 1, m
+        assert rep.squarefree and len(rep.boxes) == m.n
+    chained = [flip_rows(random_positive_tnn(4, 3)),
+               anti_jacobi(JacobiSpec((1, third, 1), (third, 1), (2, third))),
+               jacobi_matrix(JacobiSpec((2, 1, 2, 1), (1, 0, 1), (1, 1, 1))),
+               jacobi_matrix(JacobiSpec((2, 1, 2, 1), (1, -1, 1), (1, 1, 1)))]
+    for m in chained:
+        rep = spectrum_report(m)
+        assert rep.char_poly._chain is not None, m
 
 
 def _pm_pair_by_reflection(p: Polynomial) -> bool:

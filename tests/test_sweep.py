@@ -30,6 +30,8 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     assert set(report["environment"]) == {"python", "implementation", "source_sha256"}
     assert len(report["environment"]["source_sha256"]) == 64
     rows = report["rows"]
+    assert sweep.LAYERS == ("charpoly", "hurwitz_minors", "isolate_real_roots",
+                            "spectrum_report", "sign_scan")
     assert [(r["layer"], r["input"], r["n"]) for r in rows] == [
         (layer, kind, n) for layer in sweep.LAYERS for kind in sweep.INPUTS for n in (2, 3)]
     for row in rows:
@@ -38,6 +40,7 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     counts = {(r["layer"], r["input"], r["n"]): r["counts"] for r in rows}
     assert counts["charpoly", "jacobi", 3]["degree"] == 3
     assert counts["hurwitz_minors", "tnn_flip", 3]["minors"] == 3
+    assert counts["isolate_real_roots", "anti_bidiagonal", 3] == {"roots": 3}
     assert counts["spectrum_report", "anti_bidiagonal", 3] == {"roots": 3, "verdict": "kind_I"}
     assert counts["sign_scan", "tnn_flip", 3] == {"verdict": "strictly_sign_definite",
                                                   "power_exponent": 1}
