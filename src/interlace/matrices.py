@@ -9,7 +9,9 @@ when the form is tridiagonal or anti-bidiagonal, and from division-free
 Berkowitz otherwise, which with Faddeev-LeVerrier over Fractions is the
 continuants' test oracle; a product is the integer product over D1*D2, a
 submatrix (so every minor) is a slice keeping the parent's D, and negation
-and flips act on the form alone.
+and flips act on the form alone. ``det`` fills its Fraction's two slots in
+lowest terms itself, and the minor stream reads its selectors and column
+getters from tables built once per (n, k).
 Public row/column indices are 1-based, as is conventional for minor
 bookkeeping; slicing internals are 0-based.
 """
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, lt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -51,7 +54,7 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...
     return d, tuple(x.numerator * (d // x.denominator) for x in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinorSelector:
     """Strictly increasing 1-based row and column index tuples of equal length."""
 
@@ -73,14 +76,21 @@ class MinorSelector:
         of equal nonzero length (as ``combinations`` yields them), with no
         check."""
         sel = object.__new__(cls)
-        fields = sel.__dict__
-        fields["rows"] = rows
-        fields["cols"] = cols
+        _set_sel_rows(sel, rows)
+        _set_sel_cols(sel, cols)
         return sel
+
+    def __reduce__(self):
+        return MinorSelector._trusted, (self.rows, self.cols)
 
     @property
     def order(self) -> int:
         return len(self.rows)
+
+
+# The slot descriptors' setters, bound once: how a MinorSelector is filled
+# past the frozen dataclass's __setattr__.
+_set_sel_rows, _set_sel_cols = (MinorSelector.__dict__[f].__set__ for f in ("rows", "cols"))
 
 
 class Matrix:
@@ -186,7 +196,9 @@ class Matrix:
         first row, and Laplace expansion by the 2x2 minors of rows 1-2 and
         their complements in rows 3-4. Larger orders run fraction-free
         Bareiss elimination on a copy, where every interior division is
-        exact."""
+        exact. The Fraction is built by setting its two slots to v / D^n
+        in lowest terms, without ``Fraction.__new__``: the same value,
+        hash and str as ``Fraction(v, D ** n)``."""
         d, rows = self._form
         n = self.n
         if n == 1:
@@ -207,7 +219,16 @@ class Matrix:
                  + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0))
         else:
             v = _bareiss([list(row) for row in rows])
-        return Fraction(v) if d == 1 else Fraction(v, d ** n)
+        result = _new(Fraction)
+        if d == 1:
+            _set_numerator(result, v)
+            _set_denominator(result, 1)
+        else:
+            dn = d ** n
+            g = gcd(v, dn)
+            _set_numerator(result, v // g)
+            _set_denominator(result, dn // g)
+        return result
 
     def submatrix(self, sel: MinorSelector) -> "Matrix":
         """The selected rows and columns, whose integer form is the same
@@ -231,23 +252,28 @@ class Matrix:
         full stream.
 
         Each minor is its own ``Matrix`` on a slice of this matrix's form,
-        keeping its D, and its own ``det`` call. The slicing is built once
-        per call: one ``itemgetter`` per column selection (a one-entry
-        slice at order 1, so it too returns a tuple), applied by one ``map``
-        to the rows of each row selection.
+        keeping its D, and its own ``det`` call. The selections come from
+        ``_selection_table(n, order)``, built once per (n, order): each
+        1-based index tuple with the ``itemgetter`` that takes it, which
+        picks the chosen rows of the form and then, mapped over them, the
+        chosen columns. Selectors and minors are filled through their slot
+        setters, with no constructor call.
         """
         if not (1 <= order <= self.n):
             raise InvalidSelector(f"minor order {order} outside 1..{self.n}")
         d, b = self._form
-        picks = list(combinations(range(self.n), order))
-        selectors = [tuple(i + 1 for i in pick) for pick in picks]
-        getters = [itemgetter(*pick) if order > 1 else itemgetter(slice(pick[0], pick[0] + 1))
-                   for pick in picks]
-        trusted, selector = Matrix._trusted, MinorSelector._trusted
-        for row_sel, rows in zip(selectors, picks):
-            chosen = [b[i] for i in rows]
-            for col_sel, take in zip(selectors, getters):
-                yield selector(row_sel, col_sel), trusted(d, tuple(map(take, chosen))).det()
+        table = _selection_table(self.n, order)
+        for row_sel, take_rows in table:
+            chosen = take_rows(b)
+            for col_sel, take in table:
+                sel = _new(MinorSelector)
+                _set_sel_rows(sel, row_sel)
+                _set_sel_cols(sel, col_sel)
+                minor = _new(Matrix)
+                _set_n(minor, order)
+                _set_form(minor, (d, tuple(map(take, chosen))))
+                _set_rows(minor, None)
+                yield sel, minor.det()
 
     def leading_principal_minor(self, k: int) -> Fraction:
         sel = MinorSelector(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
@@ -278,8 +304,24 @@ class Matrix:
 
 
 # The slot descriptors' setters, bound once: how a Matrix fills its slots
-# past its own __setattr__, which refuses every assignment.
+# past its own __setattr__, which refuses every assignment, and how ``det``
+# fills a Fraction's (numerator, denominator) without running
+# ``Fraction.__new__``.
+_new = object.__new__
 _set_n, _set_form, _set_rows = (Matrix.__dict__[slot].__set__ for slot in Matrix.__slots__)
+_set_numerator, _set_denominator = (Fraction.__dict__[slot].__set__
+                                    for slot in ("_numerator", "_denominator"))
+
+
+@lru_cache(maxsize=64)
+def _selection_table(n: int, k: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
+    """The k-subsets of 0..n-1 in ``combinations`` order, each as (its
+    1-based index tuple, an ``itemgetter`` returning the tuple of the
+    entries at those positions). At k = 1 the getter takes a one-entry
+    slice, so it too returns a tuple."""
+    return tuple((tuple(i + 1 for i in pick),
+                  itemgetter(*pick) if k > 1 else itemgetter(slice(pick[0], pick[0] + 1)))
+                 for pick in combinations(range(n), k))
 
 
 def _band(b: tuple[tuple[int, ...], ...]) -> Optional[tuple[list[int], list[int]]]:

@@ -1,10 +1,16 @@
 """Exact matrix core: determinants, minors, flips, characteristic polynomials;
 the input checks of the value types and the document builder."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +228,63 @@ def test_determinant_matches_cofactor_oracle_property(rows):
     assert m.det() == cofactor_det(m)
 
 
+def _fraction_fields(x: F) -> tuple:
+    return type(x), x.numerator, x.denominator, hash(x), str(x)
+
+
+def test_fraction_keeps_the_two_slots_det_sets():
+    assert F.__slots__ == ("_numerator", "_denominator"), (
+        "Matrix.det builds its Fraction by setting these two slots through "
+        "their bound descriptor setters, without Fraction.__new__; a "
+        "Fraction with other slots needs det changed to match")
+
+
+def test_det_fractions_are_in_lowest_terms():
+    """Zero, negative and reducible values over D = 1 and D > 1, and every
+    minor of streams whose slices keep the parent's D (so D^k and the
+    minor's integer value often share factors)."""
+    cases = [Matrix([[F(1, 2), F(1, 3)], [F(1, 2), F(1, 3)]]),  # zero, D = 6
+             Matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]]),  # -1/2 from -2/4
+             Matrix([[F(2, 3), 0], [0, F(3, 2)]]),  # 1 from 36/36
+             Matrix([[0, 1], [1, 0]]), Matrix([[0]]), Matrix([[F(-4, 6)]])]
+    cases += [_prime_row_matrix(n, 1300 + n, zero_row=n // 2) for n in range(1, 7)]
+    for m in cases:
+        d, b = m._form
+        want = F(_bareiss([list(row) for row in b]), d ** m.n)
+        assert _fraction_fields(m.det()) == _fraction_fields(want) == _fraction_fields(
+            cofactor_det(m)), m
+    for m in (_prime_row_matrix(4, 1310), Matrix([[F(1, 6), F(1, 2), 1], [F(1, 3), 0, 2],
+                                                   [F(5, 6), F(1, 2), F(1, 3)]])):
+        d, b = m._form
+        for k in range(1, m.n + 1):
+            for sel, value in m.minors(k):
+                sub = [[b[i - 1][j - 1] for j in sel.cols] for i in sel.rows]
+                assert _fraction_fields(value) == _fraction_fields(F(_bareiss(sub), d ** k))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)),
+                      min_size=n, max_size=n), min_size=n, max_size=n),
+    st.sampled_from(("as drawn", "negated first row", "repeated row")))))
+def test_det_fraction_matches_the_fraction_constructor_property(case):
+    """Orders 1-4 (closed forms) and 5-6 (Bareiss), integer and rational
+    entries: the Fraction ``det`` fills in itself cannot be told from
+    ``Fraction(v, D ** n)`` or from the cofactor oracle, by type,
+    numerator, denominator, hash or str, zero and negative values
+    included."""
+    rows, variant = case
+    if variant == "negated first row":
+        rows[0] = [-x for x in rows[0]]
+    elif variant == "repeated row" and len(rows) > 1:
+        rows[-1] = rows[0]
+    m = Matrix(rows)
+    d, b = m._form
+    want = F(_bareiss([list(row) for row in b]), d ** m.n)
+    assert _fraction_fields(m.det()) == _fraction_fields(want) == _fraction_fields(
+        cofactor_det(m)), m
+
+
 def _leading_minors_by_cofactors(m: Matrix) -> tuple[F, ...]:
     return tuple(cofactor_det(Matrix([row[:k] for row in m.rows[:k]]))
                  for k in range(1, m.n + 1))
@@ -273,6 +336,33 @@ def test_minor_selector_validation():
         MinorSelector((0, 1), (1, 2))
     with pytest.raises(InvalidSelector):
         MinorSelector((1, 2), (1,))
+
+
+def test_minor_selector_is_a_slotted_frozen_record():
+    sel = MinorSelector([1, 2], (1, 3))
+    assert repr(sel) == "MinorSelector(rows=(1, 2), cols=(1, 3))"
+    assert type(sel.rows) is tuple and sel.order == 2
+    twin, other = MinorSelector((1, 2), (1, 3)), MinorSelector((1, 2), (1, 4))
+    assert sel == twin and hash(sel) == hash(twin)
+    assert sel != other and sel != ((1, 2), (1, 3))
+    assert len({sel, twin, other}) == 2
+    for name, value in (("rows", (1, 3)), ("cols", (2, 3))):
+        with pytest.raises(AttributeError):
+            setattr(sel, name, value)
+    # no slot for it; the frozen __setattr__ of a slotted dataclass refuses
+    # a name that is not a field with TypeError on CPython 3.10-3.13
+    with pytest.raises((AttributeError, TypeError)):
+        sel.extra = 1
+    assert not hasattr(sel, "__dict__") and MinorSelector.__slots__ == ("rows", "cols")
+    trusted = MinorSelector._trusted((1, 2), (1, 3))
+    assert trusted == sel and hash(trusted) == hash(sel) and repr(trusted) == repr(sel)
+    streamed = [s for s, _ in random_int_matrix(3, 3).minors(2)]
+    for obj in (sel, trusted, *streamed):
+        twins = [pickle.loads(pickle.dumps(obj, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*twins, copy.copy(obj), copy.deepcopy(obj)):
+            assert type(twin) is MinorSelector and twin == obj and hash(twin) == hash(obj)
+            assert repr(twin) == repr(obj)
 
 
 def test_stream_selectors_equal_validated_selectors():
@@ -383,6 +473,40 @@ def test_each_minor_is_its_own_det_call(monkeypatch):
             pairs = list(m.minors(k))
             assert len(pairs) == len(calls) == comb(n, k) ** 2, (n, k)
             assert set(calls) == {k}, (n, k)
+
+
+def test_selection_tables_are_shared_per_size_and_order():
+    """Two matrices of one size read one cached table, and the cache is
+    bounded."""
+    a, b = random_int_matrix(5, 51), random_int_matrix(5, 52)
+    list(a.minors(2))
+    before = matrices._selection_table.cache_info()
+    list(b.minors(2))
+    after = matrices._selection_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert matrices._selection_table(5, 2) is matrices._selection_table(5, 2)
+    assert after.maxsize is not None and 0 < after.maxsize <= 256
+
+
+def test_an_abandoned_stream_restarts_from_its_first_minor():
+    m = _prime_row_matrix(5, 1400)
+    for k in range(1, 6):
+        stream = m.minors(k)
+        first = next(stream)
+        stream.close()
+        again = list(m.minors(k))
+        assert again[0] == first and again == _fresh_minors(m, k), k
+
+
+def test_selection_tables_are_built_on_first_use_not_at_import():
+    src = str(Path(matrices.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import interlace, interlace.cli; from interlace import matrices; "
+            "print(matrices._selection_table.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_submatrix_matches_a_fresh_matrix_despite_the_parent_denominator():
