@@ -8,7 +8,7 @@ Writes ``BENCH_<label>.json`` (into the repository root unless ``--out`` says
 otherwise). It imports ``interlace`` from the import path, so one sweep can
 time two source trees, and records the SHA-256 of the source it imported.
 
-Four layers are swept over ``--sizes``:
+Six layers are swept over ``--sizes``:
 
 - ``charpoly``: ``Matrix.charpoly`` of the input;
 - ``hurwitz_minors``: ``hurwitz_minors`` of the twist of that characteristic
@@ -17,7 +17,12 @@ Four layers are swept over ``--sizes``:
   ``spectrum_report`` runs it: by the continuants of the input's band when
   the report takes them (``spectra._simple_band``), else by the Sturm chain,
   built afresh on every run, since a polynomial keeps its chain;
-- ``spectrum_report``: the full report, charpoly to certified enclosures.
+- ``spectrum_report``: the full report, charpoly to certified enclosures;
+- ``refine_root``: ``refine_root`` of every isolation box of the polynomial
+  the report isolates (the squarefree part, or the band's polynomial) to
+  the default width, as ``spectrum_report`` refines them;
+- ``modulus_sort``: ``spectra._certified_modulus_sort`` of those refined
+  boxes, the report's certified order by decreasing modulus.
 
 and one over ``--scan-sizes`` (n = 4..10 by default), where the budget ends
 each series at the exponential wall:
@@ -40,8 +45,10 @@ and stops repeating once a further run would not fit the budget of 10 s at
 reference speed. A run that exceeds the budget is interrupted and marks its
 row "over_budget", which ends that layer's sweep on that input: the larger
 sizes are not run, so an exponential wall shows up as data, not as a hang.
-A charpoly over budget also ends the sweeps of the layers that start from
-it on that input at that size. A source tree without the band route
+A layer over budget also ends the sweeps of the layers that start from it
+(``STARTS_FROM``) on that input at that size: the charpoly those of the
+next three layers, the report those of the last two, whose untimed
+set-up runs the report's stages. A source tree without the band route
 isolates every input by the chain.
 """
 
@@ -66,6 +73,7 @@ import run  # noqa: E402  (perfbench's host-speed reference)
 
 import interlace  # noqa: E402
 from interlace import (  # noqa: E402
+    DEFAULT_WIDTH_BOUND,
     AntiBidiagonalSpec,
     JacobiSpec,
     anti_bidiagonal,
@@ -76,14 +84,19 @@ from interlace import (  # noqa: E402
     isolate_real_roots,
     jacobi_matrix,
     random_positive_tnn,
+    refine_root,
     si_twist,
     spectra,
     spectrum_report,
+    squarefree_part,
 )
 
 SCHEMA = "interlace-sweep/1"
-LAYERS = ("charpoly", "hurwitz_minors", "isolate_real_roots", "spectrum_report", "sign_scan")
-FROM_CHARPOLY = ("hurwitz_minors", "isolate_real_roots", "spectrum_report")
+LAYERS = ("charpoly", "hurwitz_minors", "isolate_real_roots", "spectrum_report",
+          "refine_root", "modulus_sort", "sign_scan")
+STARTS_FROM = {"hurwitz_minors": "charpoly", "isolate_real_roots": "charpoly",
+               "spectrum_report": "charpoly", "refine_root": "spectrum_report",
+               "modulus_sort": "spectrum_report"}
 TNN_MAX = 32
 REPEATS = 5
 BUDGET_S = 10.0  # per row, at reference speed
@@ -130,6 +143,18 @@ def _layer(name: str, m):
         route = {"band": band} if band else {}
         return (lambda: isolate_real_roots(copy.copy(p), **route)), lambda boxes: {
             "roots": len(boxes)}
+    if name in ("refine_root", "modulus_sort"):
+        p = m.charpoly()
+        band = getattr(spectra, "_simple_band", lambda _: None)(m)
+        sf = p if band else squarefree_part(p)
+        boxes = isolate_real_roots(sf, **({"band": band} if band else {}))
+        if name == "refine_root":
+            return (lambda: [refine_root(sf, box, DEFAULT_WIDTH_BOUND) for box in boxes]), \
+                lambda refined: {"roots": len(refined),
+                                 "exact": sum(box.is_exact for box in refined)}
+        refined = [refine_root(sf, box, DEFAULT_WIDTH_BOUND) for box in boxes]
+        return (lambda: spectra._certified_modulus_sort(sf, refined)), lambda order: {
+            "roots": len(order), "refined": len(set(order) - set(refined))}
     if name == "sign_scan":
         return (lambda: classify_sign_definite(m)), lambda cls: {
             "verdict": cls.verdict.value, "power_exponent": cls.power_exponent}
@@ -179,9 +204,10 @@ def source_sha(package_dir: Path) -> str:
 def sweep(sizes, scan_sizes) -> list[dict]:
     rows = []
     inputs_end = {kind: TNN_MAX + 1 if kind == "tnn_flip" else float("inf") for kind in INPUTS}
-    charpoly_end = dict(inputs_end)
+    ends = {}  # layer -> input -> least size not swept
     for layer in LAYERS:
-        end = charpoly_end if layer in FROM_CHARPOLY else inputs_end
+        end = ends.get(STARTS_FROM.get(layer), inputs_end)
+        ends[layer] = dict(end)
         for kind, build in INPUTS.items():
             for n in scan_sizes if layer == "sign_scan" else sizes:
                 if n >= end[kind]:
@@ -190,8 +216,7 @@ def sweep(sizes, scan_sizes) -> list[dict]:
                 row.update(measure(*_layer(layer, build(n))))
                 rows.append(row)
                 if row["status"] == "over_budget":
-                    if layer == "charpoly":
-                        charpoly_end[kind] = n
+                    ends[layer][kind] = n
                     break
     return rows
 

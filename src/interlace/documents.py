@@ -282,8 +282,9 @@ def decimal_string(x: Fraction, places: int, mode: str = "nearest") -> str:
 
 def places_for_width(width: Fraction) -> int:
     """Smallest digit count whose resolution 10^-k is <= the width bound,
-    capped at 40: past 10^-40 the digit count no longer resolves the width."""
+    capped at 40: past 10^-40 the digit count no longer resolves the width.
+    10^-k > width is compared as the integers 10^k num < den."""
     k = 0
-    while Fraction(1, 10 ** k) > width and k < 40:
+    while 10 ** k * width.numerator < width.denominator and k < 40:
         k += 1
     return k

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter, lt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -256,13 +256,17 @@ class Matrix:
         ``_selection_table(n, order)``, built once per (n, order): each
         1-based index tuple with the ``itemgetter`` that takes it, which
         picks the chosen rows of the form and then, mapped over them, the
-        chosen columns. Selectors and minors are filled through their slot
-        setters, with no constructor call.
+        chosen columns. A table of more than ``_CACHED_TABLE_MAX`` entries
+        is built for this stream alone and goes with it: it costs O(C(n, k))
+        against the C(n, k)^2 minors the stream can yield, and a cached one
+        would stay pinned after the stream ends. Selectors and minors are
+        filled through their slot setters, with no constructor call.
         """
         if not (1 <= order <= self.n):
             raise InvalidSelector(f"minor order {order} outside 1..{self.n}")
         d, b = self._form
-        table = _selection_table(self.n, order)
+        table = (_selection_table(self.n, order) if comb(self.n, order) <= _CACHED_TABLE_MAX
+                 else _selection_table.__wrapped__(self.n, order))
         for row_sel, take_rows in table:
             chosen = take_rows(b)
             for col_sel, take in table:
@@ -311,6 +315,12 @@ _new = object.__new__
 _set_n, _set_form, _set_rows = (Matrix.__dict__[slot].__set__ for slot in Matrix.__slots__)
 _set_numerator, _set_denominator = (Fraction.__dict__[slot].__set__
                                     for slot in ("_numerator", "_denominator"))
+
+
+# The most entries C(n, k) of a selection table that the cache keeps: every
+# table of n <= 14 fits, and a full scan at n = 14 already reads 40 million
+# minors.
+_CACHED_TABLE_MAX = 4096
 
 
 @lru_cache(maxsize=64)

@@ -14,8 +14,10 @@ dyadic points u/2^s, so there each power of the denominator is a left
 shift, and a point is taken in lowest terms first; counts beyond
 Fujiwara's root bound are read off leading coefficients. Refinement
 returns exactly the box bisection would, but reaches bisection's final cell
-by quadratic interval refinement. Fractions are built only for results, and
-no binary floating point enters any certified statement.
+by quadratic interval refinement. Isolation and refinement run on integers
+and build Fractions only for the ends of the boxes they return, in lowest
+terms with the two slots set directly; no binary floating point enters any
+certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, dropwhile, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mul, ne, not_
 from typing import Iterable, Optional, Sequence
 
@@ -43,7 +45,14 @@ from .errors import (
     PositivityViolated,
     ZeroPolynomial,
 )
-from .matrices import Matrix, _common_denominator, as_fraction
+from .matrices import (
+    Matrix,
+    _common_denominator,
+    _new,
+    _set_denominator,
+    _set_numerator,
+    as_fraction,
+)
 
 
 class Polynomial:
@@ -392,6 +401,23 @@ class RootBox:
         return (self.lo + self.hi) / 2
 
 
+def _ratio(u: int, v: int) -> Fraction:
+    """u / v, v > 0, as a Fraction in lowest terms with its two slots set
+    directly, as ``Matrix.det`` sets them: the value, hash and str of
+    ``Fraction(u, v)`` without running its constructor."""
+    g = gcd(u, v)
+    x = _new(Fraction)
+    _set_numerator(x, u // g)
+    _set_denominator(x, v // g)
+    return x
+
+
+def _exact_box(u: int, v: int) -> RootBox:
+    """The exact box of the root u / v, v > 0."""
+    root = _ratio(u, v)
+    return RootBox(root, root, _sign(u))
+
+
 def _lowest_terms(u: int, s: int) -> tuple[int, int]:
     """(u', s') with u'/2^s' = u/2^s and s' >= 0 least: the point's own
     grid level, so that evaluation there carries no spare factors of two."""
@@ -551,6 +577,10 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
     = n, V(+inf) = 0, and each count is ``_continuant_variations``, whose
     last member Q_n = 0 is the exact-root test. No chain is built and p is
     not checked; the tree and the boxes are the chain's.
+
+    The boxes are sorted on integers, each lower end lifted to the finest
+    level among them, and the only Fractions built are their ends, each
+    u / 2^s in lowest terms with its slots set directly (``_ratio``).
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -558,7 +588,7 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
     if band is None:
         chain = _sturm_chain(p)
         if len(chain[-1]) > 1:
-            g = Polynomial._trusted(Fraction(1), chain[-1]).monic()
+            g = Polynomial._trusted(p._form[0], chain[-1]).monic()  # any c > 0 will do
             raise NotSquarefree(f"repeated roots; gcd(p, p') = {g}")
         ic = chain[0]  # p itself as primitive integers
         v_minus, v_plus = _variations_at_infinity(chain)
@@ -611,8 +641,10 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
             continue
         work.append((a, mid, s, va, vm))
         work.append((mid, b, s, vm, vb))
-    raw.sort(key=lambda box: Fraction(box[0], 1 << box[2]))
-    return tuple(RootBox(Fraction(lo, 1 << s), Fraction(hi, 1 << s), _sign(lo + hi))
+    # boxes are disjoint, so their lower ends on the finest level order them
+    top = max((s for _, _, s in raw), default=0)
+    raw.sort(key=lambda box: box[0] << (top - box[2]))
+    return tuple(RootBox(_ratio(lo, 1 << s), _ratio(hi, 1 << s), _sign(lo + hi))
                  for lo, hi, s in raw)
 
 
@@ -622,7 +654,7 @@ DEFAULT_WIDTH_BOUND = Fraction(1, 10 ** 9)
 def as_width_bound(value) -> Fraction:
     """``value`` as an exact Fraction, which must be positive."""
     width_bound = as_fraction(value)
-    if width_bound <= 0:
+    if width_bound._numerator <= 0:
         raise PositivityViolated("width bound must be positive")
     return width_bound
 
@@ -644,6 +676,12 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     there is the root that bisection would hit, and every box is bisection's
     own. p is evaluated as v^n p(u/v) by integer Horner steps.
 
+    The whole search runs on integers. The box's ends (ints or Fractions)
+    are read from their Fraction slots as numerators over one scale, the
+    lcm of their denominators. The only Fractions built are the returned
+    box's ends, u/v in lowest terms with their slots set directly
+    (``_ratio``).
+
     A box outside the ``RootBox`` contract with p(lo) p(hi) >= 0 (a root at
     an endpoint, say) takes only bisection steps, which compare the sign at
     the midpoint with the sign at lo, and so keeps bisection's result. A
@@ -651,39 +689,36 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
     them, which need not be the one bisection picks.
     """
     width_bound = as_width_bound(width_bound)
-    if box.is_exact:
+    x, y = as_fraction(box.lo), as_fraction(box.hi)
+    scale = lcm(x._denominator, y._denominator)
+    lo = x._numerator * (scale // x._denominator)
+    hi = y._numerator * (scale // y._denominator)
+    if lo == hi:  # an exact box
         return box
-    scale, (lo, hi) = _common_denominator((box.lo, box.hi))
     # least K with (hi - lo) * den <= num * scale * 2^K, from the ceiling ratio
-    ratio = -(-(hi - lo) * width_bound.denominator // (width_bound.numerator * scale))
-    levels = (ratio - 1).bit_length() if ratio > 1 else 0
-    if levels == 0:
+    ratio = -(-(hi - lo) * width_bound._denominator // (width_bound._numerator * scale))
+    if ratio <= 1:
         return box
-    # grid point j (0 <= j <= 2^K) is u_j / v with u_j = lo 2^K + j (hi - lo)
+    levels = (ratio - 1).bit_length()
+    # grid point j (0 <= j <= 2^K) is (base + j step) / v
     v, base, step = scale << levels, lo << levels, hi - lo
-    # a_k v^k, so that Horner in u_j gives v^n p(u_j / v)
-    ic = list(map(mul, p._form[1], accumulate(repeat(v, p.degree), mul, initial=1)))
-
-    def value(j: int) -> int:
-        return _horner(ic, base + j * step)
-
-    def hit(j: int) -> RootBox:
-        root = Fraction(base + j * step, v)
-        return RootBox(root, root, _sign(root))
+    # a_k v^k, so that Horner in u gives v^n p(u / v)
+    ints = p._form[1]
+    ic = list(map(mul, ints, accumulate(repeat(v, len(ints) - 1), mul, initial=1)))
 
     a, b = 0, 1 << levels
-    pa = value(a)
+    pa = _horner(ic, base)
     # a secant needs the far end too; below three levels bisection is as cheap
-    pb = value(b) if levels > 2 else 0
+    pb = _horner(ic, base + (step << levels)) if levels > 2 else 0
     s_lo = _sign(pa)
     s = 1 if pa * pb < 0 else 0  # 0: bisection steps only
     while b - a > 1:
         s = min(s, (b - a).bit_length() - 1)
         if s <= 1:
             c = (a + b) >> 1
-            pc = value(c)
+            pc = _horner(ic, base + c * step)
             if pc == 0:
-                return hit(c)
+                return _exact_box(base + c * step, v)
             if _sign(pc) == s_lo:
                 a, pa = c, pc
             else:
@@ -693,16 +728,16 @@ def refine_root(p: Polynomial, box: RootBox, width_bound) -> RootBox:
         width = (b - a) >> s
         c = a + width * ((abs(pa) << s) // (abs(pa) + abs(pb)))
         d = c + width
-        pc = pa if c == a else value(c)
+        pc = pa if c == a else _horner(ic, base + c * step)
         if pc == 0:
-            return hit(c)
+            return _exact_box(base + c * step, v)
         if (pc > 0) == (pa > 0):
-            pd = pb if d == b else value(d)
+            pd = pb if d == b else _horner(ic, base + d * step)
             if pd == 0:
-                return hit(d)
+                return _exact_box(base + d * step, v)
             if (pd > 0) == (pb > 0):
                 a, b, pa, pb = c, d, pc, pd
                 s *= 2
                 continue
         s //= 2
-    return RootBox(Fraction(base + a * step, v), Fraction(base + b * step, v), box.sign)
+    return RootBox(_ratio(base + a * step, v), _ratio(base + b * step, v), box.sign)

@@ -15,7 +15,9 @@ producing a report: that error marks a bug, never bad input.
 The modulus order is certified in one pass over pairs of boxes, refining
 each overlapping pair until it is disjoint. A refined box lies inside the old
 one and no box straddles zero, so a pair once disjoint stays disjoint. Boxes
-whose moduli are already disjoint skip the pass.
+whose moduli are already disjoint skip the pass. Isolation and refinement run
+on integers and build Fractions only for the ends of the boxes they return;
+the modulus sort compares those ends as they are.
 """
 
 from __future__ import annotations
@@ -111,7 +113,9 @@ def _certified_modulus_sort(sf: Polynomial, boxes: list[RootBox]) -> list[RootBo
 
     The pass is skipped when it would refine nothing: in the order of
     decreasing lower ends, intervals whose neighbours are disjoint are
-    pairwise disjoint, so that order is the answer."""
+    pairwise disjoint, so that order is the answer. The moduli are the
+    boxes' Fraction ends, negated for a negative root; no Fraction is built
+    by its constructor here."""
     boxes = list(boxes)
     moduli = [box.modulus_interval for box in boxes]
     order = sorted(range(len(boxes)), key=lambda k: moduli[k][0], reverse=True)

@@ -195,3 +195,20 @@ def test_places_for_width():
     assert places_for_width(F(1, 2)) == 1
     assert places_for_width(F(1, 10)) == 1
     assert places_for_width(F(3)) == 0
+
+
+def _places_by_fractions(width: F) -> int:
+    """The Fraction definition places_for_width compares in integers."""
+    k = 0
+    while F(1, 10 ** k) > width and k < 40:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("width", [
+    *(F(1, 10 ** k) for k in range(12)),
+    *(F(1, 10 ** k) + F(1, 10 ** (k + 3)) for k in range(12)),
+    *(F(1, 10 ** k) - F(1, 10 ** (k + 3)) for k in range(12)),
+    F(3, 7), F(1, 10 ** 40), F(1, 10 ** 40 + 1), F(1, 10 ** 41), F(1, 3 * 10 ** 45)])
+def test_places_for_width_matches_the_fraction_definition(width):
+    assert places_for_width(width) == _places_by_fractions(width)

@@ -8,6 +8,10 @@ generics (``tuple[int, ...]``, ``Optional[...]``) are type expressions, not
 reads. A ``.coeffs`` read builds the Fraction view of a polynomial; only the
 presentation layers and ``class Polynomial`` itself, whose printing reads
 it, may do so.
+
+Isolation and refinement run on integer numerators and build the Fractions
+they hand out by setting their slots; neither they nor the modulus sort call
+the ``Fraction`` constructor or take a ``_common_denominator`` of Fractions.
 """
 
 import ast
@@ -50,6 +54,25 @@ def _coeffs_reads(tree: ast.AST) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
+ENCLOSURES = {"polynomials": ("isolate_real_roots", "refine_root"),
+              "spectra": ("_certified_modulus_sort",)}
+FRACTION_BUILDERS = ("Fraction", "_common_denominator")
+
+
+def _fraction_builds(tree: ast.AST, functions) -> list[str]:
+    """Every call of a name in FRACTION_BUILDERS inside the named top-level
+    functions, nested functions and lambdas included."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in functions:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in FRACTION_BUILDERS):
+                    found.append((node.lineno, f"{top.name} line {node.lineno}: "
+                                               f"{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
 def test_analyses_never_read_the_fraction_view():
     for module in ANALYSES:
         assert _view_reads(_parse(module)) == [], module
@@ -73,3 +96,18 @@ def test_the_check_sees_a_coeffs_read_outside_the_class():
         "def g(p):\n    return p.coeffs[0], p._form, coeffs\n"
         "class Other:\n    def h(self, p):\n        return p.coeffs\n"))
     assert reads == ["line 5: p.coeffs", "line 8: p.coeffs"]
+
+
+def test_the_enclosure_stage_builds_no_fraction_by_constructor():
+    builds = {module: _fraction_builds(_parse(module), functions)
+              for module, functions in ENCLOSURES.items()}
+    assert {module: found for module, found in builds.items() if found} == {}
+
+
+def test_the_check_sees_a_fraction_build():
+    builds = _fraction_builds(ast.parse(
+        "def refine_root(p, box):\n    key = lambda u: Fraction(u, 2)\n"
+        "    return _common_denominator((box.lo, box.hi))\n"
+        "def other():\n    return Fraction(1, 3)\n"), ("refine_root",))
+    assert builds == ["refine_root line 2: Fraction(u, 2)",
+                      "refine_root line 3: _common_denominator((box.lo, box.hi))"]

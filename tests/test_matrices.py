@@ -488,6 +488,15 @@ def test_selection_tables_are_shared_per_size_and_order():
     assert after.maxsize is not None and 0 < after.maxsize <= 256
 
 
+def test_a_large_selection_table_goes_with_its_stream():
+    """C(16, 8) = 12,870 selections is past the cached size, so reading
+    one minor caches no table, and the stream still starts in order."""
+    before = matrices._selection_table.cache_info().currsize
+    sel, value = next(identity(16).minors(8))
+    assert (sel.rows, sel.cols, value) == (tuple(range(1, 9)), tuple(range(1, 9)), 1)
+    assert matrices._selection_table.cache_info().currsize == before
+
+
 def test_an_abandoned_stream_restarts_from_its_first_minor():
     m = _prime_row_matrix(5, 1400)
     for k in range(1, 6):

@@ -911,6 +911,91 @@ def test_refine_root_matches_fraction_bisection_hypothesis(p, shift, odd):
             assert refine_root(p, box, w) == fraction_bisection(p, box, w), (p, box, w)
 
 
+def _assert_built_in_lowest_terms(x) -> None:
+    """x is a Fraction whose slots hold a positive denominator and a
+    coprime numerator, so that it equals, hashes and prints as the Fraction
+    its constructor builds from them."""
+    assert type(x) is F, x
+    num, den = x._numerator, x._denominator
+    assert den > 0 and gcd(num, den) == 1, (num, den)
+    twin = F(num, den)
+    assert (x, hash(x), str(x)) == (twin, hash(twin), str(twin))
+
+
+def _assert_boxes_built_in_lowest_terms(boxes) -> None:
+    for box in boxes:
+        _assert_built_in_lowest_terms(box.lo)
+        _assert_built_in_lowest_terms(box.hi)
+
+
+def _thirds(p: Polynomial, box: RootBox) -> RootBox:
+    """The third of ``box`` where p changes sign, with one end or both over
+    3 * 2^s, or the exact box of a root at one of the thirds."""
+    lo, hi = box.lo, box.hi
+    points = [lo, lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3, hi]
+    values = [_at(p, x) for x in points]
+    for k in range(3):
+        if values[k] == 0:
+            return RootBox(points[k], points[k], box.sign)
+        if values[k] * values[k + 1] < 0:
+            return RootBox(points[k], points[k + 1], box.sign)
+    raise AssertionError(f"no sign change in {box}")
+
+
+def _companion(p: Polynomial) -> Matrix:
+    """A matrix whose characteristic polynomial is the monic p."""
+    _, *tail = p.monic().coeffs
+    n = len(tail)
+    return Matrix([[-c for c in tail]] + [[int(j == i) for j in range(n)] for i in range(n - 1)])
+
+
+_dyadic_roots = st.builds(lambda u, s: F(u, 1 << s), st.integers(-40, 40), st.integers(0, 6))
+_other_roots = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.one_of(_dyadic_roots, _other_roots, st.just(F(0))), min_size=1,
+                max_size=6, unique=True),
+       st.sampled_from([None, 2, 3, 5]))
+def test_enclosure_fractions_are_built_in_lowest_terms_hypothesis(roots, surd):
+    """Roots at dyadic points, at 0 and elsewhere, negative ones, and
+    optionally the irrational pair of z^2 - surd. Every end that isolation,
+    refinement (no halving, one to three, about thirty, and on boxes with
+    non-dyadic ends) and the spectrum report hand out."""
+    p = poly_from_roots(roots)
+    if surd is not None:
+        p = p * Polynomial([1, 0, -surd])
+    boxes = isolate_real_roots(p)
+    _assert_boxes_built_in_lowest_terms(boxes)
+    for box in boxes:
+        if box.is_exact:
+            continue
+        for start in (box, _thirds(p, box)):
+            if start.is_exact:
+                continue
+            widths = [start.width / 2 ** k for k in (0, 1, 2, 3, 30)]
+            refined = [refine_root(p, start, w) for w in widths + [start.width * F(3, 4)]]
+            _assert_boxes_built_in_lowest_terms(refined)
+            assert refined[0] == start
+    report = spectra.spectrum_report(_companion(p))
+    _assert_boxes_built_in_lowest_terms(report.boxes)
+    assert len(report.boxes) == len(boxes)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 2), (F(1), 2), (-2, F(-1)), (1, F(3, 2))])
+def test_refine_root_takes_int_ends(lo, hi):
+    """A box with int ends refines as the same box with Fraction ends,
+    and an exact int box comes back as it is."""
+    p = Polynomial([1, 0, -2])  # z^2 - 2, roots +-sqrt 2
+    box, twin = RootBox(lo, hi, 1 if lo > 0 else -1), RootBox(F(lo), F(hi), 1 if lo > 0 else -1)
+    for w in (F(1, 2), F(1, 3), WIDTH):
+        got = refine_root(p, box, w)
+        assert got == refine_root(p, twin, w) == fraction_bisection(p, twin, w)
+        _assert_boxes_built_in_lowest_terms([got] if got != box else [])
+    exact = RootBox(2, 2, 1)
+    assert refine_root(Polynomial([1, -2]), exact, WIDTH) is exact
+
+
 def _halvings(box: RootBox, result: RootBox) -> int:
     """Bisection steps from box to result: a hit at level s lies an odd
     multiple of width / 2^s from lo; otherwise the width ratio is 2^s."""

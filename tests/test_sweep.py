@@ -31,7 +31,7 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     assert len(report["environment"]["source_sha256"]) == 64
     rows = report["rows"]
     assert sweep.LAYERS == ("charpoly", "hurwitz_minors", "isolate_real_roots",
-                            "spectrum_report", "sign_scan")
+                            "spectrum_report", "refine_root", "modulus_sort", "sign_scan")
     assert [(r["layer"], r["input"], r["n"]) for r in rows] == [
         (layer, kind, n) for layer in sweep.LAYERS for kind in sweep.INPUTS for n in (2, 3)]
     for row in rows:
@@ -42,5 +42,9 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     assert counts["hurwitz_minors", "tnn_flip", 3]["minors"] == 3
     assert counts["isolate_real_roots", "anti_bidiagonal", 3] == {"roots": 3}
     assert counts["spectrum_report", "anti_bidiagonal", 3] == {"roots": 3, "verdict": "kind_I"}
+    for kind in sweep.INPUTS:
+        assert counts["refine_root", kind, 3]["roots"] == 3, kind
+        assert counts["modulus_sort", kind, 3] == {"roots": 3, "refined": 0}, kind
+    assert counts["refine_root", "anti_jacobi", 3] == {"roots": 3, "exact": 3}
     assert counts["sign_scan", "tnn_flip", 3] == {"verdict": "strictly_sign_definite",
                                                   "power_exponent": 1}
