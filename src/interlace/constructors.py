@@ -4,7 +4,7 @@ Builders for the bidiagonal, anti-bidiagonal, tridiagonal (Jacobi) and
 column-reversed tridiagonal families live here with the two tridiagonal
 oscillation criteria. Every family is built by ``jacobi_matrix``,
 column-reversed for the anti families. The criteria read the leading
-principal minors off the continuant recurrence of the integer form, or the
+principal minors off the continuants of the integer form's band, or the
 determinants of the column-reversed leading blocks with signs from
 ``jflip_signature`` of ``classification``, which imports nothing from this
 module.
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .classification import is_oscillatory, is_totally_nonnegative, jflip_signature
 from .errors import DimensionMismatch, InternalInvariantViolation, PositivityViolated
-from .matrices import Matrix, MinorSelector, as_fraction, flip_cols
+from .matrices import Matrix, MinorSelector, _band, as_fraction, flip_cols
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,14 @@ def jacobi_oscillatory_criterion(spec: JacobiSpec) -> bool:
     Requires every b_k > 0 and c_k > 0 (raises otherwise); returns True
     exactly when all leading principal minors of the tridiagonal matrix are
     strictly positive. On the integer form B = D*M they are the continuants
-    Δ_k = b_kk Δ_(k-1) - b_(k-1,k) b_(k,k-1) Δ_(k-2), Δ_0 = 1 and Δ_(-1) = 0,
-    in O(n), and D > 0 keeps their signs; the first Δ_k <= 0 decides.
+    Δ_k = a_k Δ_(k-1) - p_(k-1) Δ_(k-2), Δ_0 = 1 and Δ_(-1) = 0, of the
+    band (a, p) that ``matrices._band`` reads off B, in O(n) after the read;
+    D > 0 keeps their signs, and the first Δ_k <= 0 decides.
     """
-    b = _positive_jacobi(spec)._form[1]
-    before, minor = 0, 1  # Δ_(k-2), Δ_(k-1); Δ_(-1) = 0 voids the k = 0 term
-    for k, row in enumerate(b):
-        before, minor = minor, row[k] * minor - row[k - 1] * b[k - 1][k] * before
+    diag, products = _band(_positive_jacobi(spec)._form[1])
+    before, minor = 0, 1  # Δ_(k-2), Δ_(k-1), with p_0 = 0 beside Δ_(-1) = 0
+    for a, p in zip(diag, [0, *products]):
+        before, minor = minor, a * minor - p * before
         if minor <= 0:
             return False
     return True

@@ -9,9 +9,9 @@ when the form is tridiagonal or anti-bidiagonal, and from division-free
 Berkowitz otherwise, which with Faddeev-LeVerrier over Fractions is the
 continuants' test oracle; a product is the integer product over D1*D2, a
 submatrix (so every minor) is a slice keeping the parent's D, and negation
-and flips act on the form alone. ``det`` fills its Fraction's two slots in
-lowest terms itself, and the minor stream reads its selectors and column
-getters from tables built once per (n, k).
+and flips act on the form alone. Fractions are built by ``_ratio``, which
+sets their two slots in lowest terms, and the minor stream builds its
+selectors and column getters once per stream and keeps nothing after it.
 Public row/column indices are 1-based, as is conventional for minor
 bookkeeping; slicing internals are 0-based.
 """
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, combinations, repeat
-from math import comb, gcd, lcm
+from itertools import accumulate, combinations, repeat, starmap
+from math import gcd, lcm
 from operator import itemgetter, lt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -70,19 +69,6 @@ class MinorSelector:
             if not (idx[0] >= 1 and all(map(lt, idx, idx[1:]))):
                 raise InvalidSelector(f"indices must be strictly increasing and >= 1: {idx}")
 
-    @classmethod
-    def _trusted(cls, rows: tuple[int, ...], cols: tuple[int, ...]) -> "MinorSelector":
-        """Wrap index tuples that already are strictly increasing, >= 1 and
-        of equal nonzero length (as ``combinations`` yields them), with no
-        check."""
-        sel = object.__new__(cls)
-        _set_sel_rows(sel, rows)
-        _set_sel_cols(sel, cols)
-        return sel
-
-    def __reduce__(self):
-        return MinorSelector._trusted, (self.rows, self.cols)
-
     @property
     def order(self) -> int:
         return len(self.rows)
@@ -124,7 +110,6 @@ class Matrix:
         m = object.__new__(cls)
         _set_n(m, len(b))
         _set_form(m, (d, b))
-        _set_rows(m, None)
         return m
 
     def __setattr__(self, *_):
@@ -137,11 +122,14 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions, built from the form on first read."""
-        if self._rows is None:
+        """The entries as Fractions, built from the form on first read:
+        until then the ``_rows`` slot is unset."""
+        try:
+            return self._rows
+        except AttributeError:
             d, b = self._form
             _set_rows(self, tuple(tuple(Fraction(x, d) for x in row) for row in b))
-        return self._rows
+            return self._rows
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -196,8 +184,8 @@ class Matrix:
         first row, and Laplace expansion by the 2x2 minors of rows 1-2 and
         their complements in rows 3-4. Larger orders run fraction-free
         Bareiss elimination on a copy, where every interior division is
-        exact. The Fraction is built by setting its two slots to v / D^n
-        in lowest terms, without ``Fraction.__new__``: the same value,
+        exact. The Fraction is v itself when D = 1 and ``_ratio(v, D^n)``
+        otherwise, both with their two slots set directly: the same value,
         hash and str as ``Fraction(v, D ** n)``."""
         d, rows = self._form
         n = self.n
@@ -219,15 +207,11 @@ class Matrix:
                  + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0))
         else:
             v = _bareiss([list(row) for row in rows])
+        if d != 1:
+            return _ratio(v, d ** n)
         result = _new(Fraction)
-        if d == 1:
-            _set_numerator(result, v)
-            _set_denominator(result, 1)
-        else:
-            dn = d ** n
-            g = gcd(v, dn)
-            _set_numerator(result, v // g)
-            _set_denominator(result, dn // g)
+        _set_numerator(result, v)
+        _set_denominator(result, 1)
         return result
 
     def submatrix(self, sel: MinorSelector) -> "Matrix":
@@ -252,21 +236,24 @@ class Matrix:
         full stream.
 
         Each minor is its own ``Matrix`` on a slice of this matrix's form,
-        keeping its D, and its own ``det`` call. The selections come from
-        ``_selection_table(n, order)``, built once per (n, order): each
-        1-based index tuple with the ``itemgetter`` that takes it, which
+        keeping its D, and its own ``det`` call. The stream builds its
+        selection table when it starts and keeps nothing after it: each
+        1-based index tuple with the ``itemgetter`` that takes it (a
+        one-entry slice at order 1, so every getter returns a tuple), which
         picks the chosen rows of the form and then, mapped over them, the
-        chosen columns. A table of more than ``_CACHED_TABLE_MAX`` entries
-        is built for this stream alone and goes with it: it costs O(C(n, k))
-        against the C(n, k)^2 minors the stream can yield, and a cached one
-        would stay pinned after the stream ends. Selectors and minors are
-        filled through their slot setters, with no constructor call.
+        chosen columns, O(C(n, k)) against the C(n, k)^2 minors it can
+        yield. Selectors and minors are filled through their slot setters,
+        with no constructor call, and a minor's view slot stays unset.
         """
-        if not (1 <= order <= self.n):
-            raise InvalidSelector(f"minor order {order} outside 1..{self.n}")
+        n = self.n
+        if not (1 <= order <= n):
+            raise InvalidSelector(f"minor order {order} outside 1..{n}")
         d, b = self._form
-        table = (_selection_table(self.n, order) if comb(self.n, order) <= _CACHED_TABLE_MAX
-                 else _selection_table.__wrapped__(self.n, order))
+        if order > 1:
+            table = list(zip(combinations(range(1, n + 1), order),
+                             starmap(itemgetter, combinations(range(n), order))))
+        else:
+            table = [((i + 1,), itemgetter(slice(i, i + 1))) for i in range(n)]
         for row_sel, take_rows in table:
             chosen = take_rows(b)
             for col_sel, take in table:
@@ -276,7 +263,6 @@ class Matrix:
                 minor = _new(Matrix)
                 _set_n(minor, order)
                 _set_form(minor, (d, tuple(map(take, chosen))))
-                _set_rows(minor, None)
                 yield sel, minor.det()
 
     def leading_principal_minor(self, k: int) -> Fraction:
@@ -308,8 +294,8 @@ class Matrix:
 
 
 # The slot descriptors' setters, bound once: how a Matrix fills its slots
-# past its own __setattr__, which refuses every assignment, and how ``det``
-# fills a Fraction's (numerator, denominator) without running
+# past its own __setattr__, which refuses every assignment, and how a
+# Fraction's (numerator, denominator) is filled without running
 # ``Fraction.__new__``.
 _new = object.__new__
 _set_n, _set_form, _set_rows = (Matrix.__dict__[slot].__set__ for slot in Matrix.__slots__)
@@ -317,21 +303,15 @@ _set_numerator, _set_denominator = (Fraction.__dict__[slot].__set__
                                     for slot in ("_numerator", "_denominator"))
 
 
-# The most entries C(n, k) of a selection table that the cache keeps: every
-# table of n <= 14 fits, and a full scan at n = 14 already reads 40 million
-# minors.
-_CACHED_TABLE_MAX = 4096
-
-
-@lru_cache(maxsize=64)
-def _selection_table(n: int, k: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
-    """The k-subsets of 0..n-1 in ``combinations`` order, each as (its
-    1-based index tuple, an ``itemgetter`` returning the tuple of the
-    entries at those positions). At k = 1 the getter takes a one-entry
-    slice, so it too returns a tuple."""
-    return tuple((tuple(i + 1 for i in pick),
-                  itemgetter(*pick) if k > 1 else itemgetter(slice(pick[0], pick[0] + 1)))
-                 for pick in combinations(range(n), k))
+def _ratio(u: int, v: int) -> Fraction:
+    """u / v, v > 0, as a Fraction in lowest terms with its two slots set
+    directly: the value, hash and str of ``Fraction(u, v)`` without running
+    its constructor."""
+    g = gcd(u, v)
+    x = _new(Fraction)
+    _set_numerator(x, u // g)
+    _set_denominator(x, v // g)
+    return x
 
 
 def _band(b: tuple[tuple[int, ...], ...]) -> Optional[tuple[list[int], list[int]]]:

@@ -15,9 +15,9 @@ shift, and a point is taken in lowest terms first; counts beyond
 Fujiwara's root bound are read off leading coefficients. Refinement
 returns exactly the box bisection would, but reaches bisection's final cell
 by quadratic interval refinement. Isolation and refinement run on integers
-and build Fractions only for the ends of the boxes they return, in lowest
-terms with the two slots set directly; no binary floating point enters any
-certified statement.
+and build Fractions only for the ends of the boxes they return, through
+``matrices._ratio``, which sets the two slots in lowest terms; no binary
+floating point enters any certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
@@ -45,14 +45,7 @@ from .errors import (
     PositivityViolated,
     ZeroPolynomial,
 )
-from .matrices import (
-    Matrix,
-    _common_denominator,
-    _new,
-    _set_denominator,
-    _set_numerator,
-    as_fraction,
-)
+from .matrices import Matrix, _common_denominator, _ratio, as_fraction
 
 
 class Polynomial:
@@ -401,17 +394,6 @@ class RootBox:
         return (self.lo + self.hi) / 2
 
 
-def _ratio(u: int, v: int) -> Fraction:
-    """u / v, v > 0, as a Fraction in lowest terms with its two slots set
-    directly, as ``Matrix.det`` sets them: the value, hash and str of
-    ``Fraction(u, v)`` without running its constructor."""
-    g = gcd(u, v)
-    x = _new(Fraction)
-    _set_numerator(x, u // g)
-    _set_denominator(x, v // g)
-    return x
-
-
 def _exact_box(u: int, v: int) -> RootBox:
     """The exact box of the root u / v, v > 0."""
     root = _ratio(u, v)
@@ -460,9 +442,10 @@ def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     return p._chain
 
 
-def _variations(chain: Sequence[Sequence[int]], u: int, s: int) -> int:
-    """Sign changes of the chain at u / 2^s, zeros skipped, in one pass."""
-    u, s = _lowest_terms(u, s)
+def _variations(chain: Sequence[Sequence[int]], u: int, s: int) -> Optional[int]:
+    """Sign changes of the chain at u / 2^s, zeros skipped, in one pass, or
+    None where its first member, p, vanishes. The caller puts the point in
+    lowest terms (``_lowest_terms``), which keeps each value small."""
     changes, last = 0, 0
     for member in chain:
         value = _dyadic_value(member, u, s)
@@ -472,6 +455,8 @@ def _variations(chain: Sequence[Sequence[int]], u: int, s: int) -> int:
         elif value < 0:
             changes += last > 0
             last = -1
+        elif not last:  # last is 0 only at the first member, p
+            return None
     return changes
 
 
@@ -556,7 +541,8 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
     shift a_k << s k, after u/2^s is put in lowest terms: the numerators
     carry the Cauchy bound's factors of two, which would otherwise enlarge
     every product. The sign changes are counted in one pass over the chain,
-    zeros skipped. A box is accepted only once it does not straddle zero;
+    zeros skipped; that pass evaluates p first, and a zero there is the
+    exact-root test, so p is evaluated once per point. A box is accepted only once it does not straddle zero;
     the start box is symmetric, so its first split is at zero and every box
     carries a definite root sign.
 
@@ -580,7 +566,7 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
 
     The boxes are sorted on integers, each lower end lifted to the finest
     level among them, and the only Fractions built are their ends, each
-    u / 2^s in lowest terms with its slots set directly (``_ratio``).
+    u / 2^s in lowest terms, built by ``matrices._ratio``.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -594,8 +580,7 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
         v_minus, v_plus = _variations_at_infinity(chain)
 
         def variations(u: int, s: int) -> Optional[int]:
-            u, s = _lowest_terms(u, s)
-            return _variations(chain, u, s) if _dyadic_value(ic, u, s) else None
+            return _variations(chain, *_lowest_terms(u, s))
     else:
         d, diag, products = band
         ic, v_minus, v_plus = p._form[1], p.degree, 0

@@ -83,10 +83,11 @@ def euclid_walks(monkeypatch) -> list:
 
 @pytest.fixture
 def sturm_evaluations(monkeypatch) -> list:
-    """The points of every Sturm count (call of ``polynomials._variations``)
-    and of every exact-root test (call of ``polynomials._dyadic_value`` made
-    outside a count) while the test runs, as ("count" or "value", u, s) for
-    the point u / 2^s."""
+    """The points of every Sturm count (call of ``polynomials._variations``,
+    whose first member, p, is also the exact-root test) and of every other
+    evaluation of an integer polynomial at a dyadic point (call of
+    ``polynomials._dyadic_value`` made outside a count) while the test runs,
+    as ("count" or "value", u, s) for the point u / 2^s."""
     points, counting = [], []
 
     def count(chain, u, s, variations=polynomials._variations):

@@ -743,7 +743,7 @@ def test_kernels_never_build_the_fraction_view(monkeypatch):
             is_oscillatory(m), is_totally_nonnegative(m), classify_sign_definite(m)
             is_strictly_totally_positive(m), stp_violation(m)
             is_oscillatory_by_definition(m)
-            assert m._rows is None, a
+            assert not hasattr(m, "_rows"), a
     # corner conditions, both flip certificates of a product and the Hurwitz
     # minors of a rational polynomial past a zero pivot read and build forms
     # alone
@@ -752,13 +752,13 @@ def test_kernels_never_build_the_fraction_view(monkeypatch):
     check_corner_conditions(m)
     for side in ("left", "right"):
         cert = jflip_si_certificate(m, side)
-        assert cert.passed and cert.flipped._rows is None, side
-    assert m._rows is None
+        assert cert.passed and not hasattr(cert.flipped, "_rows"), side
+    assert not hasattr(m, "_rows")
     built = []
     monkeypatch.setattr(polynomials, "hurwitz_matrix",
                         lambda p, build=hurwitz_matrix: built.append(build(p)) or built[-1])
     assert hurwitz_minors(Polynomial([F(2, 3), 1, F(3, 2), F(9, 4), 1, 4]))[1] == 0
-    assert len(built) == 1 and built[0]._rows is None
+    assert len(built) == 1 and not hasattr(built[0], "_rows")
 
 
 # -- oscillation -----------------------------------------------------------------
@@ -1036,20 +1036,18 @@ def test_matrices_polynomials_and_reports_copy_and_pickle():
     """Each round trip rebuilds from the stored state: a matrix and a
     polynomial from their integer forms; the Fraction view and the Sturm
     chain, both caches, stay behind, and the chain rebuilds equal. A minor's
-    submatrix and selector, as the trusted constructors of the minor stream
-    build them, cannot be told from the checked constructors' objects."""
+    submatrix, as the trusted constructor builds it, cannot be told from the
+    checked constructor's matrix."""
     cert = jflip_si_certificate(random_positive_tnn(4, 5))
     m, p = cert.flipped * cert.flipped, cert.spectrum.char_poly
     assert m.rows and p._chain is not None
     d, b = m._form
-    sel = MinorSelector._trusted((1, 3), (2, 4))
-    checked = MinorSelector((1, 3), (2, 4))
-    assert sel == checked and hash(sel) == hash(checked)
+    sel = MinorSelector((1, 3), (2, 4))
     sub = Matrix._trusted(d, tuple(tuple(b[i - 1][j - 1] for j in sel.cols) for i in sel.rows))
     built = Matrix([[m[i, j] for j in sel.cols] for i in sel.rows])
-    assert sub._rows is None  # the view is built on first read
+    assert not hasattr(sub, "_rows")  # the view is built on first read
     assert sub == built and hash(sub) == hash(built) and repr(sub) == repr(built)
-    assert sub._rows == built.rows and sub.det() == m.minor(checked)
+    assert sub._rows == built.rows and sub.det() == m.minor(sel)
     for obj, name, value in ((sub, "n", 3), (sub, "_rows", None), (sub, "_form", (1, ())),
                              (sel, "rows", (1,)), (sel, "cols", (1,))):
         with pytest.raises(AttributeError):
@@ -1059,7 +1057,7 @@ def test_matrices_polynomials_and_reports_copy_and_pickle():
             assert type(twin) is type(obj) and twin == obj
     for mat in (m, sub):
         for twin in (copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
-            assert twin._form == mat._form and twin._rows is None
+            assert twin._form == mat._form and not hasattr(twin, "_rows")
     for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert twin._form == p._form and twin._chain is None
         assert _sturm_chain(twin) == p._chain and twin._chain is not None
@@ -1098,6 +1096,26 @@ def test_jacobi_criterion_matches_leading_minors_exhaustively():
                 assert jacobi_oscillatory_criterion(spec) is want, spec
                 specs, zeros, oscillatory = specs + 1, zeros + (0 in minors[:-1]), oscillatory + want
     assert (specs, zeros, oscillatory) == (5555, 1450, 126)
+
+
+def test_jacobi_criterion_matches_cofactor_minors_on_small_integer_specs():
+    """Every spec of size 1..4 with diagonal entries in -1..2 and each b_k
+    and c_k in 1..2, 17,476 in all, 7,104 of them with a zero minor before
+    the last: the criterion against the leading principal minors by
+    cofactor expansion, which reads no kernel."""
+    specs = oscillatory = 0
+    for n in range(1, 5):
+        for diag in product(range(-1, 3), repeat=n):
+            for sup in product((1, 2), repeat=n - 1):
+                for sub in product((1, 2), repeat=n - 1):
+                    spec = JacobiSpec(diag, sup, sub)
+                    m = jacobi_matrix(spec)
+                    want = all(cofactor_det(m.submatrix(MinorSelector(range(1, k + 1),
+                                                                      range(1, k + 1)))) > 0
+                               for k in range(1, n + 1))
+                    assert jacobi_oscillatory_criterion(spec) is want, spec
+                    specs, oscillatory = specs + 1, oscillatory + want
+    assert (specs, oscillatory) == (17476, 23)
 
 
 def test_jacobi_criterion_takes_no_determinant(monkeypatch):

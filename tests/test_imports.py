@@ -114,3 +114,65 @@ def test_the_check_sees_an_unread_import():
         "def f(xs: Sequence[int]) -> 'SpectrumReport':\n"
         "    return list(accumulate(xs))\n"))
     assert unread == ["line 2: os", "line 3: zip_longest"]
+
+
+
+def _cache_uses(tree: ast.AST) -> list[str]:
+    """Every import or attribute read of ``functools.cache`` or
+    ``functools.lru_cache``, so every decorator or call of them."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, f"functools.{alias.name}") for alias in node.names
+                      if alias.name in ("cache", "lru_cache")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append((node.lineno, f"functools.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def _slot_setter_reads(tree: ast.AST) -> list[str]:
+    """Every read of Fraction's slot setters: ``Fraction.__dict__``, where
+    they live, and the names ``matrices`` binds them to."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ("_set_numerator", "_set_denominator")]
+        elif isinstance(node, ast.Name) and node.id in ("_set_numerator", "_set_denominator"):
+            found.append((node.lineno, node.id))
+        elif (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+              and isinstance(node.value, ast.Name) and node.value.id == "Fraction"):
+            found.append((node.lineno, "Fraction.__dict__"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_kernels_keep_no_cache_and_only_matrices_fills_fractions():
+    """No module but ``cli`` caches across calls, so the kernels keep no
+    process-wide state, and no module but ``matrices`` (``_ratio`` and
+    ``Matrix.det``) fills a Fraction's slots past its constructor."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, f"no modules under {PACKAGE}"
+    found = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = ((_cache_uses(tree) if path.stem != "cli" else [])
+                            + (_slot_setter_reads(tree) if path.stem != "matrices" else []))
+    assert {module: uses for module, uses in found.items() if uses} == {}
+
+
+def test_the_checks_see_a_planted_cache_and_slot_setter():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache, reduce\n"
+        "from fractions import Fraction\n"
+        "from .matrices import _ratio, _set_numerator\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def f(n):\n    return reduce(max, range(n))\n"
+        "@lru_cache\n"
+        "def g(n):\n    return _ratio(n, 1)\n"
+        "h = functools.cache(g)\n"
+        "setter = Fraction.__dict__['_denominator'].__set__\n")
+    assert _cache_uses(tree) == ["line 2: functools.lru_cache", "line 5: functools.lru_cache",
+                                 "line 11: functools.cache"]
+    assert _slot_setter_reads(tree) == ["line 4: _set_numerator", "line 12: Fraction.__dict__"]

@@ -2,15 +2,12 @@
 the input checks of the value types and the document builder."""
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, isqrt
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -354,10 +351,8 @@ def test_minor_selector_is_a_slotted_frozen_record():
     with pytest.raises((AttributeError, TypeError)):
         sel.extra = 1
     assert not hasattr(sel, "__dict__") and MinorSelector.__slots__ == ("rows", "cols")
-    trusted = MinorSelector._trusted((1, 2), (1, 3))
-    assert trusted == sel and hash(trusted) == hash(sel) and repr(trusted) == repr(sel)
     streamed = [s for s, _ in random_int_matrix(3, 3).minors(2)]
-    for obj in (sel, trusted, *streamed):
+    for obj in (sel, *streamed):
         twins = [pickle.loads(pickle.dumps(obj, protocol))
                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in (*twins, copy.copy(obj), copy.deepcopy(obj)):
@@ -475,26 +470,21 @@ def test_each_minor_is_its_own_det_call(monkeypatch):
             assert set(calls) == {k}, (n, k)
 
 
-def test_selection_tables_are_shared_per_size_and_order():
-    """Two matrices of one size read one cached table, and the cache is
-    bounded."""
-    a, b = random_int_matrix(5, 51), random_int_matrix(5, 52)
-    list(a.minors(2))
-    before = matrices._selection_table.cache_info()
-    list(b.minors(2))
-    after = matrices._selection_table.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert matrices._selection_table(5, 2) is matrices._selection_table(5, 2)
-    assert after.maxsize is not None and 0 < after.maxsize <= 256
-
-
-def test_a_large_selection_table_goes_with_its_stream():
-    """C(16, 8) = 12,870 selections is past the cached size, so reading
-    one minor caches no table, and the stream still starts in order."""
-    before = matrices._selection_table.cache_info().currsize
-    sel, value = next(identity(16).minors(8))
-    assert (sel.rows, sel.cols, value) == (tuple(range(1, 9)), tuple(range(1, 9)), 1)
-    assert matrices._selection_table.cache_info().currsize == before
+def test_abandoned_streams_retain_no_selection_table():
+    """Reading one minor from each order-2 stream of n = 28..91 builds 64
+    selection tables of C(n, 2) <= 4,095 entries, 122,304 in all, and an
+    abandoned stream drops its table: kept, they would hold about 28 MB."""
+    cases = [identity(n) for n in range(28, 92)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in cases:
+            sel, value = next(m.minors(2))
+            assert (sel.rows, sel.cols, value) == ((1, 2), (1, 2), 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained
 
 
 def test_an_abandoned_stream_restarts_from_its_first_minor():
@@ -505,17 +495,6 @@ def test_an_abandoned_stream_restarts_from_its_first_minor():
         stream.close()
         again = list(m.minors(k))
         assert again[0] == first and again == _fresh_minors(m, k), k
-
-
-def test_selection_tables_are_built_on_first_use_not_at_import():
-    src = str(Path(matrices.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import interlace, interlace.cli; from interlace import matrices; "
-            "print(matrices._selection_table.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "0"
 
 
 def test_submatrix_matches_a_fresh_matrix_despite_the_parent_denominator():

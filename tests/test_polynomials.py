@@ -731,11 +731,14 @@ def test_shift_evaluator_matches_fraction_value_hypothesis(coeffs, u, s):
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=9).map(Polynomial).filter(
     lambda p: not p.is_zero), _dyadic_numerators, st.integers(0, 80))
 def test_variations_match_fraction_sturm_count_hypothesis(p, u, s):
+    """The count, or None exactly where p(x) = 0."""
     x = F(u, 1 << s)
     chain = remainder_sequence(p.coeffs, fraction_derivative(p.coeffs))
     signs = [t for t in (_fraction_sign(fraction_horner(q, x)) for q in chain) if t]
     expected = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    assert _variations(_sturm_chain(p), u, s) == expected
+    if fraction_horner(p.coeffs, x) == 0:
+        expected = None
+    assert _variations(_sturm_chain(p), *_lowest_terms(u, s)) == expected
 
 
 def _boundary_corpus() -> list[Polynomial]:
@@ -860,15 +863,16 @@ def test_isolation_evaluates_nothing_past_the_fujiwara_bound(sturm_evaluations):
     """Roots 1..10: the Cauchy box is [-2^24, 2^24] and 2^7 is past
     Fujiwara's bound, so the counts and exact-root tests at the tree's
     points of modulus >= 2^7 are all answered by the chain's leading
-    coefficients: 34 evaluations here (15 counts, 19 exact-root tests),
-    against 70 when every count is evaluated."""
+    coefficients: 19 evaluations here, each a count whose first member is
+    the exact-root test, and none of p outside a count."""
     p = poly_from_roots(range(1, 11))
     boxes = isolate_real_roots(p)
     assert len(boxes) == 10 and all(box.lo <= r <= box.hi for box, r in zip(boxes, range(1, 11)))
     top = 2 ** _fujiwara_exponent(_sturm_chain(p)[0])
     assert top == 2 ** 7 and _dyadic_root_bound(_sturm_chain(p)[0]) == 2 ** 24
     assert all(abs(F(u, 1 << s)) < top for _, u, s in sturm_evaluations)
-    assert len(sturm_evaluations) <= 34, len(sturm_evaluations)
+    assert all(kind == "count" for kind, _, _ in sturm_evaluations), sturm_evaluations
+    assert len(sturm_evaluations) <= 19, len(sturm_evaluations)
 
 
 def test_refine_root_matches_fraction_bisection():
@@ -1183,5 +1187,4 @@ def test_band_counts_match_the_chain_and_fraction_isolation_hypothesis(case, poi
     steps = list(zip(diag, [0, *products]))
     for u, s in points:
         u, s = _lowest_terms(u, s)
-        want = _variations(_sturm_chain(p), u, s) if _dyadic_value(p._form[1], u, s) else None
-        assert _continuant_variations(d, steps, u, s) == want, (u, s)
+        assert _continuant_variations(d, steps, u, s) == _variations(_sturm_chain(p), u, s), (u, s)
