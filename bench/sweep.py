@@ -24,11 +24,16 @@ Six layers are swept over ``--sizes``:
 - ``modulus_sort``: ``spectra._certified_modulus_sort`` of those refined
   boxes, the report's certified order by decreasing modulus.
 
-and one over ``--scan-sizes`` (n = 4..10 by default), where the budget ends
+and two over ``--scan-sizes`` (n = 4..10 by default), where the budget ends
 each series at the exponential wall:
 
 - ``sign_scan``: ``classify_sign_definite`` of the input, a full minor scan
-  for every sign definite input and the class n+ power search after it.
+  for every sign definite input and the class n+ power search after it;
+- ``jflip``: ``cli.main(["jflip", doc, "--json"])``, the whole certificate
+  pipeline (documents, three minor scans, the spectrum report, the JSON
+  report), on the document of ``random_positive_tnn(n, 1)``, whose row flip
+  is the ``tnn_flip`` input; it runs on that input alone, and writing the
+  document is set-up.
 
 The inputs are the anti-bidiagonal matrix with a = 1, b_(k+2) = 1/(k+2) and
 c_(k+2) = 1/(k+3), the Jacobi matrix with diagonal 2 and the same ladders,
@@ -55,13 +60,16 @@ isolates every input by the chain.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import platform
 import signal
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -76,10 +84,13 @@ from interlace import (  # noqa: E402
     DEFAULT_WIDTH_BOUND,
     AntiBidiagonalSpec,
     JacobiSpec,
+    MatrixDocument,
     anti_bidiagonal,
     anti_jacobi,
     classify_sign_definite,
+    cli,
     flip_rows,
+    format_matrix_document,
     hurwitz_minors,
     isolate_real_roots,
     jacobi_matrix,
@@ -93,7 +104,9 @@ from interlace import (  # noqa: E402
 
 SCHEMA = "interlace-sweep/1"
 LAYERS = ("charpoly", "hurwitz_minors", "isolate_real_roots", "spectrum_report",
-          "refine_root", "modulus_sort", "sign_scan")
+          "refine_root", "modulus_sort", "sign_scan", "jflip")
+SCAN_LAYERS = ("sign_scan", "jflip")  # swept over --scan-sizes
+ONLY_ON = {"jflip": "tnn_flip"}  # layer -> the one input it runs on
 STARTS_FROM = {"hurwitz_minors": "charpoly", "isolate_real_roots": "charpoly",
                "spectrum_report": "charpoly", "refine_root": "spectrum_report",
                "modulus_sort": "spectrum_report"}
@@ -127,8 +140,31 @@ def _bits(x: Fraction) -> int:
     return max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
-def _layer(name: str, m):
-    """(call, counts of its result) for one layer on the matrix ``m``."""
+def _jflip(m, work: Path):
+    """(call, counts) of the jflip pipeline on the document of A = J m,
+    written to ``work`` here, untimed."""
+    doc = work / f"tnn-n{m.n}.mx"
+    doc.write_text(format_matrix_document(MatrixDocument(flip_rows(m))), encoding="utf-8")
+
+    def call():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["jflip", str(doc), "--json"])
+        return code, out.getvalue()
+
+    def counts(result):
+        certificate = json.loads(result[1])["certificate"]
+        return {"exit": result[0], "passed": certificate["passed"],
+                "eigenvalues": len(certificate["spectrum"]["eigenvalues"])}
+
+    return call, counts
+
+
+def _layer(name: str, m, work: Path):
+    """(call, counts of its result) for one layer on the matrix ``m``; a
+    layer that needs files writes them under ``work``."""
+    if name == "jflip":
+        return _jflip(m, work)
     if name == "charpoly":
         return m.charpoly, lambda p: {"degree": p.degree,
                                       "peak_bits": max(map(_bits, p.coeffs))}
@@ -201,7 +237,7 @@ def source_sha(package_dir: Path) -> str:
     return h.hexdigest()
 
 
-def sweep(sizes, scan_sizes) -> list[dict]:
+def sweep(sizes, scan_sizes, work: Path) -> list[dict]:
     rows = []
     inputs_end = {kind: TNN_MAX + 1 if kind == "tnn_flip" else float("inf") for kind in INPUTS}
     ends = {}  # layer -> input -> least size not swept
@@ -209,11 +245,13 @@ def sweep(sizes, scan_sizes) -> list[dict]:
         end = ends.get(STARTS_FROM.get(layer), inputs_end)
         ends[layer] = dict(end)
         for kind, build in INPUTS.items():
-            for n in scan_sizes if layer == "sign_scan" else sizes:
+            if ONLY_ON.get(layer, kind) != kind:
+                continue
+            for n in scan_sizes if layer in SCAN_LAYERS else sizes:
                 if n >= end[kind]:
                     break
                 row = {"layer": layer, "input": kind, "n": n}
-                row.update(measure(*_layer(layer, build(n))))
+                row.update(measure(*_layer(layer, build(n), work)))
                 rows.append(row)
                 if row["status"] == "over_budget":
                     ends[layer][kind] = n
@@ -237,7 +275,8 @@ def main(argv=None) -> int:
 
     previous = signal.signal(signal.SIGALRM, _interrupt)
     try:
-        rows = sweep(args.sizes, args.scan_sizes)
+        with tempfile.TemporaryDirectory() as work:
+            rows = sweep(args.sizes, args.scan_sizes, Path(work))
     finally:
         signal.signal(signal.SIGALRM, previous)
     report = {

@@ -8,9 +8,13 @@ seeded-random family).
 
 Reports carry ``schema: 1`` and are deterministic byte for byte for a given
 input, seed, and tolerance: the only nondeterministic quantity (wall time)
-goes to stderr. Exit code 0 means the analysis ran (verdicts live in the
-report, a "no" is still exit 0); 2 means bad input; 3 means an internal
-cross-check failed and the output cannot be trusted.
+goes to stderr. Reports are rendered from the integer forms (matrix rows,
+the char poly's coefficients read once, the boxes' ends), and ``--json``
+writes the bytes of ``json.dumps(report, indent=2, sort_keys=True)``
+through ``_json``, a writer over the report's own types. Exit code 0 means
+the analysis ran (verdicts live in the report, a "no" is still exit 0); 2
+means bad input; 3 means an internal cross-check failed and the output
+cannot be trusted.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .classification import (
@@ -57,8 +61,14 @@ from .errors import (
     NonnegativityViolated,
     ParseError,
 )
-from .matrices import Matrix
-from .polynomials import SIKind, hurwitz_minors, is_self_interlacing, si_twist
+from .matrices import Matrix, _ratio
+from .polynomials import (
+    SIKind,
+    _poly_string,
+    hurwitz_minors,
+    is_self_interlacing,
+    si_twist,
+)
 from .spectra import DEFAULT_WIDTH_BOUND, SpectrumReport, as_width_bound, spectrum_report
 
 # -- input plumbing ---------------------------------------------------------
@@ -143,9 +153,36 @@ def _text_lines(key: str, value, indent: int) -> list[str]:
     return [f"{pad}{key}: {_scalar(value)}"]
 
 
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the report's own
+    types (str, int, bool, None, and lists and str-keyed dicts of them),
+    without the pure-Python encoder that ``indent`` selects before 3.13."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        body = ",\n".join(f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                          for k, v in sorted(value.items()))
+        return f"{{\n{body}\n{pad}}}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        body = ",\n".join(inner + _json(v, inner) for v in value)
+        return f"[\n{body}\n{pad}]"
+    raise TypeError(f"a report holds no {type(value).__name__}")
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(report) + "\n")
         return
     lines: list[str] = []
     for key, value in report.items():
@@ -163,7 +200,11 @@ def _envelope(command: str, argv: list[str], digest: str) -> dict:
 
 
 def _matrix_rows(m: Matrix) -> list[str]:
-    return [" ".join(str(x) for x in row) for row in m.rows]
+    """Each row's entries as ``str`` of their Fractions, read off the form."""
+    d, b = m._form
+    if d == 1:
+        return [" ".join(map(str, row)) for row in b]
+    return [" ".join(str(_ratio(x, d)) for x in row) for row in b]
 
 
 def _violation_block(viol) -> Optional[dict]:
@@ -203,9 +244,10 @@ def _spectrum_block(report: SpectrumReport) -> dict:
             "sign": box.sign,
             "width": str(box.width),
         })
+    coeffs = report.char_poly.coeffs
     return {
-        "char_poly": str(report.char_poly),
-        "char_poly_coefficients": [str(c) for c in report.char_poly.coeffs],
+        "char_poly": _poly_string(coeffs),
+        "char_poly_coefficients": [str(c) for c in coeffs],
         "degree": report.degree,
         "verdict": report.verdict.value,
         "modulus_tie": report.modulus_tie,

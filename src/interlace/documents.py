@@ -23,6 +23,9 @@ the rebuilt matrix exactly; a mismatch is a parse error, not a warning.
 
 Entries are exact: integers, ratios ``p/q``, or finite decimals
 (``0.25`` means exactly 1/4). Nothing is ever routed through binary floats.
+A row of plain ASCII digit tokens is read by ``int()``, and a document of
+such rows is built straight into the integer form (1, rows); any other
+token takes the checked route, with the same values and messages.
 A numerator or denominator over MAX_LITERAL_BITS bits is a parse error, and
 so is a literal longer than MAX_LITERAL_BITS characters; neither is converted,
 nor an ``n`` with more significant digits than any document could match, so
@@ -84,6 +87,11 @@ def _param_length(expr: str, n: int) -> int:
 # its inputs (root isolation starts from a bound as large as the entries),
 # and the results could outgrow Python's int-to-str digit limit.
 MAX_LITERAL_BITS = 4096
+
+# Longest token of ASCII digits read straight by int(): 10^1233 - 1 is under
+# 2^MAX_LITERAL_BITS, so such a token is within the cap. Longer ones, and
+# every other token, take the checked route of ``_parse_value``.
+_MAX_INT_DIGITS = 1233
 
 # Most significant digits read as n: a longer n names no matrix a document
 # could spell out, and converting it would cost time quadratic in its length.
@@ -206,12 +214,21 @@ def parse_matrix_document(text: str) -> MatrixDocument:
         if len(row_lines) != n:
             raise ParseError(f"expected {n} rows, got {len(row_lines)}")
         rows = []
+        integral = True
         for line in row_lines:
-            entries = [_parse_value(tok) for tok in line.split()]
+            tokens = line.split()
+            digits = "".join(tokens)
+            if (digits.isascii() and digits.isdigit()
+                    and max(map(len, tokens)) <= _MAX_INT_DIGITS):
+                entries = tuple(map(int, tokens))
+            else:
+                entries = [_parse_value(tok) for tok in tokens]
+                integral = False
             if len(entries) != n:
                 raise ParseError(f"expected {n} entries per row, got {len(entries)}")
             rows.append(entries)
-        matrix = Matrix(rows)
+        # an all-integer document is its own form (1, rows)
+        matrix = Matrix._trusted(1, tuple(rows)) if integral else Matrix(rows)
 
     if structure != "general" and params:
         rebuilt = build_structured(structure, params)

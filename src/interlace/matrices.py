@@ -3,7 +3,7 @@
 Everything here is exact. A matrix stores one integer form (D, D*M), D a
 positive common multiple of the entry denominators, and its Fraction entries
 are a view built on first read. Every kernel reads the form: closed forms
-(orders 1-4) or Bareiss elimination on a copy give det(M) * D^n; the
+(orders 1-5) or Bareiss elimination on a copy give det(M) * D^n; the
 characteristic polynomial's c_k * D^k comes from a continuant in O(n^2)
 when the form is tridiagonal or anti-bidiagonal, and from division-free
 Berkowitz otherwise, which with Faddeev-LeVerrier over Fractions is the
@@ -179,14 +179,15 @@ class Matrix:
     # -- determinants and minors ------------------------------------------
 
     def det(self) -> Fraction:
-        """det(M) = det(D*M) / D^n from the integer form D*M. Orders 1-4
+        """det(M) = det(D*M) / D^n from the integer form D*M. Orders 1-5
         expand D*M in closed form: the entry, ad - bc, cofactors along the
-        first row, and Laplace expansion by the 2x2 minors of rows 1-2 and
-        their complements in rows 3-4. Larger orders run fraction-free
-        Bareiss elimination on a copy, where every interior division is
-        exact. The Fraction is v itself when D = 1 and ``_ratio(v, D^n)``
-        otherwise, both with their two slots set directly: the same value,
-        hash and str as ``Fraction(v, D ** n)``."""
+        first row, and (orders 4 and 5) Laplace expansion by the 2x2 minors
+        of rows 1-2 and their complements in the rows below, which at order
+        5 are 3x3 cofactor sums over the ten shared 2x2 minors of rows 4-5.
+        Larger orders run fraction-free Bareiss elimination on a copy, where
+        every interior division is exact. The Fraction is v itself when
+        D = 1 and ``_ratio(v, D^n)`` otherwise, both with their two slots set
+        directly: the same value, hash and str as ``Fraction(v, D ** n)``."""
         d, rows = self._form
         n = self.n
         if n == 1:
@@ -205,6 +206,24 @@ class Matrix:
                  + (a1 * b2 - a2 * b1) * (c0 * e3 - c3 * e0)
                  - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
                  + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0))
+        elif n == 5:
+            (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), \
+                (e0, e1, e2, e3, e4), (f0, f1, f2, f3, f4) = rows
+            # the ten 2x2 minors of rows 4-5, shared by the 3x3 complements
+            m01, m02, m03 = e0 * f1 - e1 * f0, e0 * f2 - e2 * f0, e0 * f3 - e3 * f0
+            m04, m12, m13 = e0 * f4 - e4 * f0, e1 * f2 - e2 * f1, e1 * f3 - e3 * f1
+            m14, m23, m24 = e1 * f4 - e4 * f1, e2 * f3 - e3 * f2, e2 * f4 - e4 * f2
+            m34 = e3 * f4 - e4 * f3
+            v = ((a0 * b1 - a1 * b0) * (c2 * m34 - c3 * m24 + c4 * m23)
+                 - (a0 * b2 - a2 * b0) * (c1 * m34 - c3 * m14 + c4 * m13)
+                 + (a0 * b3 - a3 * b0) * (c1 * m24 - c2 * m14 + c4 * m12)
+                 - (a0 * b4 - a4 * b0) * (c1 * m23 - c2 * m13 + c3 * m12)
+                 + (a1 * b2 - a2 * b1) * (c0 * m34 - c3 * m04 + c4 * m03)
+                 - (a1 * b3 - a3 * b1) * (c0 * m24 - c2 * m04 + c4 * m02)
+                 + (a1 * b4 - a4 * b1) * (c0 * m23 - c2 * m03 + c3 * m02)
+                 + (a2 * b3 - a3 * b2) * (c0 * m14 - c1 * m04 + c4 * m01)
+                 - (a2 * b4 - a4 * b2) * (c0 * m13 - c1 * m03 + c3 * m01)
+                 + (a3 * b4 - a4 * b3) * (c0 * m12 - c1 * m02 + c2 * m01))
         else:
             v = _bareiss([list(row) for row in rows])
         if d != 1:

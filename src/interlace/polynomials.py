@@ -48,6 +48,29 @@ from .errors import (
 from .matrices import Matrix, _common_denominator, _ratio, as_fraction
 
 
+def _poly_string(coeffs: Sequence[Fraction]) -> str:
+    """The text of the polynomial with these coefficients, leading first
+    (``str`` of a Polynomial), read off their numerators and denominators."""
+    n = len(coeffs) - 1
+    parts: list[str] = []
+    for k, c in enumerate(coeffs):
+        u, v = c.numerator, c.denominator
+        if not u:
+            continue
+        power = n - k
+        mag = str(abs(u)) if v == 1 else f"{abs(u)}/{v}"
+        if power:
+            z = "z" if power == 1 else f"z^{power}"
+            body = z if mag == "1" else f"{mag}*{z}"
+        else:
+            body = mag
+        if not parts:
+            parts.append(body if u > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if u > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 class Polynomial:
     """Immutable dense polynomial over the rationals, leading coefficient first.
 
@@ -85,7 +108,9 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The Fraction coefficients c*P_k, built on every read."""
-        return tuple(self._form[0] * x for x in self._form[1])
+        c, ints = self._form
+        u, v = c.numerator, c.denominator
+        return tuple(_ratio(u * x, v) for x in ints)
 
     @property
     def degree(self) -> int:
@@ -105,25 +130,7 @@ class Polynomial:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        n = self.degree
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            power = n - k
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
-                z = "z" if power == 1 else f"z^{power}"
-                body = z if mag == 1 else f"{mag}*{z}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _poly_string(self.coeffs)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -361,18 +368,25 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RootBox:
     """A certified enclosure of one simple real root.
 
     Either lo == hi (the root exactly) or p(lo) and p(hi) have opposite
     nonzero signs and the open interval contains exactly one root. Boxes
     produced here never straddle zero, so ``sign`` is the sign of the root.
+    A frozen slotted record whose ``__init__`` fills its three slots through
+    their bound setters, about half the cost of the frozen dataclass's own.
     """
 
     lo: Fraction
     hi: Fraction
     sign: int
+
+    def __init__(self, lo: Fraction, hi: Fraction, sign: int):
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_sign(self, sign)
 
     @property
     def is_exact(self) -> bool:
@@ -380,7 +394,10 @@ class RootBox:
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        """hi - lo, as are ``midpoint``'s (lo + hi) / 2, from the ends'
+        numerators and denominators with no Fraction arithmetic."""
+        (a, b), (c, e) = _terms(self.lo), _terms(self.hi)
+        return _ratio(c * b - a * e, b * e)
 
     @property
     def modulus_interval(self) -> tuple[Fraction, Fraction]:
@@ -391,7 +408,17 @@ class RootBox:
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        (a, b), (c, e) = _terms(self.lo), _terms(self.hi)
+        return _ratio(a * e + c * b, 2 * b * e)
+
+
+def _terms(x) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+# The slot descriptors' setters, bound once: how RootBox.__init__ fills its
+# slots past the frozen dataclass's __setattr__.
+_set_lo, _set_hi, _set_sign = (RootBox.__dict__[f].__set__ for f in ("lo", "hi", "sign"))
 
 
 def _exact_box(u: int, v: int) -> RootBox:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import interlace
 import interlace.cli
 from conftest import run_cli
+from interlace import Matrix, flip_rows
 from interlace.documents import MatrixDocument, format_matrix_document
 
 GOLDEN_DOC = "n: 2\nrows:\n0 1\n1 1\n"
@@ -46,6 +47,45 @@ def run_json(*args, stdin=""):
     code, out, err = run_cli(*args, "--json", stdin=stdin)
     assert code == 0, (code, err)
     return json.loads(out)
+
+
+# -- the JSON writer and the rows ---------------------------------------------------
+
+# Report-shaped values: str (non-ASCII, control characters, quotes and
+# escapes among them), ints past 64 bits either way, bools and None, in
+# lists and str-keyed dicts, empty ones too.
+_STRINGS = st.text() | st.sampled_from(["", "\x00\x1f\x7f", '"\\/', "\u00e9\u2014\u2028",
+                                         "\U0001f600", "\ud800"])
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | _STRINGS | st.integers()
+    | st.integers(-(1 << 200), 1 << 200) | st.sampled_from([1 << 64, -(1 << 64) - 1]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(_STRINGS, _REPORT_VALUES, max_size=6) | _REPORT_VALUES)
+def test_json_writer_matches_json_dumps_property(value):
+    assert interlace.cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_types_a_report_never_holds():
+    for value in (1.5, (1, 2), {1: "a"}, F(1, 2), {"a": [b"x"]}):
+        with pytest.raises(TypeError):
+            interlace.cli._json(value)
+
+
+@pytest.mark.parametrize("rows, d", [
+    ([[0, 1, -2], [3, 10 ** 30, 5], [-7, 8, 0]], 1),
+    ([[F(1, 2), F(-2, 3), 0], [1, F(5, 6), F(-7, 4)], [F(9, 12), 2, F(1, 3)]], 12),
+    ([[F(4, 2), F(6, 3)], [F(-10, 5), 0]], 1),
+])
+def test_rows_render_from_the_form_as_the_fraction_view_prints(rows, d):
+    m = Matrix(rows)
+    assert m._form[0] == d and (m * m)._form[0] == d * d
+    for shown in (m, flip_rows(m), m * m):
+        assert interlace.cli._matrix_rows(shown) == [" ".join(str(x) for x in row)
+                                                     for row in shown.rows]
 
 
 # -- envelope and determinism -------------------------------------------------------

@@ -18,7 +18,8 @@ from interlace import (
     parse_polynomial_tokens,
     places_for_width,
 )
-from interlace.documents import MAX_LITERAL_BITS
+from interlace import documents
+from interlace.documents import MAX_LITERAL_BITS, _parse_value
 
 
 # -- parsing ----------------------------------------------------------------
@@ -114,6 +115,51 @@ def test_literal_bit_cap():
             parse_polynomial_tokens(f"1 {token}")
         with pytest.raises(ParseError, match=f"exceeds {MAX_LITERAL_BITS} bits"):
             parse_matrix_document(f"n: 1\nrows:\n{token}\n")
+
+
+# Tokens on both sides of the ASCII-digit route: signs, underscores, other
+# scripts' digits, exponents, ratios, and ASCII digit runs at and past the
+# 1233 digits that route reads by int() (10^1233 itself has 4096 bits).
+_TOKEN_CORPUS = ("007", "0", "+5", "-5", "1_000", "\u0663", "\u00b2", "1e3", "3/4",
+                 "9" * 1233, "1" + "0" * 1233, "9" * 1234, "0" * 1233 + "7")
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+@pytest.mark.parametrize("token", _TOKEN_CORPUS)
+def test_row_tokens_parse_as_the_fraction_route_does(token):
+    """The value or the ParseError text of each token equals what
+    ``_parse_value`` gives, alone in a row and beside plain integers."""
+    want = _outcome(lambda: _parse_value(token))
+    for text in (f"n: 1\nrows:\n{token}\n", f"n: 2\nrows:\n2 {token}\n3 4\n"):
+        got = _outcome(lambda: parse_matrix_document(text).matrix.rows[0][-1])
+        assert got == want and type(got) is type(want), (token, got)
+
+
+def test_integer_documents_parse_straight_to_the_form(monkeypatch):
+    """ASCII digit rows skip ``_parse_value`` and build the form (1, rows)
+    with no Fraction view; one other token sends its row the checked way."""
+    calls = []
+
+    def counting(token, parse=_parse_value):
+        calls.append(token)
+        return parse(token)
+
+    monkeypatch.setattr(documents, "_parse_value", counting)
+    doc = parse_matrix_document(f"n: 3\nrows:\n007 1 0\n2 3 4 # c\n5 6 {'9' * 1233}\n")
+    assert calls == []
+    assert doc.matrix._form == (1, ((7, 1, 0), (2, 3, 4), (5, 6, int("9" * 1233))))
+    assert not hasattr(doc.matrix, "_rows")
+    assert doc.matrix == Matrix([[7, 1, 0], [2, 3, 4], [5, 6, int("9" * 1233)]])
+    mixed = parse_matrix_document("n: 2\nrows:\n1 2\n3 4/2\n")
+    assert calls == ["3", "4/2"] and mixed.matrix == Matrix([[1, 2], [3, 2]])
+    with pytest.raises(ParseError, match="expected 2 entries per row, got 3"):
+        parse_matrix_document("n: 2\nrows:\n1 2 3\n4 5\n")
 
 
 def test_build_structured_checks_the_corner_length_itself():

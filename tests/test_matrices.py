@@ -193,23 +193,31 @@ def test_determinant_matches_cofactor_oracle():
 
 
 def test_closed_form_determinants_match_bareiss_and_cofactors():
-    """Orders 1-4 never reach Bareiss through ``det``; check the closed
+    """Orders 1-5 never reach Bareiss through ``det``; check the closed
     forms against it, called directly, and against cofactors: every 2x2 and
-    3x3 matrix with entries in {-1, 0, 1}, seeded 4x4 ones, and prime-row
-    denominators (D != 1)."""
+    3x3 matrix with entries in {-1, 0, 1}, seeded 4x4 and 5x5 ones, and
+    prime-row denominators (D != 1), with zero rows (singular)."""
     cases = [Matrix([[x]]) for x in (-1, 0, 1, F(-3, 7))]
     for n in (2, 3):
         cases += [Matrix([flat[i:i + n] for i in range(0, n * n, n)])
                   for flat in product((-1, 0, 1), repeat=n * n)]
-    cases += [random_int_matrix(4, seed, -1, 1) for seed in range(300)]
-    cases += [random_rational_matrix(4, seed) for seed in range(100)]
+    cases += [random_int_matrix(n, seed, -1, 1) for n in (4, 5) for seed in range(300)]
+    cases += [random_rational_matrix(n, seed) for n in (4, 5) for seed in range(100)]
     cases += [_prime_row_matrix(n, 1100 * n + seed, zero_row=zero_row)
-              for n in range(1, 5) for seed in range(8) for zero_row in (None, seed % n)]
+              for n in range(1, 6) for seed in range(8) for zero_row in (None, seed % n)]
     # a zero (1,1) entry forces Bareiss into its row exchange
     cases += [Matrix([[0, 1], [2, 3]]), Matrix([[0, 2, 1], [1, 1, 1], [2, 0, 3]]),
               Matrix([[0, 1, 2, 3], [1, 0, 1, 1], [2, 1, 0, 5], [3, 4, 1, 0]]),
-              Matrix([[0, F(1, 2), 1], [0, 1, F(2, 3)], [3, 0, 1]])]
+              Matrix([[0, F(1, 2), 1], [0, 1, F(2, 3)], [3, 0, 1]]),
+              Matrix([[0, 1, 2, 3, 4], [1, 0, 1, 1, 2], [2, 1, 0, 5, 1],
+                      [3, 4, 1, 0, 2], [1, 1, 2, 3, 0]])]
+    # order 5: D != 1, and singular with no zero row (row 5 = row 1 + row 2)
+    cases += [Matrix([[F(1, 2), 1, F(2, 3), 0, 3], [1, F(3, 4), 2, 1, F(1, 5)],
+                      [0, 2, 1, F(5, 6), 1], [F(7, 3), 1, 0, 2, 1], [1, 1, 1, F(1, 9), 2]]),
+              Matrix([[1, 2, 0, 3, 1], [2, 1, 1, 0, 4], [0, 3, 1, 2, 2],
+                      [1, 0, 2, 1, 3], [3, 3, 1, 3, 5]])]
     assert sum(m._form[0] != 1 for m in cases) >= 60
+    assert cases[-1].det() == 0 and cases[-2]._form[0] != 1
     for m in cases:
         d, b = m._form
         bareiss = F(_bareiss([list(row) for row in b]), d ** m.n)

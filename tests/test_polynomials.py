@@ -1,5 +1,8 @@
 """Polynomial arithmetic, the sign twist, Hurwitz stability, root isolation."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import product
 from math import gcd, lcm
@@ -79,6 +82,31 @@ def test_normalization_and_degree():
     assert Polynomial([3]).degree == 0
     assert Polynomial([1, 0, -2]).degree == 2
     assert str(Polynomial([0, 0])) == "0" and str(Polynomial([-1, 0, F(1, 2)])) == "-z^2 + 1/2"
+
+
+def _text_by_fractions(coeffs) -> str:
+    """The oracle: the polynomial's text from Fraction comparisons."""
+    n, parts = len(coeffs) - 1, []
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            z = "" if k == n else "z" if k == n - 1 else f"z^{n - k}"
+            body = str(abs(c)) if not z else z if abs(c) == 1 else f"{abs(c)}*{z}"
+            parts.append(("" if c > 0 else "-") + body if not parts
+                         else ("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) or "0"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.fractions(-3, 3, max_denominator=4), max_size=7))
+def test_polynomial_text_and_coefficients_match_fraction_arithmetic(coeffs):
+    """``coeffs`` is c*P_k in lowest terms and ``str`` reads its numerators
+    and denominators as the Fraction comparisons would."""
+    p = Polynomial(coeffs)
+    c, ints = p._form
+    assert p.coeffs == tuple(c * x for x in ints)
+    for x in p.coeffs:
+        _assert_built_in_lowest_terms(x)
+    assert str(p) == _text_by_fractions(p.coeffs)
 
 
 def test_evaluation_and_coefficient_access():
@@ -258,8 +286,9 @@ def test_routh_walk_against_elimination_exhaustively(hurwitz_fallbacks):
 
 def test_routh_walk_falls_back_at_a_zero_pivot(hurwitz_fallbacks, monkeypatch):
     """A zero Δ_k before Δ_n leaves the walk's Δ_1..Δ_k, and each later minor
-    is its own determinant of the Hurwitz matrix, so only an order above 4
-    eliminates anything; a zero Δ_n alone does not leave the walk."""
+    is its own determinant of the Hurwitz matrix, so only an order above 5
+    eliminates anything (orders 1-5 are closed forms); a zero Δ_n alone does
+    not leave the walk."""
     blocks = []
 
     def counting(rows, eliminate=matrices._bareiss):
@@ -269,15 +298,16 @@ def test_routh_walk_falls_back_at_a_zero_pivot(hurwitz_fallbacks, monkeypatch):
     planted = [Polynomial([1, 0, 1, 1]),                  # P_1 = 0
                Polynomial([1, 1, 1, 1, 1]),               # Δ_2 = 0, Δ_3 = -1
                Polynomial([F(2, 3), 1, F(3, 2), F(9, 4), 1, 4]),  # rational c, Δ_2 = 0
-               Polynomial([1, 1, 1, 1])]                  # Δ_2 = Δ_3 = 0
+               Polynomial([1, 1, 1, 1]),                  # Δ_2 = Δ_3 = 0
+               Polynomial([1, 1, 1, 1, 1, 1, 2])]         # Δ_2 = Δ_3 = Δ_4 = 0
     expect = [(0, -1, -1), (1, 0, -1, -1), (1, 0, F(5, 3), F(-25, 9), F(-100, 9)),
-              (1, 0, 0)]
+              (1, 0, 0), (1, 0, 0, 0, -4, -8)]
     for p, want in zip(planted, expect):
         by_det = _hurwitz_by_det(p)
         with monkeypatch.context() as patch:
             patch.setattr(matrices, "_bareiss", counting)
             assert hurwitz_minors(p) == by_det == want, p
-        assert blocks == ([5] if p.degree == 5 else []), p
+        assert blocks == ([6] if p.degree == 6 else []), p
         blocks.clear()
     assert hurwitz_fallbacks == planted
     last_only = Polynomial([1, 2, 3, 0])  # Δ_3 = 0 * Δ_2
@@ -998,6 +1028,57 @@ def test_refine_root_takes_int_ends(lo, hi):
         _assert_boxes_built_in_lowest_terms([got] if got != box else [])
     exact = RootBox(2, 2, 1)
     assert refine_root(Polynomial([1, -2]), exact, WIDTH) is exact
+
+
+def test_root_box_compares_hashes_and_prints_by_its_fields():
+    box = RootBox(F(1, 3), F(1, 2), 1)
+    assert box == RootBox(F(1, 3), F(1, 2), 1) and hash(box) == hash(RootBox(F(1, 3), F(1, 2), 1))
+    assert box != RootBox(F(1, 3), F(1, 2), -1) and box != (F(1, 3), F(1, 2), 1)
+    assert len({box, RootBox(F(1, 3), F(1, 2), 1), RootBox(F(1, 3), F(2, 3), 1)}) == 2
+    assert repr(box) == "RootBox(lo=Fraction(1, 3), hi=Fraction(1, 2), sign=1)"
+    assert (box.lo, box.hi, box.sign) == (F(1, 3), F(1, 2), 1)
+
+
+def test_root_box_refuses_assignment():
+    """Every field is frozen, and a new name is refused too: CPython 3.11's
+    frozen ``__setattr__`` on a slotted class raises TypeError for it."""
+    box = RootBox(F(1, 3), F(1, 2), 1)
+    for name in ("lo", "hi", "sign"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(box, name, F(0))
+        with pytest.raises(FrozenInstanceError):
+            delattr(box, name)
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        box.other = 0
+    assert not hasattr(box, "__dict__")
+    assert (box.lo, box.hi, box.sign) == (F(1, 3), F(1, 2), 1)
+
+
+@pytest.mark.parametrize("box", [RootBox(F(1, 3), F(1, 2), 1), RootBox(F(-2), F(-2), -1),
+                                 RootBox(2, 2, 1)])
+def test_root_box_survives_pickle_and_copy(box):
+    copies = [pickle.loads(pickle.dumps(box, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(box), copy.deepcopy(box)]
+    for twin in copies:
+        assert type(twin) is RootBox and twin == box and hash(twin) == hash(box)
+        assert [type(x) for x in (twin.lo, twin.hi, twin.sign)] == \
+            [type(x) for x in (box.lo, box.hi, box.sign)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.fractions(-50, 50, max_denominator=1 << 12), st.fractions(-50, 50, max_denominator=97))
+def test_root_box_width_and_midpoint_match_fraction_arithmetic(a, b):
+    """Read off the ends' numerators, in lowest terms, for Fraction and int
+    ends alike."""
+    lo, hi = min(a, b), max(a, b)
+    boxes = [RootBox(lo, hi, 1)]
+    if lo.denominator == hi.denominator == 1:
+        boxes.append(RootBox(int(lo), int(hi), 1))
+    for box in boxes:
+        for got, want in ((box.width, hi - lo), (box.midpoint, (lo + hi) / 2)):
+            assert got == want and type(got) is F, box
+            _assert_built_in_lowest_terms(got)
 
 
 def _halvings(box: RootBox, result: RootBox) -> int:

@@ -31,9 +31,11 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     assert len(report["environment"]["source_sha256"]) == 64
     rows = report["rows"]
     assert sweep.LAYERS == ("charpoly", "hurwitz_minors", "isolate_real_roots",
-                            "spectrum_report", "refine_root", "modulus_sort", "sign_scan")
+                            "spectrum_report", "refine_root", "modulus_sort", "sign_scan",
+                            "jflip")
     assert [(r["layer"], r["input"], r["n"]) for r in rows] == [
-        (layer, kind, n) for layer in sweep.LAYERS for kind in sweep.INPUTS for n in (2, 3)]
+        (layer, kind, n) for layer in sweep.LAYERS for kind in sweep.INPUTS for n in (2, 3)
+        if layer != "jflip" or kind == "tnn_flip"]
     for row in rows:
         assert row["status"] == "ok" and 1 <= row["runs"] <= report["repeats"], row
         assert 0 < row["median_s"] and 0 < row["fastest_measured_s"], row
@@ -48,3 +50,6 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     assert counts["refine_root", "anti_jacobi", 3] == {"roots": 3, "exact": 3}
     assert counts["sign_scan", "tnn_flip", 3] == {"verdict": "strictly_sign_definite",
                                                   "power_exponent": 1}
+    for n in (2, 3):
+        jflip = counts["jflip", "tnn_flip", n]
+        assert jflip == {"exit": 0, "passed": True, "eigenvalues": n}
