@@ -13,14 +13,14 @@ Six layers are swept over ``--sizes``:
 - ``charpoly``: ``Matrix.charpoly`` of the input;
 - ``hurwitz_minors``: ``hurwitz_minors`` of the twist of that characteristic
   polynomial, the kind I verdict's whole work;
-- ``isolate_real_roots``: isolation of that characteristic polynomial as
-  ``spectrum_report`` runs it: by the continuants of the input's band when
-  the report takes them (``spectra._simple_band``), else by the Sturm chain,
-  built afresh on every run, since a polynomial keeps its chain;
+- ``isolate_real_roots``: isolation of that characteristic polynomial by
+  the route it carries: the continuants of the band that ``charpoly``
+  attached, or else the Sturm chain, built afresh on every run, since a
+  polynomial keeps its chain (a copy keeps the band and drops the chain);
 - ``spectrum_report``: the full report, charpoly to certified enclosures;
-- ``refine_root``: ``refine_root`` of every isolation box of the polynomial
-  the report isolates (the squarefree part, or the band's polynomial) to
-  the default width, as ``spectrum_report`` refines them;
+- ``refine_root``: ``refine_root`` of every isolation box of the squarefree
+  part that the report isolates to the default width, as
+  ``spectrum_report`` refines them;
 - ``modulus_sort``: ``spectra._certified_modulus_sort`` of those refined
   boxes, the report's certified order by decreasing modulus.
 
@@ -53,8 +53,12 @@ sizes are not run, so an exponential wall shows up as data, not as a hang.
 A layer over budget also ends the sweeps of the layers that start from it
 (``STARTS_FROM``) on that input at that size: the charpoly those of the
 next three layers, the report those of the last two, whose untimed
-set-up runs the report's stages. A source tree without the band route
-isolates every input by the chain.
+set-up runs the report's stages.
+
+The isolation layers read the band route off ``m.charpoly()``, so the sweep
+times source trees whose ``charpoly`` attaches the band: an older tree,
+which kept the band outside the polynomial, is isolated by the chain on
+every input, and its isolation rows do not compare with a newer tree's.
 """
 
 from __future__ import annotations
@@ -175,15 +179,11 @@ def _layer(name: str, m, work: Path):
             "peak_bits": max(map(_bits, minors))}
     if name == "isolate_real_roots":
         p = m.charpoly()
-        band = getattr(spectra, "_simple_band", lambda _: None)(m)
-        route = {"band": band} if band else {}
-        return (lambda: isolate_real_roots(copy.copy(p), **route)), lambda boxes: {
+        return (lambda: isolate_real_roots(copy.copy(p))), lambda boxes: {
             "roots": len(boxes)}
     if name in ("refine_root", "modulus_sort"):
-        p = m.charpoly()
-        band = getattr(spectra, "_simple_band", lambda _: None)(m)
-        sf = p if band else squarefree_part(p)
-        boxes = isolate_real_roots(sf, **({"band": band} if band else {}))
+        sf = squarefree_part(m.charpoly())
+        boxes = isolate_real_roots(sf)
         if name == "refine_root":
             return (lambda: [refine_root(sf, box, DEFAULT_WIDTH_BOUND) for box in boxes]), \
                 lambda refined: {"roots": len(refined),

@@ -61,7 +61,7 @@ from .errors import (
     NonnegativityViolated,
     ParseError,
 )
-from .matrices import Matrix, _ratio
+from .matrices import _row_strings
 from .polynomials import (
     SIKind,
     _poly_string,
@@ -199,14 +199,6 @@ def _envelope(command: str, argv: list[str], digest: str) -> dict:
     }
 
 
-def _matrix_rows(m: Matrix) -> list[str]:
-    """Each row's entries as ``str`` of their Fractions, read off the form."""
-    d, b = m._form
-    if d == 1:
-        return [" ".join(map(str, row)) for row in b]
-    return [" ".join(str(_ratio(x, d)) for x in row) for row in b]
-
-
 def _violation_block(viol) -> Optional[dict]:
     if viol is None:
         return None
@@ -301,7 +293,7 @@ def _cmd_classify(args, argv: list[str]) -> int:
     report.update({
         "n": m.n,
         "structure": doc.structure,
-        "matrix": _matrix_rows(m),
+        "matrix": _row_strings(m),
         "totally_nonnegative": {"holds": tnn is None,
                                 "violation": _violation_block(tnn)},
         "strictly_totally_positive": {"holds": stp is None,
@@ -321,7 +313,7 @@ def _certificate_block(cert: JFlipCertificate) -> dict:
         "failed_stage": cert.failed_stage,
         "stages": [{"name": s.name, "status": s.status, "detail": s.detail}
                    for s in cert.stages],
-        "flipped": _matrix_rows(cert.flipped),
+        "flipped": _row_strings(cert.flipped),
         "sign_classification": (_classification_block(cert.classification)
                                 if cert.classification is not None else None),
         "spectrum": (_spectrum_block(cert.spectrum)

@@ -47,7 +47,7 @@ from .constructors import (
     jacobi_matrix,
 )
 from .errors import DimensionMismatch, InterlaceError, ParseError
-from .matrices import Matrix, as_fraction
+from .matrices import Matrix, _row_strings, as_fraction
 from .polynomials import Polynomial
 
 # structure tag -> ordered parameter keys with required lengths as a function of n
@@ -251,8 +251,7 @@ def format_matrix_document(doc: MatrixDocument) -> str:
             if key in doc.params:
                 out.append(" ".join([f"{key}:", *(str(v) for v in doc.params[key])]))
     out.append("rows:")
-    for row in doc.matrix.rows:
-        out.append(" ".join(str(x) for x in row))
+    out += _row_strings(doc.matrix)
     return "\n".join(out) + "\n"
 
 

@@ -18,7 +18,7 @@ bookkeeping; slicing internals are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat, starmap
 from math import gcd, lcm
@@ -74,8 +74,15 @@ class MinorSelector:
         return len(self.rows)
 
 
+def _refuse(self, name, *_):
+    """``__setattr__`` and ``__delattr__`` of the frozen slotted records,
+    whose dataclass methods raise TypeError for a name that is no field."""
+    raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
 # The slot descriptors' setters, bound once: how a MinorSelector is filled
-# past the frozen dataclass's __setattr__.
+# past its __setattr__, which refuses every assignment and deletion.
+MinorSelector.__setattr__ = MinorSelector.__delattr__ = _refuse
 _set_sel_rows, _set_sel_cols = (MinorSelector.__dict__[f].__set__ for f in ("rows", "cols"))
 
 
@@ -144,8 +151,7 @@ class Matrix:
         return hash(self.rows)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"Matrix({self.n}x{self.n}: {body})"
+        return f"Matrix({self.n}x{self.n}: {'; '.join(_row_strings(self))})"
 
     # -- arithmetic --------------------------------------------------------
 
@@ -300,7 +306,10 @@ class Matrix:
         are polynomial identities in the entries, so zero and negative
         entries are covered; Berkowitz and, in the tests, Faddeev-LeVerrier
         over Fractions are their oracles. As c_k(M) = c_k(B) / D^k, the
-        polynomial is the integers c_k(B) D^(n-k) over D^n.
+        polynomial is the integers c_k(B) D^(n-k) over D^n. With every band
+        product positive the eigenvalues are real and simple, and p carries
+        (D, diagonal, products): the one choice of the continuant route that
+        ``squarefree_part`` and ``isolate_real_roots`` take, with no chain.
         """
         from .polynomials import Polynomial
 
@@ -308,8 +317,9 @@ class Matrix:
         band = _band(b)
         coeffs = _continuant(*band) if band else _berkowitz(b)
         powers = list(accumulate(repeat(d, self.n), mul, initial=1))  # D^0..D^n
+        simple = (d, *band) if band and all(x > 0 for x in band[1]) else None
         return Polynomial._trusted(Fraction(1, powers[-1]),
-                                   list(map(mul, coeffs, reversed(powers))))
+                                   list(map(mul, coeffs, reversed(powers))), simple)
 
 
 # The slot descriptors' setters, bound once: how a Matrix fills its slots
@@ -331,6 +341,14 @@ def _ratio(u: int, v: int) -> Fraction:
     _set_numerator(x, u // g)
     _set_denominator(x, v // g)
     return x
+
+
+def _row_strings(m: Matrix) -> list[str]:
+    """Each row's entries as ``str`` of their Fractions, read off the form:
+    the text of every printed matrix (``repr``, documents, reports)."""
+    d, b = m._form
+    text = str if d == 1 else lambda x: str(_ratio(x, d))
+    return [" ".join(map(text, row)) for row in b]
 
 
 def _band(b: tuple[tuple[int, ...], ...]) -> Optional[tuple[list[int], list[int]]]:

@@ -5,19 +5,19 @@ z^3 - z^2 - 2z + 1. A polynomial stores only its integer form (c, P), P
 primitive integers and c > 0 rational, and every kernel reads P: gcds read
 primitive integer remainder sequences, and a polynomial keeps that of
 (P, P'), its Sturm chain, for its squarefree part and root isolation alone.
-Isolation counts roots with that chain, or, for the characteristic
-polynomial of a tridiagonal band whose off-diagonal products are all
-positive, with the band's continuants, which are a Sturm sequence of their
-own and need no chain. Boxes are integer numerators over a common scale,
-evaluated with homogenized integer steps. Isolation only ever evaluates at
-dyadic points u/2^s, so there each power of the denominator is a left
-shift, and a point is taken in lowest terms first; counts beyond
-Fujiwara's root bound are read off leading coefficients. Refinement
-returns exactly the box bisection would, but reaches bisection's final cell
-by quadratic interval refinement. Isolation and refinement run on integers
-and build Fractions only for the ends of the boxes they return, through
-``matrices._ratio``, which sets the two slots in lowest terms; no binary
-floating point enters any certified statement.
+A characteristic polynomial may carry the band ``Matrix.charpoly`` read
+it off, when every off-diagonal product is positive: its roots are simple,
+so it is its own squarefree part, and the band's continuants, a Sturm
+sequence of their own, count them without a chain. Boxes are integer
+numerators over a common scale, evaluated with homogenized integer steps.
+Isolation only ever evaluates at dyadic points u/2^s, so there each power
+of the denominator is a left shift, and a point is taken in lowest terms
+first; counts beyond Fujiwara's root bound are read off leading
+coefficients. Refinement returns exactly the box bisection would, but
+reaches bisection's final cell by quadratic interval refinement. Isolation
+and refinement run on integers and build Fractions only for the ends of the
+boxes they return, through ``matrices._ratio``, which sets the two slots in
+lowest terms; no binary floating point enters any certified statement.
 
 The self-interlacing test rides on a coefficient twist: flipping the sign of
 a_k by (-1)^(k(k+1)/2) (pattern +,-,-,+,+,-,-,...) turns the question "do the
@@ -45,7 +45,7 @@ from .errors import (
     PositivityViolated,
     ZeroPolynomial,
 )
-from .matrices import Matrix, _common_denominator, _ratio, as_fraction
+from .matrices import Matrix, _common_denominator, _ratio, _refuse, as_fraction
 
 
 def _poly_string(coeffs: Sequence[Fraction]) -> str:
@@ -74,26 +74,29 @@ def _poly_string(coeffs: Sequence[Fraction]) -> str:
 class Polynomial:
     """Immutable dense polynomial over the rationals, leading coefficient first.
 
-    Stored as ``_form`` = (c, P) alone, p = c*P: P integers with gcd 1 and a
+    Stored as ``_form`` = (c, P), p = c*P: P integers with gcd 1 and a
     nonzero head (so p's signs), c > 0 a Fraction; zero is (1, ()), degree
-    -1. The form is canonical, so ==, hash and pickling read it. Unary - and
+    -1. The form is canonical, so == and hash read it alone: ``_band``, a
+    band that ``Matrix.charpoly`` may attach (``isolate_real_roots``), picks
+    the counting route only, and pickling and copying keep it. Unary - and
     the product of two polynomials act on P; * with any other operand type
     raises TypeError. The Fraction ``coeffs`` are for printing.
     """
 
-    __slots__ = ("_form", "_chain")
+    __slots__ = ("_form", "_band", "_chain")
 
     def __new__(cls, coeffs: Iterable):
         d, ints = _common_denominator([as_fraction(c) for c in coeffs])
         return cls._trusted(Fraction(1, d), ints)
 
     @classmethod
-    def _trusted(cls, c: Fraction, ints: Sequence[int]) -> "Polynomial":
+    def _trusted(cls, c: Fraction, ints: Sequence[int], band=None) -> "Polynomial":
         """c*ints (c > 0, integers leading first) in lowest form; no check."""
         g = gcd(*ints)
         p = object.__new__(cls)
         object.__setattr__(p, "_form", (c * g, tuple(x // g for x in dropwhile(not_, ints)))
                            if g else (Fraction(1), ()))
+        object.__setattr__(p, "_band", band)
         object.__setattr__(p, "_chain", None)
         return p
 
@@ -101,7 +104,7 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        return Polynomial._trusted, self._form
+        return Polynomial._trusted, (*self._form, self._band)
 
     # -- basics -------------------------------------------------------------
 
@@ -227,9 +230,12 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p divided by gcd(p, p') from p's Sturm chain; same roots, all simple.
-    Its last member g is primitive, so P / g is exact integer long division."""
+    Its last member g is primitive, so P / g is exact integer long division.
+    A p that carries a band has simple roots and is returned at once."""
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has no squarefree part")
+    if p._band is not None:
+        return p
     g = _sturm_chain(p)[-1]
     if len(g) == 1:
         return p
@@ -417,7 +423,8 @@ def _terms(x) -> tuple[int, int]:
 
 
 # The slot descriptors' setters, bound once: how RootBox.__init__ fills its
-# slots past the frozen dataclass's __setattr__.
+# slots past its __setattr__, which refuses every assignment and deletion.
+RootBox.__setattr__ = RootBox.__delattr__ = _refuse
 _set_lo, _set_hi, _set_sign = (RootBox.__dict__[f].__set__ for f in ("lo", "hi", "sign"))
 
 
@@ -555,7 +562,7 @@ def _continuant_variations(d: int, steps: Sequence[tuple[int, int]],
     return changes if cur else None
 
 
-def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
+def isolate_real_roots(p: Polynomial) -> tuple[RootBox, ...]:
     """Disjoint enclosures of every real root, ascending by root value.
 
     Requires p squarefree (raises NotSquarefree otherwise, naming the gcd).
@@ -581,15 +588,14 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
     and the gap loop around an exact midpoint root are those of evaluating
     every count; only evaluations are saved.
 
-    ``band`` = (D, diag, products) replaces the chain by the continuants of
-    a tridiagonal T with diagonal ``diag`` and off-diagonal products
-    ``products``. The contract: det(zI - T) is a positive multiple of
-    D^n p(z / D), D > 0, and every product is > 0. Then T is similar to an
-    irreducible symmetric matrix, so p's roots are real and simple, and the
-    continuants are a Sturm sequence with the chain's orientation: V(-inf)
-    = n, V(+inf) = 0, and each count is ``_continuant_variations``, whose
-    last member Q_n = 0 is the exact-root test. No chain is built and p is
-    not checked; the tree and the boxes are the chain's.
+    A p that carries a band (D, diag, products), which only
+    ``Matrix.charpoly`` attaches, is counted without a chain, by the
+    continuants of the tridiagonal T with that diagonal and those positive
+    off-diagonal products, det(zI - T) = D^n p(z / D). T is similar to an
+    irreducible symmetric matrix, so they are a Sturm sequence with the
+    chain's orientation: V(-inf) = n, V(+inf) = 0, each count is
+    ``_continuant_variations``, and Q_n = 0 is the exact-root test. The
+    tree and the boxes are the chain's.
 
     The boxes are sorted on integers, each lower end lifted to the finest
     level among them, and the only Fractions built are their ends, each
@@ -598,7 +604,7 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     # variations(u, s) is the Sturm count at u / 2^s, or None where p is 0
-    if band is None:
+    if p._band is None:
         chain = _sturm_chain(p)
         if len(chain[-1]) > 1:
             g = Polynomial._trusted(p._form[0], chain[-1]).monic()  # any c > 0 will do
@@ -609,7 +615,7 @@ def isolate_real_roots(p: Polynomial, *, band=None) -> tuple[RootBox, ...]:
         def variations(u: int, s: int) -> Optional[int]:
             return _variations(chain, *_lowest_terms(u, s))
     else:
-        d, diag, products = band
+        d, diag, products = p._band
         ic, v_minus, v_plus = p._form[1], p.degree, 0
         steps = list(zip(diag, [0, *products]))
 

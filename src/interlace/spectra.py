@@ -2,12 +2,12 @@
 
 The verdict is ``is_self_interlacing`` (exact, no numerics) on the
 characteristic polynomial p, from the Hurwitz minors of a twist; the
-enclosures come from Sturm isolation on p's squarefree part. When the
-matrix's integer form is tridiagonal or anti-bidiagonal with every
-off-diagonal product positive (``_simple_band``), p's roots are simple, so
-p is its own squarefree part, and the Sturm counts are the band's
-continuants; every other matrix is isolated by p's Sturm chain. The
-verdict and the enclosures share only p. For any self-interlacing verdict
+enclosures come from Sturm isolation on p's squarefree part. p itself
+picks the Sturm sequence: when ``Matrix.charpoly`` attached the band of a
+tridiagonal or anti-bidiagonal form with positive products, p is its own
+squarefree part and the band's continuants count its roots, and every
+other p counts with its Sturm chain. The report never looks at the band.
+The verdict and the enclosures share only p. For any self-interlacing verdict
 they must agree in every detail (no tie, count, signs, strict modulus
 descent), and a mismatch raises InternalInvariantViolation rather than
 producing a report: that error marks a bug, never bad input.
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 from .classification import _JFLIP_STAGES, _FlipRun, classify_sign_definite
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     NotClassNPlus,
     PreconditionFailed,
 )
-from .matrices import Matrix, _band, flip_rows
+from .matrices import Matrix, flip_rows
 from .polynomials import (
     DEFAULT_WIDTH_BOUND,
     Polynomial,
@@ -135,19 +134,6 @@ def _certified_modulus_sort(sf: Polynomial, boxes: list[RootBox]) -> list[RootBo
     return [boxes[k] for k in order]
 
 
-def _simple_band(m: Matrix) -> Optional[tuple[int, list[int], list[int]]]:
-    """(D, diagonal, products) of the band of m's integer form D*M
-    (``matrices._band``) when every product is positive, else None. Such a
-    band is similar to an irreducible symmetric tridiagonal matrix, so m's
-    eigenvalues are real and simple, and its continuants count them in
-    ``isolate_real_roots``."""
-    d, b = m._form
-    band = _band(b)
-    if band is None or not all(x > 0 for x in band[1]):
-        return None
-    return (d, *band)
-
-
 def _expected_signs(verdict: SpectrumVerdict, count: int) -> tuple[int, ...]:
     lead = 1 if verdict is SpectrumVerdict.KIND_I else -1
     return tuple(lead * (-1) ** k for k in range(count))
@@ -164,15 +150,14 @@ def spectrum_report(m: Matrix, width_bound=DEFAULT_WIDTH_BOUND) -> SpectrumRepor
     """
     width_bound = as_width_bound(width_bound)
     p = m.charpoly()
-    band = _simple_band(m)
-    sf = p if band else squarefree_part(p)  # a simple band's roots are simple
+    sf = squarefree_part(p)
     squarefree = sf == p
     tie = not squarefree or _has_pm_pair(p)
 
     verdict = next((SpectrumVerdict[kind.name] for kind in SIKind
                     if is_self_interlacing(p, kind)), SpectrumVerdict.NEITHER)
 
-    boxes = [refine_root(sf, box, width_bound) for box in isolate_real_roots(sf, band=band)]
+    boxes = [refine_root(sf, box, width_bound) for box in isolate_real_roots(sf)]
     if not tie:
         boxes = _certified_modulus_sort(sf, boxes)
     else:

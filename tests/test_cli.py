@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import interlace
 import interlace.cli
+import interlace.matrices
 from conftest import run_cli
 from interlace import Matrix, flip_rows
 from interlace.documents import MatrixDocument, format_matrix_document
@@ -84,8 +85,8 @@ def test_rows_render_from_the_form_as_the_fraction_view_prints(rows, d):
     m = Matrix(rows)
     assert m._form[0] == d and (m * m)._form[0] == d * d
     for shown in (m, flip_rows(m), m * m):
-        assert interlace.cli._matrix_rows(shown) == [" ".join(str(x) for x in row)
-                                                     for row in shown.rows]
+        assert interlace.matrices._row_strings(shown) == [" ".join(str(x) for x in row)
+                                                          for row in shown.rows]
 
 
 # -- envelope and determinism -------------------------------------------------------

@@ -4,6 +4,7 @@ the input checks of the value types and the document builder."""
 import copy
 import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, product
@@ -351,13 +352,11 @@ def test_minor_selector_is_a_slotted_frozen_record():
     assert sel == twin and hash(sel) == hash(twin)
     assert sel != other and sel != ((1, 2), (1, 3))
     assert len({sel, twin, other}) == 2
-    for name, value in (("rows", (1, 3)), ("cols", (2, 3))):
-        with pytest.raises(AttributeError):
+    for name, value in (("rows", (1, 3)), ("cols", (2, 3)), ("extra", 1)):
+        with pytest.raises(FrozenInstanceError):
             setattr(sel, name, value)
-    # no slot for it; the frozen __setattr__ of a slotted dataclass refuses
-    # a name that is not a field with TypeError on CPython 3.10-3.13
-    with pytest.raises((AttributeError, TypeError)):
-        sel.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            delattr(sel, name)
     assert not hasattr(sel, "__dict__") and MinorSelector.__slots__ == ("rows", "cols")
     streamed = [s for s, _ in random_int_matrix(3, 3).minors(2)]
     for obj in (sel, *streamed):

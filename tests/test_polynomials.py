@@ -1040,16 +1040,13 @@ def test_root_box_compares_hashes_and_prints_by_its_fields():
 
 
 def test_root_box_refuses_assignment():
-    """Every field is frozen, and a new name is refused too: CPython 3.11's
-    frozen ``__setattr__`` on a slotted class raises TypeError for it."""
+    """Every field is frozen, and a new name is refused the same way."""
     box = RootBox(F(1, 3), F(1, 2), 1)
-    for name in ("lo", "hi", "sign"):
+    for name in ("lo", "hi", "sign", "other"):
         with pytest.raises(FrozenInstanceError):
             setattr(box, name, F(0))
         with pytest.raises(FrozenInstanceError):
             delattr(box, name)
-    with pytest.raises((FrozenInstanceError, TypeError)):
-        box.other = 0
     assert not hasattr(box, "__dict__")
     assert (box.lo, box.hi, box.sign) == (F(1, 3), F(1, 2), 1)
 
@@ -1197,22 +1194,23 @@ def _positive_band_corpus():
 
 
 def test_band_counts_give_the_chain_boxes_exhaustively():
-    """The band route's boxes equal the chain route's, and the chain proves
-    every such characteristic polynomial squarefree, on all 34,308 matrices
-    of the corpus: each matrix's band gives its characteristic polynomial,
-    and each distinct band is isolated once."""
+    """On all 34,308 matrices of the corpus, charpoly's p carries its band
+    and is counted by it, building no chain; a polynomial with the same form
+    and no band is counted by its chain, which proves p squarefree, and
+    gives the same boxes. Each distinct band is isolated once."""
     seen, matrices_seen = set(), 0
     for m in _positive_band_corpus():
-        band = spectra._simple_band(m)
-        assert band is not None, m
         p = m.charpoly()
-        assert band[0] == 1 and p._form[1] == tuple(matrices._continuant(*band[1:])), m
-        key = (tuple(band[1]), tuple(band[2]))
+        assert p._band is not None, m
+        key = (tuple(p._band[1]), tuple(p._band[2]))
         if key not in seen:
-            boxes = isolate_real_roots(p, band=band)
+            boxes = isolate_real_roots(squarefree_part(p))
             assert p._chain is None
-            assert boxes == isolate_real_roots(p), m
-            assert squarefree_part(p) == p and len(boxes) == p.degree, m
+            chained = Polynomial._trusted(*p._form)
+            assert chained._band is None and chained == p
+            assert boxes == isolate_real_roots(chained), m
+            assert chained._chain is not None and squarefree_part(chained) == p, m
+            assert len(boxes) == p.degree, m
             seen.add(key)
         matrices_seen += 1
     assert (matrices_seen, len(seen)) == (34308, 7540)
@@ -1253,19 +1251,54 @@ def test_band_counts_match_the_chain_and_fraction_isolation_hypothesis(case, poi
     at random dyadic points each continuant count is the chain's count, or
     None exactly where p vanishes."""
     m, c = case
-    band = spectra._simple_band(m)
-    assert band is not None
     p = m.charpoly()
-    boxes = isolate_real_roots(p, band=band)
+    assert p._band is not None
+    boxes = isolate_real_roots(p)
     assert p._chain is None and len(boxes) == p.degree
-    assert boxes == isolate_real_roots(p) == sturm_isolation(p)
+    chained = Polynomial._trusted(*p._form)
+    assert boxes == isolate_real_roots(chained) == sturm_isolation(p)
     if c is not None:
         assert any(box.lo <= c <= box.hi for box in boxes)
         if c == 0:
             assert RootBox(F(0), F(0), 0) in boxes
         points = points + [(c.numerator << 5, 5 + c.denominator.bit_length() - 1)]
-    d, diag, products = band
+    d, diag, products = p._band
     steps = list(zip(diag, [0, *products]))
     for u, s in points:
         u, s = _lowest_terms(u, s)
-        assert _continuant_variations(d, steps, u, s) == _variations(_sturm_chain(p), u, s), (u, s)
+        assert _continuant_variations(d, steps, u, s) == _variations(_sturm_chain(chained), u, s), \
+            (u, s)
+
+
+def test_charpoly_band_survives_copy_and_pickle_and_is_no_part_of_the_value():
+    """A copy or pickle of charpoly's p keeps its band, so it is counted by
+    the continuants and builds no chain; ==, hash and text ignore the band.
+    A zero or negative product, an anti-Jacobi and a dense input carry none."""
+    third = F(1, 3)
+    for m in (jacobi_matrix(JacobiSpec((2, 1, 2), (1, 0), (1, 1))),
+              jacobi_matrix(JacobiSpec((2, 1, 2), (1, -1), (1, 1))),
+              anti_jacobi(JacobiSpec((1, third, 1), (third, 1), (2, third))),
+              flip_rows(random_positive_tnn(3, 3))):
+        assert m.charpoly()._band is None, m
+    banded = [jacobi_matrix(JacobiSpec((2, third, -1), (1, -third), (F(1, 2), -1))),
+              anti_bidiagonal(AntiBidiagonalSpec(F(3, 2), (1, third, 2), (third, 1, F(2, 3))))]
+    for m in banded:
+        p = m.charpoly()
+        assert p._band is not None and p._band[0] == m._form[0] > 1
+        plain = Polynomial._trusted(*p._form)
+        copies = [pickle.loads(pickle.dumps(p, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*copies, copy.copy(p), copy.deepcopy(p)):
+            assert twin._band == p._band and twin == p == plain
+            assert hash(twin) == hash(p) == hash(plain) and str(twin) == str(plain)
+            assert isolate_real_roots(twin) == isolate_real_roots(plain), m
+            assert twin._chain is None
+
+
+def test_isolation_takes_no_band_from_its_caller():
+    """Only charpoly attaches a band: isolation takes p alone, so no caller
+    can make it count z^2 + 1, which has no real root, by a band."""
+    p = Polynomial([1, 0, 1])
+    with pytest.raises(TypeError):
+        isolate_real_roots(p, band=(1, [0, 0], [1]))
+    assert isolate_real_roots(p) == ()

@@ -53,3 +53,22 @@ def test_sweep_writes_its_schema_at_tiny_n(tmp_path, capsys):
     for n in (2, 3):
         jflip = counts["jflip", "tnn_flip", n]
         assert jflip == {"exit": 0, "passed": True, "eigenvalues": n}
+
+
+def test_isolation_layers_take_the_band_route_on_banded_inputs(monkeypatch, tmp_path):
+    """The isolation layers read the route off ``m.charpoly()``: on the
+    Jacobi and anti-bidiagonal inputs they build no Sturm chain, and on the
+    anti-Jacobi and TNN-flip inputs they build one."""
+    from interlace import polynomials
+
+    sweep = _load_sweep()
+    chains = []
+    chain = polynomials._sturm_chain
+    monkeypatch.setattr(polynomials, "_sturm_chain", lambda p: chains.append(p) or chain(p))
+    for kind, banded in (("jacobi", True), ("anti_bidiagonal", True),
+                         ("anti_jacobi", False), ("tnn_flip", False)):
+        for layer in ("isolate_real_roots", "refine_root", "modulus_sort"):
+            chains.clear()
+            call, counts = sweep._layer(layer, sweep.INPUTS[kind](6), tmp_path)
+            assert counts(call())["roots"] == 6, (kind, layer)
+            assert (chains == []) is banded, (kind, layer)
